@@ -15,6 +15,7 @@ import json
 import os
 import platform
 import statistics
+import sys
 import time
 import traceback
 from dataclasses import dataclass
@@ -22,9 +23,27 @@ from pathlib import Path
 
 from chipalg import cli
 
-from workloads import Job, connected_graphs, shuffled
+from probe import HostProbe
+from workloads import Job, shuffled
 
 REFERENCE = Path(__file__).with_name("reference.json")
+
+
+def _package_caches() -> list:
+    """The ``functools.lru_cache`` functions of the imported chipalg modules."""
+    found = {}
+    for name, module in list(sys.modules.items()):
+        if name == "chipalg" or name.startswith("chipalg."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    found[id(value)] = value
+    return list(found.values())
+
+
+#: A user's CLI call starts a fresh process, in which these caches are empty;
+#: ``call`` empties them before every job.  Found once, before a tracer can
+#: rebind the names.
+CACHES = _package_caches()
 
 
 def digest(obj) -> str:
@@ -42,16 +61,11 @@ def load_reference() -> dict:
         return json.load(fh)
 
 
-def write_inputs(files: dict, directory: Path):
-    directory.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        (directory / name).write_text(text)
-
-
 @dataclass
 class Outcome:
     job: Job
-    seconds: float
+    seconds: float  # wall time
+    ref_seconds: float  # time on the reference host of ``probe.py``
     failure: str | None  # None when the job passed
 
 
@@ -71,15 +85,21 @@ def _check(rc, stdout: str, want: str | None) -> str | None:
     return None
 
 
-def call(job: Job, input_dir: Path) -> tuple:
-    """Run one job's ``cli.run`` call in this process and time it.
+def call(job: Job, input_dir: Path, host: HostProbe | None = None) -> tuple:
+    """Run one job's ``cli.run`` call in this process, with the package's
+    caches emptied first, and time it.
 
-    Returns the exit code (or the text of a crash), the captured stdout and
-    the seconds taken.  ``cli.run`` is looked up on each call so that a
-    tracer can rebind it.  A job's second argument is always its input file.
+    Returns the exit code (or the text of a crash), the captured stdout, the
+    wall seconds taken and the reference seconds (see ``HostProbe.scale``;
+    without a ``host``, the wall seconds).  ``cli.run`` is looked up on each
+    call so that a tracer can rebind it.  A job's second argument is always
+    its input file.
     """
     argv = [job.args[0], str(input_dir / job.args[1]), *job.args[2:]]
+    for cached in CACHES:
+        cached.cache_clear()
     out = io.StringIO()
+    mark = host.mark() if host else None
     start = time.perf_counter()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -88,98 +108,50 @@ def call(job: Job, input_dir: Path) -> tuple:
         rc = exc.code
     except Exception:  # a crash is a failed job, as it would be for the CLI process
         rc = "crashed: " + traceback.format_exc(limit=-1).strip()
-    return rc, out.getvalue(), time.perf_counter() - start
+    seconds = time.perf_counter() - start
+    wall, ref = host.scale(seconds, mark) if host else (seconds, seconds)
+    return rc, out.getvalue(), wall, ref
 
 
-def execute(job: Job, input_dir: Path, reference: dict) -> Outcome:
+def execute(job: Job, input_dir: Path, reference: dict, host: HostProbe | None = None) -> Outcome:
     """Run one job and check its answer against the reference digests."""
-    rc, stdout, seconds = call(job, input_dir)
-    return Outcome(job, seconds, _check(rc, stdout, reference.get(job.key)))
+    rc, stdout, wall, ref = call(job, input_dir, host)
+    return Outcome(job, wall, ref, _check(rc, stdout, reference.get(job.key)))
 
 
-#: Every job runs at least this often in a run, so that its best time is
-#: the best of several, spread over the run; a run with few jobs makes more
-#: passes, until it has made at least ``MIN_JOB_RUNS`` job runs.
-MIN_PASSES = 2
+#: A run makes whole passes until it has made at least this many job runs,
+#: so that a catalogue of a few long jobs (``rank``, 8 jobs) times each job
+#: four times: on a shared 2-vCPU virtual machine, runs of two passes spread
+#: about twice as wide over seeds.  One pass of ``sweep`` (1292 jobs) is
+#: enough.
 MIN_JOB_RUNS = 32
 
 
-class CorePicker:
-    """Keeps this process on whichever of its allowed CPUs runs a fixed probe
-    fastest, probing again every ``PROBE_EVERY_S`` seconds, and records the
-    probe time of the chosen CPU.
-
-    On a shared 2-vCPU virtual machine the speed of pure-Python code drifts
-    by up to 1.7x, over stretches from seconds (often on one vCPU only) to
-    minutes (on both).  The probe is benchmark code that does not change with
-    chipalg (``connected_graphs(4, 1)``, three times), and ``slowdown()`` is
-    its median time over ``REFERENCE_PROBE_S``: the factor by which this
-    host ran slower than a host of fixed speed.  Probes run between jobs and
-    are not timed as part of any job.
-    """
-
-    PROBE_EVERY_S = 0.5
-    REFERENCE_PROBE_S = 0.001
-
-    def __init__(self):
-        self.cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else [None]
-        self.probes = []
-        self._next = 0.0
-
-    @staticmethod
-    def _probe(cpu) -> float:
-        if cpu is not None:
-            os.sched_setaffinity(0, {cpu})
-        start = time.perf_counter()
-        for _ in range(3):
-            connected_graphs(4, 1)
-        return time.perf_counter() - start
-
-    def tick(self):
-        if time.perf_counter() >= self._next:
-            times = {cpu: self._probe(cpu) for cpu in self.cpus}
-            best = min(times, key=times.get)
-            if best is not None:
-                os.sched_setaffinity(0, {best})
-            self.probes.append(times[best])
-            self._next = time.perf_counter() + self.PROBE_EVERY_S
-
-    def slowdown(self) -> float:
-        return statistics.median(self.probes) / self.REFERENCE_PROBE_S
-
-    def release(self):
-        if self.cpus != [None]:
-            os.sched_setaffinity(0, set(self.cpus))
-
-
-def run_passes(jobs: list, seed: int, input_dir: Path, reference: dict, seconds: float,
-               picker: CorePicker, min_passes=MIN_PASSES, min_job_runs=MIN_JOB_RUNS):
+def run_passes(jobs: list, seed: int, input_dir: Path, reference: dict, seconds: float, host: HostProbe):
     """Closed loop, one job at a time: whole passes over the catalogue, each in
-    a seeded order, until ``seconds`` have elapsed, at least ``min_passes``
-    passes are done and at least ``min_job_runs`` jobs have run; ``picker``
-    ticks before every job.  Returns the outcomes, the wall time of the loop
-    and the number of passes."""
+    a seeded order, until ``seconds`` have elapsed and at least
+    ``MIN_JOB_RUNS`` jobs have run, with ``host`` sampling the host
+    throughout.  Returns the outcomes, the wall time of the loop and the
+    number of passes."""
     outcomes = []
     start = time.perf_counter()
     done = 0
-    while True:
-        for job in shuffled(jobs, seed, done):
-            picker.tick()
-            outcomes.append(execute(job, input_dir, reference))
-        done += 1
-        wall = time.perf_counter() - start
-        if wall >= seconds and done >= min_passes and len(outcomes) >= min_job_runs:
-            return outcomes, wall, done
+    with host:
+        while True:
+            for job in shuffled(jobs, seed, done):
+                outcomes.append(execute(job, input_dir, reference, host))
+            done += 1
+            wall = time.perf_counter() - start
+            if wall >= seconds and len(outcomes) >= MIN_JOB_RUNS:
+                return outcomes, wall, done
 
 
-def best_seconds(outcomes: list) -> dict:
-    """Fastest time of each job key over all of its runs."""
-    best = {}
+def mean_ref_seconds(outcomes: list) -> dict:
+    """Mean reference time of each job key over all of its runs."""
+    runs = {}
     for o in outcomes:
-        key = o.job.key
-        if key not in best or o.seconds < best[key]:
-            best[key] = o.seconds
-    return best
+        runs.setdefault(o.job.key, []).append(o.ref_seconds)
+    return {key: statistics.fmean(v) for key, v in runs.items()}
 
 
 def latency_summary(outcomes: list) -> dict:

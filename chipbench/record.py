@@ -18,8 +18,8 @@ from run import SRC, WORK
 
 sys.path.insert(0, str(SRC))
 
-from harness import REFERENCE, call, digest, inputs_digest, write_inputs  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
+from harness import REFERENCE, call, digest, inputs_digest  # noqa: E402
+from workloads import WORKLOADS, write_inputs  # noqa: E402
 
 
 def main():
@@ -30,7 +30,7 @@ def main():
         doc["inputs"][name] = inputs_digest(cat.files)
         results = doc["results"][name] = {}
         for job in cat.jobs:
-            rc, stdout, _ = call(job, WORK / name)
+            rc, stdout, *_ = call(job, WORK / name)
             report = json.loads(stdout) if rc == 0 else None
             if report is None or not all(c["pass"] for c in report["checks"]):
                 raise SystemExit(f"cannot record chipalg {job.key}: exit {rc}")

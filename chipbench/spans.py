@@ -145,7 +145,6 @@ class Tracer:
         self.enabled_s = 0.0  # time spent inside the context manager
         self.missing = []
         self._bindings = []  # (holder, attribute, original, wrapper)
-        self._cached = []  # (target index, lru-cached original)
         modules = [m for k, m in sys.modules.items() if k == "chipalg" or k.startswith("chipalg.")]
         for idx, (layer, name, _, counter) in enumerate(TARGETS):
             owner = importlib.import_module(f"chipalg.{layer}")
@@ -162,11 +161,8 @@ class Tracer:
                 for key, value in list(vars(holder).items()):
                     if value is orig:
                         self._bindings.append((holder, key, orig, wrapper))
-            if hasattr(orig, "cache_info"):
-                self._cached.append((idx, orig))
 
     def __enter__(self):
-        self._hits0 = [orig.cache_info().hits for _, orig in self._cached]
         for holder, key, _, wrapper in self._bindings:
             setattr(holder, key, wrapper)
         self._entered = time.perf_counter()
@@ -176,17 +172,20 @@ class Tracer:
         self.enabled_s += time.perf_counter() - self._entered
         for holder, key, orig, _ in self._bindings:
             setattr(holder, key, orig)
-        for (idx, orig), hits0 in zip(self._cached, self._hits0):
-            self.counts[idx]["cache_hits"] += orig.cache_info().hits - hits0
         return False
 
     def _wrap(self, idx, orig, counter):
         stack, now = self._stack, time.perf_counter
         target, parent, job_of, start, end = self.target, self.parent, self.job_of, self.start, self.end
         counts = self.counts[idx]
+        # A call of an lru-cached target is a hit when the cache's miss count
+        # does not move; the cache's own totals are reset whenever it is
+        # cleared, which the harness does before every job.
+        cache_info = orig.cache_info if "cache_hits" in counts else None
 
         @functools.wraps(orig)
         def wrapper(*args, **kwargs):
+            misses = cache_info().misses if cache_info else 0
             sid = len(start)
             target.append(idx)
             parent.append(stack[-1] if stack else -1)
@@ -202,6 +201,8 @@ class Tracer:
             if counter is not None:
                 for k, v in counter(args, result).items():
                     counts[k] += v
+            if cache_info and cache_info().misses == misses:
+                counts["cache_hits"] += 1
             return result
 
         return wrapper

@@ -10,7 +10,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import signal
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -22,6 +24,8 @@ sys.path.insert(0, str(HERE))
 from chipalg import cli  # noqa: E402
 
 import harness  # noqa: E402
+import probe  # noqa: E402
+import run  # noqa: E402
 import spans  # noqa: E402
 import workloads  # noqa: E402
 
@@ -33,7 +37,7 @@ def _sweep(tmp_path):
     """The first four sweep jobs, their inputs written, and their reference."""
     cat = workloads.sweep()
     jobs = cat.jobs[:4]
-    harness.write_inputs({j.args[1]: cat.files[j.args[1]] for j in jobs}, tmp_path)
+    workloads.write_inputs({j.args[1]: cat.files[j.args[1]] for j in jobs}, tmp_path)
     reference = harness.load_reference()["results"]["sweep"]
     return jobs, tmp_path, reference
 
@@ -48,11 +52,45 @@ def test_catalogues_match_recorded_inputs():
         assert harness.inputs_digest(make().files) == reference["inputs"][name], name
 
 
-def test_clean_pass_has_no_failures(sweep):
+def test_clean_run_has_no_failures(sweep):
     jobs, input_dir, reference = sweep
-    outcomes, _, passes = harness.run_passes(jobs, 7, input_dir, reference, 0, harness.CorePicker(), min_passes=1, min_job_runs=1)
-    assert passes == 1 and len(outcomes) == len(jobs)
-    assert [o.failure for o in outcomes] == [None] * len(jobs)
+    outcomes, _, passes = harness.run_passes(jobs, 7, input_dir, reference, 0, probe.HostProbe())
+    assert len(outcomes) == passes * len(jobs) >= harness.MIN_JOB_RUNS
+    assert [o.failure for o in outcomes] == [None] * len(outcomes)
+
+
+def test_host_probe_samples_only_while_entered():
+    host = probe.HostProbe()
+    with host:
+        end = time.perf_counter() + 0.25
+        while time.perf_counter() < end:
+            pass
+    assert len(host.times) >= 5 and host.spent >= sum(host.times)
+    assert signal.getsignal(signal.SIGALRM) == signal.SIG_DFL
+    assert probe.slowdown(host.times) > 0
+    with pytest.raises(RuntimeError):
+        probe.slowdown([])
+
+
+def test_every_job_starts_with_empty_caches(sweep, monkeypatch):
+    jobs, input_dir, reference = sweep
+    multigraph = spans.importlib.import_module("chipalg.multigraph")
+    chipfiring = spans.importlib.import_module("chipalg.chipfiring")
+    assert {id(multigraph.divisor_class_group), id(chipfiring._reduced_laplacian_inverse)} <= {
+        id(f) for f in harness.CACHES
+    }
+    real_run = cli.run
+    sizes = []
+
+    def recording_run(argv):
+        sizes.append([f.cache_info().currsize for f in harness.CACHES])
+        return real_run(argv)
+
+    monkeypatch.setattr(cli, "run", recording_run)
+    for job in jobs + jobs:
+        assert harness.execute(job, input_dir, reference).failure is None
+    assert sizes == [[0] * len(harness.CACHES)] * (2 * len(jobs))
+    assert multigraph.divisor_class_group.cache_info().currsize > 0
 
 
 def test_corrupted_result_counts_as_failed(sweep, monkeypatch):
@@ -71,9 +109,9 @@ def test_corrupted_result_counts_as_failed(sweep, monkeypatch):
         return rc
 
     monkeypatch.setattr(cli, "run", corrupting_run)
-    outcomes, _, _ = harness.run_passes(jobs, 7, input_dir, reference, 0, harness.CorePicker(), min_passes=1, min_job_runs=1)
+    outcomes, _, passes = harness.run_passes(jobs, 7, input_dir, reference, 0, probe.HostProbe())
     failed = [o for o in outcomes if o.failure]
-    assert [o.job for o in failed] == [victim]
+    assert [o.job for o in failed] == [victim] * passes
     assert "digest" in failed[0].failure
 
 
@@ -102,8 +140,24 @@ def test_tracer_counts_and_restores(sweep):
 
 
 def test_benchmark_json_names_every_printed_metric():
+    assert {m["name"]: m["unit"] for m in BENCHMARK["end_to_end"]} == run.END_TO_END
     assert [m["name"] for m in BENCHMARK["per_layer"]] == spans.metric_names()
     assert {m["name"]: m["unit"] for m in BENCHMARK["per_layer"]} == {
         m: spans.unit(m) for m in spans.metric_names()
     }
     assert [w["name"] for w in BENCHMARK["workloads"]] == list(workloads.WORKLOADS)
+
+
+def test_tracer_counts_cache_hits_across_clears():
+    multigraph = spans.importlib.import_module("chipalg.multigraph")
+    graph = multigraph.parse_graph(workloads.graph_text(3, {(1, 2): 2, (2, 3): 1}))
+    tracer = spans.Tracer()
+    with tracer:
+        for _ in range(2):
+            for cached in harness.CACHES:
+                cached.cache_clear()
+            multigraph.divisor_class_group(graph)
+            multigraph.divisor_class_group(graph)
+    m = tracer.metrics()
+    assert m["multigraph.divisor_class_group.calls"] == 4
+    assert m["multigraph.divisor_class_group.cache_hits"] == 2

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from itertools import combinations, product
+from pathlib import Path
 
 #: Seed of the random graphs in the catalogues.  Changing it changes the
 #: inputs, so ``reference.json`` must be recorded again.
@@ -218,6 +219,13 @@ def hilbert_rr() -> Catalogue:
         jobs.append(Job(("rrcheck", base + ".ideal", "--b", _csv(ones), "--b", _csv(near_genus)), meta))
         jobs.append(Job(("mrank", base + ".ideal", f"--monomial={_csv(near_genus)}"), meta))
     return Catalogue(files, jobs)
+
+
+def write_inputs(files: dict, directory):
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (directory / name).write_text(text)
 
 
 WORKLOADS = {"sweep": sweep, "betti": betti, "rank": rank, "hilbert_rr": hilbert_rr}
