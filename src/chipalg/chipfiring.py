@@ -10,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations
 
 from .exactla import solve_integer
-from .monomials import MonomialIdeal, degree_plus, socle, standard_monomials, vec_sub
+from .monomials import MonomialIdeal, degree_plus, standard_monomials, vec_sub
 from .multigraph import Multigraph, Split, connected_splits, laplacian, tree_count
 
 __all__ = [
@@ -126,14 +126,47 @@ def flag_socles(g: Multigraph) -> list:
 
 def lattice_socle_base(g: Multigraph) -> list:
     """Distinct base socle monomials s / x_n of the lattice module, as
-    exponent vectors over [n] (last coordinate -1).
+    exponent vectors over [n] (last coordinate -1), in lexicographic order.
 
-    For saturated graphs these are the flag monomials; in general the flag
-    formula can emit lattice-equivalent Laurent duplicates, so the base is
-    taken from the socle of the parking ideal directly.
+    The socle of the parking ideal is the set of maximal superstables,
+    which are c(v) = indeg_O(v) - 1 over the acyclic orientations O with
+    node n as unique source (Benson-Chakrabarty-Tetali).  Each such O is
+    enumerated once, by its longest-path layering from n: every layer is an
+    independent set and every vertex in it has a neighbour in the layer
+    before, and edges point from earlier layers to later ones.
     """
-    base = sorted(set(socle(parking_ideal(g))))
-    return [m + (-1,) for m in base]
+    n = g.n
+    q = n - 1
+    mult = g.mult
+    nbrs = [frozenset(w for w in range(n) if row[w]) for row in mult]
+    indeg = [0] * n
+    out = []
+
+    def layers(prev, rest):
+        if not rest:
+            out.append(tuple(c - 1 for c in indeg[:q]) + (-1,))
+            return
+        cand = sorted(v for v in rest if nbrs[v] & prev)
+
+        def pick(i, layer, blocked):
+            if i == len(cand):
+                left = rest - layer
+                # a vertex whose neighbours are all placed before this layer
+                # can never get an in-neighbour in the layer before its own
+                if layer and all(nbrs[w] & rest for w in left):
+                    for v in layer:
+                        indeg[v] = sum(mult[v][w] for w in nbrs[v] - rest)
+                    layers(layer, left)
+                return
+            v = cand[i]
+            if v not in blocked:
+                pick(i + 1, layer | {v}, blocked | nbrs[v])
+            pick(i + 1, layer, blocked)
+
+        pick(0, frozenset(), frozenset())
+
+    layers(frozenset((q,)), frozenset(range(q)))
+    return sorted(out)
 
 
 def canonical_divisor(g: Multigraph) -> tuple:
@@ -274,61 +307,57 @@ def q_reduced(g: Multigraph, d) -> tuple:
     n = g.n
     q = n - 1
     d = list(d)
+    nbrs = [[(w, m) for w, m in enumerate(row) if m] for row in g.mult]
 
     # BFS layers from q.
     dist = [-1] * n
     dist[q] = 0
-    frontier = [q]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in range(n):
-                if dist[w] < 0 and g.mult[v][w] > 0:
-                    dist[w] = dist[v] + 1
-                    nxt.append(w)
-        frontier = nxt
-    maxdist = max(dist)
+    order = [q]
+    for v in order:
+        for w, _ in nbrs[v]:
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                order.append(w)
 
     # Unfire U_t = {v : dist[v] >= t} from the deepest layer inward; a layer
-    # never loses chips after its own pass.
-    for t in range(maxdist, 0, -1):
-        layer = [v for v in range(n) if dist[v] == t]
+    # never loses chips after its own pass.  BFS edges leaving U_t all join
+    # layer t to layer t - 1, and each layer-t vertex has at least one.
+    for t in range(dist[order[-1]], 0, -1):
+        layer = [v for v in order if dist[v] == t]
         need = max(0, max(-d[v] for v in layer))
         if need == 0:
             continue
-        inside = [v for v in range(n) if dist[v] >= t]
-        outside = [v for v in range(n) if dist[v] < t]
-        # gain per unfire for v inside: edges to the outside; each layer-t
-        # vertex has at least one such edge.
-        for v in inside:
-            d[v] += need * sum(g.mult[v][w] for w in outside)
-        for w in outside:
-            d[w] -= need * sum(g.mult[v][w] for v in inside)
+        for v in layer:
+            for w, m in nbrs[v]:
+                if dist[w] == t - 1:
+                    d[v] += need * m
+                    d[w] -= need * m
 
-    # Dhar burning.
+    # Dhar burning: the fire spreads from q to every vertex with fewer chips
+    # than burnt edges; if some vertices stay unburnt, they fire together.
     while True:
         burnt = [False] * n
         burnt[q] = True
-        incoming = [g.mult[v][q] for v in range(n)]
-        changed = True
+        incoming = [0] * n
+        stack = [q]
         nburnt = 1
-        while changed:
-            changed = False
-            for v in range(n):
-                if not burnt[v] and d[v] < incoming[v]:
-                    burnt[v] = True
-                    nburnt += 1
-                    for w in range(n):
-                        incoming[w] += g.mult[v][w]
-                    changed = True
+        while stack:
+            v = stack.pop()
+            for w, m in nbrs[v]:
+                if not burnt[w]:
+                    incoming[w] += m
+                    if d[w] < incoming[w]:
+                        burnt[w] = True
+                        nburnt += 1
+                        stack.append(w)
         if nburnt == n:
             return tuple(d)
-        unburnt = [v for v in range(n) if not burnt[v]]
-        for v in unburnt:
-            d[v] -= sum(g.mult[v][w] for w in range(n) if burnt[w])
-        for w in range(n):
-            if burnt[w]:
-                d[w] += sum(g.mult[v][w] for v in unburnt)
+        for v in range(n):
+            if not burnt[v]:
+                for w, m in nbrs[v]:
+                    if burnt[w]:
+                        d[v] -= m
+                        d[w] += m
 
 
 def _compositions(total, parts):

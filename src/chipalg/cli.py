@@ -14,13 +14,13 @@ import sys
 from .chipfiring import (
     baker_norine_verify,
     canonical_divisor,
-    divisor_rank,
     divisor_rank_oracle,
     flag_socles,
     groebner_certificate,
     parking_ideal,
     toppling_generators,
 )
+from .exactla import check_char
 from .hilbert import hilbert_identity_check, hilbert_numerator, parking_sum
 from .monomials import monomial_str, parse_ideal, socle
 from .multigraph import divisor_class_group, parse_graph, tree_count
@@ -39,7 +39,7 @@ __all__ = ["main", "run"]
 def _load_graph(args):
     with open(args.graph) as fh:
         g = parse_graph(fh.read())
-    if getattr(args, "sink", None):
+    if args.sink is not None:
         g = g.relabel_sink(args.sink)
     return g
 
@@ -146,19 +146,21 @@ def _cmd_conjecture(args):
 
 def _cmd_hilbert(args):
     g = _load_graph(args)
-    rep = hilbert_identity_check(g)
+    num = hilbert_numerator(g)
+    psum = parking_sum(g)
+    rep = hilbert_identity_check(g, psum, num)
     return {
-        "numerator": hilbert_numerator(g).to_json(),
-        "parking_sum_terms": len(parking_sum(g).terms),
+        "numerator": num.to_json(),
+        "parking_sum_terms": len(psum.terms),
     }, [("hilbert_identity", rep["pass"], rep)]
 
 
 def _cmd_rank(args):
     g = _load_graph(args)
     u = _csv_ints(args.divisor)
-    r = divisor_rank(g, u)
-    oracle = divisor_rank_oracle(g, u)
     bn = baker_norine_verify(g, u)
+    r = bn["rank_u"]
+    oracle = divisor_rank_oracle(g, u)
     return {
         "divisor": list(u),
         "rank": r,
@@ -268,6 +270,7 @@ def _parser():
 def run(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        check_char(getattr(args, "char", 0))
         results, checks = args.fn(args)
     except (OSError, ValueError) as exc:
         report = {"command": args.command, "error": str(exc)}

@@ -14,7 +14,9 @@ from .kernels import bareiss_det, sparse_rank
 __all__ = [
     "IntMatrix",
     "SmithForm",
+    "check_char",
     "determinant",
+    "is_prime",
     "rank_over_field",
     "smith_normal_form",
     "solve_integer",
@@ -120,7 +122,7 @@ def determinant(m: IntMatrix) -> int:
     return bareiss_det(m.to_rows())
 
 
-def _is_prime(p: int) -> bool:
+def is_prime(p: int) -> bool:
     if p < 2:
         return False
     d = 2
@@ -142,10 +144,15 @@ def _sparse_cols(m: IntMatrix) -> list:
     return cols
 
 
+def check_char(char: int) -> None:
+    """Reject a characteristic that is neither 0 nor a prime."""
+    if char != 0 and not is_prime(char):
+        raise ValueError(f"characteristic must be 0 or a prime, got {char}")
+
+
 def rank_over_field(m: IntMatrix, char: int = 0) -> int:
     """Exact rank over Q (``char = 0``) or GF(p) (``char`` a prime)."""
-    if char != 0 and not _is_prime(char):
-        raise ValueError(f"characteristic must be 0 or a prime, got {char}")
+    check_char(char)
     return sparse_rank(_sparse_cols(m), char)
 
 

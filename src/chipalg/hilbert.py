@@ -135,14 +135,18 @@ def parking_sum(g: Multigraph) -> GradedPolynomial:
     return out
 
 
-def hilbert_identity_check(g: Multigraph) -> dict:
-    """Verify parking_sum * prod_{i<n} (1 - psi(x_i)) = numerator exactly."""
+def hilbert_identity_check(g: Multigraph, psum=None, numerator=None) -> dict:
+    """Verify parking_sum * prod_{i<n} (1 - psi(x_i)) = numerator exactly.
+
+    ``psum`` and ``numerator``, when given, are the already built
+    ``parking_sum(g)`` and ``hilbert_numerator(g)``.
+    """
     one = _one(g)
-    lhs = parking_sum(g)
+    lhs = parking_sum(g) if psum is None else psum
     for i in range(g.n - 1):
         xi = tuple(1 if j == i else 0 for j in range(g.n - 1))
         lhs = lhs.mul(one.sub(psi(g, xi)))
-    rhs = hilbert_numerator(g)
+    rhs = hilbert_numerator(g) if numerator is None else numerator
     return {
         "lhs_terms": len(lhs.terms),
         "rhs_terms": len(rhs.terms),

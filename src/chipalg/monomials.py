@@ -17,6 +17,7 @@ __all__ = [
     "lcm_exp",
     "vec_add",
     "vec_sub",
+    "require_artinian",
     "standard_monomials",
     "socle",
     "intersect_irreducible",
@@ -54,14 +55,17 @@ def vec_sub(a, b) -> tuple:
 
 
 def _minimize(gens):
-    """Antichain of minimal elements under divisibility."""
+    """Antichain of minimal elements under divisibility.
+
+    In lexicographic order every proper divisor of g comes before g, so one
+    pass over the sorted distinct generators drops every multiple.
+    """
     gens = sorted(set(map(tuple, gens)))
     out = []
     for g in gens:
-        if not any(divides(h, g) for h in out if h != g):
+        if not any(divides(h, g) for h in out):
             out.append(g)
-    # a second pass in case a later element divides an earlier one
-    return tuple(g for g in out if not any(divides(h, g) and h != g for h in out))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -100,14 +104,14 @@ class MonomialIdeal:
         return best
 
 
-def _require_artinian(M: MonomialIdeal):
+def require_artinian(M: MonomialIdeal):
     if not M.is_artinian():
         raise ValueError("ideal must be artinian (a pure power in every variable)")
 
 
 def standard_monomials(M: MonomialIdeal) -> list:
     """All monomials outside an artinian ideal, in lexicographic order."""
-    _require_artinian(M)
+    require_artinian(M)
     bounds = [M.pure_power(i) for i in range(M.vars)]
     return [
         u for u in product(*(range(b) for b in bounds)) if not M.contains(u)
@@ -157,7 +161,7 @@ def alexander_dual_box_generators(M: MonomialIdeal, K) -> list:
     generators; for a reflection-invariant ideal with canonical monomial
     x^K it returns exactly the socle.
     """
-    _require_artinian(M)
+    require_artinian(M)
     K = tuple(K)
     if any(e < 0 for e in K):
         raise ValueError("box corner must be non-negative")

@@ -10,10 +10,10 @@ homology of label-restricted subcomplexes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 from .chipfiring import _arrow, lattice_points_in_box
+from .exactla import check_char
 from .kernels import sparse_rank
 from .monomials import divides, lcm_exp, vec_add
 from .multigraph import Multigraph, divisor_class_group, laplacian
@@ -344,6 +344,7 @@ def homology_ranks(c: LabeledComplex, char: int = 0) -> dict:
     i-th reduced homology group; the empty complex has rank 1 in
     dimension -1.
     """
+    check_char(char)
     by_dim = {}
     for f in c.faces:
         by_dim.setdefault(len(f) - 1, []).append(f)

@@ -17,6 +17,7 @@ from .monomials import (
     degree_plus,
     divides,
     intersect_irreducible,
+    require_artinian,
     socle,
     vec_add,
     vec_sub,
@@ -63,18 +64,13 @@ class RRProfile:
         return self.genus_min
 
 
-def _require_artinian(M: MonomialIdeal):
-    if not M.is_artinian():
-        raise ValueError("ideal must be artinian")
-
-
 def mono_rank_bruteforce(M: MonomialIdeal, b) -> RankWitness:
     """Rank by direct search: the smallest-degree a with 0 <= a <= b and
     x^(b-a) outside M; rank = degree(a) - 1.
 
     Ties within a degree are broken lexicographically.
     """
-    _require_artinian(M)
+    require_artinian(M)
     b = tuple(b)
     if any(e < 0 for e in b):
         raise ValueError("brute-force rank needs a non-negative monomial")
@@ -91,14 +87,14 @@ def mono_rank_bruteforce(M: MonomialIdeal, b) -> RankWitness:
 
 def mono_rank(M: MonomialIdeal, b) -> int:
     """Rank of a Laurent monomial: min over socle c of degree_plus(b - c), minus 1."""
-    _require_artinian(M)
+    require_artinian(M)
     b = tuple(b)
     return min(degree_plus(vec_sub(b, c)) for c in socle(M)) - 1
 
 
 def mono_rank_lcm(M: MonomialIdeal, b) -> int:
     """Rank via the S-pair form: min over socle c of degree(lcm(x^b, x^c)/x^c), minus 1."""
-    _require_artinian(M)
+    require_artinian(M)
     b = tuple(b)
     return min(
         sum(max(x, y) - y for x, y in zip(b, c)) for c in socle(M)
@@ -112,7 +108,7 @@ def rr_profile(M: MonomialIdeal) -> RRProfile:
     sums exhaust the candidates; K is valid when c -> K - c maps the socle
     onto itself.
     """
-    _require_artinian(M)
+    require_artinian(M)
     soc = tuple(socle(M))
     socset = set(soc)
     degs = [degree(c) for c in soc]
@@ -194,7 +190,7 @@ def clifford_check(M: MonomialIdeal, K, b) -> dict:
     Applies when b divides K and both rank(x^b) and rank(x^K/x^b) are
     non-negative; unmet preconditions are reported as skipped.
     """
-    _require_artinian(M)
+    require_artinian(M)
     K = tuple(K)
     b = tuple(b)
     report = {"skipped": False, "reason": None, "pass": None}
@@ -214,7 +210,7 @@ def clifford_check(M: MonomialIdeal, K, b) -> dict:
 
 def superadditivity_check(M: MonomialIdeal, a, b) -> dict:
     """Check rank(x^a * x^b) >= rank(x^a) + rank(x^b) for non-negative a, b."""
-    _require_artinian(M)
+    require_artinian(M)
     a, b = tuple(a), tuple(b)
     if any(e < 0 for e in a + b):
         raise ValueError("superadditivity needs non-negative monomials")

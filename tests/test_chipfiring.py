@@ -21,8 +21,8 @@ from chipalg.chipfiring import (
     toppling_generators,
 )
 from chipalg.monomials import MonomialIdeal, monomial_str, socle, vec_sub
-from chipalg.multigraph import Split, laplacian, tree_count
-from conftest import c4, chain_graph, k4, random_connected
+from chipalg.multigraph import Split, acyclic_orientations_unique_sink, laplacian, tree_count
+from conftest import c4, chain_graph, k4, random_connected, random_saturated
 
 K4_BINOMIALS = {
     ("x1^3", "x2*x3*x4"),
@@ -88,6 +88,24 @@ def test_lattice_socle_base_c4():
     assert sorted(base) == [(0, 0, 1, -1), (0, 1, 0, -1), (1, 0, 0, -1)]
 
 
+def _random_graphs(seed, count):
+    """Seeded random multigraphs with n <= 6, saturated or not."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = rng.randint(2, 6)
+        if k % 3 == 0:
+            yield random_saturated(rng, n, max_mult=2)
+        else:
+            yield random_connected(rng, n, max_mult=3)
+
+
+def test_lattice_socle_base_matches_box_socle():
+    for g in _random_graphs(11, 40):
+        base = lattice_socle_base(g)
+        assert base == [m + (-1,) for m in sorted(set(socle(parking_ideal(g))))]
+        assert len(base) == acyclic_orientations_unique_sink(g, g.n)
+
+
 def test_canonical_divisor(k4_graph, c4_graph):
     assert canonical_divisor(k4_graph) == (1, 1, 1, 1)
     assert canonical_divisor(c4_graph) == (0, 0, 0, 0)
@@ -131,6 +149,16 @@ def test_q_reduced_properties():
                 for i in S:
                     fired[i - 1] -= sum(g.u(i, k) for k in range(1, n + 1) if k not in S)
                 assert any(fired[i - 1] < 0 for i in S)
+
+
+def test_q_reduced_is_superstable_and_equivalent():
+    rng = random.Random(12)
+    for g in _random_graphs(13, 40):
+        d = tuple(rng.randint(-8, 8) for _ in range(g.n))
+        red = q_reduced(g, d)
+        assert all(x >= 0 for x in red[:-1])
+        assert not parking_ideal(g).contains(red[:-1])
+        assert lattice_member(g, vec_sub(d, red))[0]
 
 
 def _subsets(items, size):

@@ -89,6 +89,19 @@ def test_rank_and_sink(capsys):
     assert json.loads(out2)["results"]["rank"] == rep["results"]["rank"]
 
 
+def test_sink_zero_is_out_of_range(capsys):
+    # --sink 0 names no node, so it must be rejected, not ignored
+    code, out, _ = _run(capsys, "rank", K4, "--sink", "0", "--divisor", "2,1,0,0")
+    assert code == 1 and "out of range" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("command", ["betti", "conjecture"])
+@pytest.mark.parametrize("char", ["1", "4", "-2"])
+def test_non_prime_char_exits_1(capsys, command, char):
+    code, out, _ = _run(capsys, command, K4, f"--char={char}")
+    assert code == 1 and "characteristic" in json.loads(out)["error"]
+
+
 def test_mrank_and_rrcheck(capsys, staircase_ideal):
     code, out, _ = _run(capsys, "mrank", staircase_ideal, "--monomial", "9,13")
     rep = json.loads(out)

@@ -4,6 +4,8 @@ apartment subcomplexes, homology, and graded Betti numbers."""
 import random
 from math import factorial
 
+import pytest
+
 from chipalg.monomials import vec_add
 from chipalg.multigraph import acyclic_orientations_unique_sink
 from chipalg.resolutions import (
@@ -143,6 +145,13 @@ def test_homology_of_simple_complexes():
         tri.vertex_labels, tri.faces + ((0, 1, 2),)
     )
     assert homology_ranks(filled) == {-1: 0, 0: 0, 1: 0, 2: 0}
+
+
+def test_homology_rejects_non_prime_char():
+    two_pts = LabeledComplex(((1, 0), (0, 1)), ((0,), (1,)))
+    for char in (1, 4, -2):
+        with pytest.raises(ValueError, match="characteristic"):
+            homology_ranks(two_pts, char)
 
 
 def test_projective_plane_homology_depends_on_char():
