@@ -8,13 +8,12 @@ functions live on x_1..x_{n-1}, and divisor reduction is taken at n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 
 from .exactla import solve_integer
 from .monomials import MonomialIdeal, degree_plus, standard_monomials, vec_sub
-from .multigraph import Multigraph, Split, connected_splits, laplacian, tree_count
+from .multigraph import GRAPH_CACHE_SIZE, Multigraph, Split, connected_splits, laplacian, tree_count
 
 __all__ = [
     "SplitBinomial",
@@ -174,22 +173,38 @@ def canonical_divisor(g: Multigraph) -> tuple:
     return tuple(g.degree(i) - 2 for i in range(1, g.n + 1))
 
 
-@lru_cache(maxsize=None)
-def _reduced_laplacian_inverse(g: Multigraph):
-    """Exact inverse of the Laplacian with row/column n deleted."""
-    n = g.n - 1
-    lam = laplacian(g).delete_row_col(n, n)
-    a = [[Fraction(lam.at(i, j)) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for k in range(n):
-        piv = next(i for i in range(k, n) if a[i][k] != 0)
-        a[k], a[piv] = a[piv], a[k]
-        inv = 1 / a[k][k]
-        a[k] = [x * inv for x in a[k]]
-        for i in range(n):
-            if i != k and a[i][k]:
-                f = a[i][k]
-                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
-    return tuple(tuple(row[n:]) for row in a)
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
+def _reduced_laplacian_inverse(g: Multigraph) -> tuple:
+    """The inverse of the Laplacian with row/column n deleted, as the
+    integer pair (adj, det) with inverse = adj / det and det = tree count.
+
+    Fraction-free Gauss-Jordan (Bareiss) on [L' | I] keeps every entry a
+    minor, so each division is exact, and ends at [det*I | adj].  L' is
+    positive definite, so no pivot (a leading principal minor) is zero.
+    """
+    m = g.n - 1
+    lam = laplacian(g)
+    a = [[lam.at(i, j) for j in range(m)] + [int(i == j) for j in range(m)] for i in range(m)]
+    prev = 1
+    for k in range(m):
+        ak = a[k]
+        pk = ak[k]
+        for i in range(m):
+            if i != k:
+                ai = a[i]
+                aik = ai[k]
+                a[i] = [(pk * x - aik * y) // prev for x, y in zip(ai, ak)]
+        prev = pk
+    adj = tuple(tuple(row[m:]) for row in a)
+    det = prev
+    # A wrong inverse would silently drop lattice points: check it once.
+    if det != tree_count(g) or any(
+        sum(adj[i][k] * lam.at(k, j) for k in range(m)) != det * (i == j)
+        for i in range(m)
+        for j in range(m)
+    ):
+        raise AssertionError("reduced Laplacian adjugate check failed")
+    return adj, det
 
 
 def lattice_points_in_box(g: Multigraph, lo, hi) -> list:
@@ -200,22 +215,21 @@ def lattice_points_in_box(g: Multigraph, lo, hi) -> list:
     n = g.n
     if any(l > h for l, h in zip(lo, hi)):
         return []
-    inv = _reduced_laplacian_inverse(g)
+    adj, det = _reduced_laplacian_inverse(g)
     m = n - 1
-    # v' = inv @ w' over the box w' in prod [lo_i, hi_i], i < n
+    # v' = adj @ w' / det over the box w' in prod [lo_i, hi_i], i < n
     vlo, vhi = [], []
-    for j in range(m):
-        a = b = Fraction(0)
-        for i in range(m):
-            cij = inv[j][i]
+    for row in adj:
+        a = b = 0
+        for cij, l, h in zip(row, lo, hi):
             if cij >= 0:
-                a += cij * lo[i]
-                b += cij * hi[i]
+                a += cij * l
+                b += cij * h
             else:
-                a += cij * hi[i]
-                b += cij * lo[i]
-        vlo.append(-(-a.numerator // a.denominator))  # ceil
-        vhi.append(b.numerator // b.denominator)  # floor
+                a += cij * h
+                b += cij * l
+        vlo.append(-(-a // det))  # ceil
+        vhi.append(b // det)  # floor
     lam = laplacian(g)
     a = [[lam.at(i, j) for j in range(m)] for i in range(n)]
 

@@ -17,12 +17,13 @@ from .chipfiring import (
     divisor_rank_oracle,
     flag_socles,
     groebner_certificate,
+    lattice_socle_base,
     parking_ideal,
     toppling_generators,
 )
 from .exactla import check_char
 from .hilbert import hilbert_identity_check, hilbert_numerator, parking_sum
-from .monomials import monomial_str, parse_ideal, socle
+from .monomials import monomial_str, parse_ideal
 from .multigraph import divisor_class_group, parse_graph, tree_count
 from .resolutions import betti_parking, betti_toppling, conjecture_check
 from .riemann_roch import (
@@ -100,7 +101,7 @@ def _cmd_ideal(args):
 
 def _cmd_socle(args):
     g = _load_graph(args)
-    soc = socle(parking_ideal(g))
+    soc = [c[:-1] for c in lattice_socle_base(g)]
     flags = sorted({fs.monomial for fs in flag_socles(g)})
     agrees = set(soc) == set(flags)
     checks = []

@@ -12,6 +12,9 @@ from itertools import combinations
 
 from .exactla import IntMatrix, determinant, smith_normal_form
 
+#: Entries kept by each cache keyed on a ``Multigraph``.
+GRAPH_CACHE_SIZE = 64
+
 __all__ = [
     "Multigraph",
     "Split",
@@ -239,7 +242,7 @@ class DivisorClassGroup:
         return tuple((x + y) % d for x, y, d in zip(a, b, self.invariant_factors))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def divisor_class_group(g: Multigraph) -> DivisorClassGroup:
     """Invariant factors and projection for Div_0(G), via Smith normal form."""
     lam = laplacian(g)

@@ -10,6 +10,7 @@ homology of label-restricted subcomplexes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .chipfiring import _arrow, lattice_points_in_box
@@ -227,6 +228,15 @@ class LabeledComplex:
     vertex_labels: tuple
     faces: tuple
 
+    @cached_property
+    def extensions(self) -> dict:
+        """Map from each face (and the empty face) to the vertices, in
+        ascending order, that extend it to a face by one more vertex."""
+        ext = {}
+        for f in self.faces:
+            ext.setdefault(f[:-1], []).append(f[-1])
+        return {f: tuple(sorted(vs)) for f, vs in ext.items()}
+
     def face_label(self, face) -> tuple:
         lab = self.vertex_labels[face[0]]
         for v in face[1:]:
@@ -279,15 +289,36 @@ def bary_complex(g: Multigraph) -> LabeledComplex:
     return LabeledComplex(labels, faces)
 
 
-def _properly_divides(a, b) -> bool:
-    return a != tuple(b) and divides(a, b)
+def _faces_below(labels, deg, roots, extend) -> tuple:
+    """Faces whose lcm label properly divides x^deg, as a sorted tuple.
+
+    Faces are walked as prefix extensions of the empty face in
+    lexicographic pre-order: ``roots`` are the vertices that start a face,
+    and ``extend(face, cand)`` gives the vertices, ascending and above the
+    last one of ``face``, that extend it, where ``cand`` are the ones that
+    extended its parent.  The lcm label only grows along the walk, so a
+    branch ends where its label stops properly dividing x^deg.
+    """
+    deg = tuple(deg)
+    out = []
+
+    def grow(face, label, cand):
+        for j in cand:
+            lab = lcm_exp(label, labels[j]) if face else labels[j]
+            if lab != deg and divides(lab, deg):
+                nxt = face + (j,)
+                out.append(nxt)
+                grow(nxt, lab, extend(nxt, cand))
+
+    grow((), None, roots)
+    return tuple(out)
 
 
 def sub_below(c: LabeledComplex, deg) -> LabeledComplex:
     """Subcomplex of faces whose label properly divides x^deg."""
-    deg = tuple(deg)
-    keep = tuple(f for f in c.faces if _properly_divides(c.face_label(f), deg))
-    return LabeledComplex(c.vertex_labels, keep)
+    ext = c.extensions
+    faces = _faces_below(c.vertex_labels, deg, ext.get((), ()), lambda f, _: ext.get(f, ()))
+    return LabeledComplex(c.vertex_labels, faces)
 
 
 def apt_region(g: Multigraph, deg) -> LabeledComplex:
@@ -299,7 +330,6 @@ def apt_region(g: Multigraph, deg) -> LabeledComplex:
     divides x^deg.
     """
     deg = tuple(deg)
-    n = g.n
     total = sum(deg)
     if total < 0:
         return LabeledComplex((), ())
@@ -319,22 +349,11 @@ def apt_region(g: Multigraph, deg) -> LabeledComplex:
         for j in range(i + 1, m):
             adj[i][j] = adj[j][i] = dist_ok(i, j)
 
-    faces = []
+    def extend(face, cand):
+        j = face[-1]
+        return [k for k in cand if k > j and adj[j][k]]
 
-    def grow(face, label, start):
-        for j in range(start, m):
-            if all(adj[i][j] for i in face):
-                lab = lcm_exp(label, labels[j])
-                if _properly_divides(lab, deg):
-                    nxt = face + (j,)
-                    faces.append(nxt)
-                    grow(nxt, lab, j + 1)
-
-    for i in range(m):
-        if _properly_divides(labels[i], deg):
-            faces.append((i,))
-            grow((i,), labels[i], i + 1)
-    return LabeledComplex(labels, tuple(sorted(faces)))
+    return LabeledComplex(labels, _faces_below(labels, deg, range(m), extend))
 
 
 def homology_ranks(c: LabeledComplex, char: int = 0) -> dict:

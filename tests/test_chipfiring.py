@@ -1,11 +1,13 @@
 """Toppling ideals, parking functions, lattice geometry, and divisor ranks."""
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from chipalg.chipfiring import (
+    _reduced_laplacian_inverse,
     baker_norine_verify,
     canonical_divisor,
     divisor_rank,
@@ -21,7 +23,13 @@ from chipalg.chipfiring import (
     toppling_generators,
 )
 from chipalg.monomials import MonomialIdeal, monomial_str, socle, vec_sub
-from chipalg.multigraph import Split, acyclic_orientations_unique_sink, laplacian, tree_count
+from chipalg.multigraph import (
+    Split,
+    acyclic_orientations_unique_sink,
+    divisor_class_group,
+    laplacian,
+    tree_count,
+)
 from conftest import c4, chain_graph, k4, random_connected, random_saturated
 
 K4_BINOMIALS = {
@@ -112,17 +120,55 @@ def test_canonical_divisor(k4_graph, c4_graph):
     assert sum(canonical_divisor(k4_graph)) == 2 * k4_graph.genus - 2
 
 
+def _fraction_inverse(g):
+    """Exact inverse of the reduced Laplacian by Gauss-Jordan over Q."""
+    m = g.n - 1
+    lam = laplacian(g)
+    a = [[Fraction(lam.at(i, j)) for j in range(m)] + [Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    for k in range(m):
+        piv = next(i for i in range(k, m) if a[i][k] != 0)
+        a[k], a[piv] = a[piv], a[k]
+        a[k] = [x / a[k][k] for x in a[k]]
+        for i in range(m):
+            if i != k and a[i][k]:
+                f = a[i][k]
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return [row[m:] for row in a]
+
+
+def test_reduced_laplacian_adjugate_matches_fraction_inverse():
+    rng = random.Random(14)
+    for k in range(30):
+        n = rng.randint(2, 6)
+        g = random_saturated(rng, n) if k % 3 == 0 else random_connected(rng, n, max_mult=3)
+        adj, det = _reduced_laplacian_inverse(g)
+        assert det == tree_count(g)
+        inv = _fraction_inverse(g)
+        assert [[Fraction(x, det) for x in row] for row in adj] == inv
+
+
+def test_graph_caches_are_bounded():
+    for cached in (divisor_class_group, _reduced_laplacian_inverse):
+        assert cached.cache_info().maxsize is not None
+
+
 def test_lattice_points_in_box_vs_bruteforce():
     rng = random.Random(3)
-    for _ in range(10):
-        g = random_connected(rng, rng.randint(2, 4), max_mult=2)
+    graphs = [random_connected(rng, rng.randint(2, 4), max_mult=2) for _ in range(10)]
+    graphs += [random_saturated(rng, rng.randint(3, 4), max_mult=3) for _ in range(4)]
+    assert sum(tree_count(g) > 1 for g in graphs) >= 8
+    for g in graphs:
         lam = laplacian(g)
-        lo = tuple(rng.randint(-4, 0) for _ in range(g.n))
+        lo = tuple(rng.randint(-6, 0) for _ in range(g.n))
         hi = tuple(l + rng.randint(0, 5) for l in lo)
         got = {w for _, w in lattice_points_in_box(g, lo, hi)}
-        # brute force over small v windows (v_n = 0 normalization)
+        # brute force (v_n = 0 normalization) over a window that holds every
+        # v' = inverse @ w' with w' in the box
+        inv = _fraction_inverse(g)
+        reach = max(abs(x) for x in lo + hi) * max([sum(abs(c) for c in row) for row in inv] + [0])
+        window = range(-int(reach) - 1, int(reach) + 2)
         expect = set()
-        for v in product(range(-8, 9), repeat=g.n - 1):
+        for v in product(window, repeat=g.n - 1):
             w = lam.mul_vec(v + (0,))
             if all(a <= x <= b for a, x, b in zip(lo, w, hi)):
                 expect.add(w)

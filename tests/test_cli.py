@@ -1,15 +1,20 @@
 """Command-line interface: JSON output, exit codes, determinism."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
 
+from chipalg.chipfiring import flag_socles, parking_ideal
 from chipalg.cli import run
+from chipalg.monomials import socle
+from chipalg.multigraph import Multigraph, format_graph, parse_graph
 
 DATA = Path(__file__).parent / "data"
 K4 = str(DATA / "k4.graph")
 C4 = str(DATA / "c4.graph")
+PRISM = str(DATA / "prism.graph")
 STAIRCASE_IDEAL = None  # written by fixture below
 
 
@@ -54,6 +59,32 @@ def test_socle_flags_agree_for_saturated(capsys):
     code, out, _ = _run(capsys, "socle", C4)
     rep = json.loads(out)
     assert code == 0 and not rep["results"]["flag_formula_agrees"]
+
+
+def test_socle_matches_box_socle(capsys):
+    for path in (K4, C4, PRISM):
+        code, out, _ = _run(capsys, "socle", path)
+        g = parse_graph(Path(path).read_text())
+        assert code == 0
+        assert json.loads(out)["results"]["socle"] == [list(m) for m in socle(parking_ideal(g))]
+
+
+def test_socle_without_box_scan(capsys, tmp_path):
+    # saturated, multiplicities 2 and 3: the box of pure powers has 13^5
+    # points, which a box scan takes seconds to walk
+    g = Multigraph.from_edges(
+        6, {(i, j): 3 if (i + j) % 2 else 2 for i in range(1, 7) for j in range(i + 1, 7)}
+    )
+    path = tmp_path / "sat6.graph"
+    path.write_text(format_graph(g))
+    start = time.perf_counter()
+    code, out, _ = _run(capsys, "socle", str(path))
+    elapsed = time.perf_counter() - start
+    rep = json.loads(out)
+    assert code == 0 and rep["checks"][0]["pass"]
+    flags = sorted({fs.monomial for fs in flag_socles(g)})
+    assert rep["results"]["socle"] == [list(m) for m in flags]
+    assert elapsed < 2.0
 
 
 def test_betti_json_shape(capsys):

@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from chipalg.monomials import vec_add
+from chipalg.monomials import divides, vec_add
 from chipalg.multigraph import acyclic_orientations_unique_sink
 from chipalg.resolutions import (
     FreeComplex,
@@ -128,6 +128,52 @@ def test_bary_complex_shape(k4_graph):
     assert bary.face_counts() == (7, 12, 6)
 
 
+def _rp2() -> LabeledComplex:
+    """Minimal 6-vertex triangulation of RP^2, vertex i labeled (i,)."""
+    triangles = [
+        (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
+        (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6),
+    ]
+    faces = set()
+    for t in triangles:
+        t = tuple(v - 1 for v in t)
+        faces.add(t)
+        faces.add((t[0],))
+        faces.add((t[1],))
+        faces.add((t[2],))
+        faces.add((t[0], t[1]))
+        faces.add((t[0], t[2]))
+        faces.add((t[1], t[2]))
+    return LabeledComplex(tuple((i,) for i in range(6)), tuple(sorted(faces)))
+
+
+def _scan_below(labeled, deg):
+    """Reference for sub_below: filter every face by its label, given as
+    a sorted list of (face, label) pairs."""
+    deg = tuple(deg)
+    return tuple(f for f, lab in labeled if lab != deg and divides(lab, deg))
+
+
+def test_sub_below_matches_full_scan():
+    rng = random.Random(23)
+    cases = [(_rp2(), [(k,) for k in range(-1, 8)])]
+    for n, saturated in ((3, False), (3, True), (4, False), (4, True), (5, False), (5, True), (6, False)):
+        g = random_saturated(rng, n) if saturated else random_connected(rng, n, max_mult=3)
+        bary = bary_complex(g)
+        degrees = sorted({bary.face_label(f) for f in bary.faces})
+        top = [max(c[i] for c in degrees) for i in range(n)]
+        degrees += [tuple(rng.randint(0, t + 1) for t in top) for _ in range(10)]
+        degrees.append((0,) * n)  # no vertex label divides it
+        cases.append((bary, degrees))
+    for c, degrees in cases:
+        labeled = [(f, c.face_label(f)) for f in sorted(c.faces)]
+        for deg in degrees:
+            got = sub_below(c, deg)
+            assert got.faces == _scan_below(labeled, deg)
+            assert got.vertex_labels == c.vertex_labels
+    assert sub_below(cases[1][0], cases[1][1][-1]).faces == ()
+
+
 def test_homology_of_simple_complexes():
     # two isolated points: H~_0 has rank 1
     two_pts = LabeledComplex(((1, 0), (0, 1)), ((0,), (1,)))
@@ -156,21 +202,7 @@ def test_homology_rejects_non_prime_char():
 
 def test_projective_plane_homology_depends_on_char():
     """Minimal 6-vertex triangulation of RP^2: torsion visible only mod 2."""
-    triangles = [
-        (1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
-        (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6),
-    ]
-    faces = set()
-    for t in triangles:
-        t = tuple(v - 1 for v in t)
-        faces.add(t)
-        faces.add((t[0],))
-        faces.add((t[1],))
-        faces.add((t[2],))
-        faces.add((t[0], t[1]))
-        faces.add((t[0], t[2]))
-        faces.add((t[1], t[2]))
-    c = LabeledComplex(tuple((i,) for i in range(6)), tuple(sorted(faces)))
+    c = _rp2()
     assert homology_ranks(c, 0) == {-1: 0, 0: 0, 1: 0, 2: 0}
     assert homology_ranks(c, 2) == {-1: 0, 0: 0, 1: 1, 2: 1}
 
