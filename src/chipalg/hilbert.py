@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from .chipfiring import parking_ideal
 from .monomials import standard_monomials
 from .multigraph import Multigraph, div_class, divisor_class_group
-from .resolutions import cyc_partitions
+from .resolutions import basis_label, cyc_partitions
 
 __all__ = [
     "GradedPolynomial",
@@ -96,14 +96,26 @@ def _one(g: Multigraph) -> GradedPolynomial:
     return GradedPolynomial(grp.invariant_factors, {(0, ident): 1})
 
 
+def _collect(g: Multigraph, signed) -> GradedPolynomial:
+    """Sum of c * t^|u| q^div(u) over the (u, c) pairs, collected in one
+    dict; zero coefficients are dropped."""
+    terms = {}
+    for u, c in signed:
+        k = (sum(u), div_class(g, u))
+        terms[k] = terms.get(k, 0) + c
+    return GradedPolynomial(
+        divisor_class_group(g).invariant_factors,
+        {k: c for k, c in terms.items() if c},
+    )
+
+
 def psi(g: Multigraph, u) -> GradedPolynomial:
     """Image of the monomial x^u (u over the first n-1 nodes) in the group
     algebra: the single term t^|u| q^div(u)."""
     u = tuple(u)
     if any(e < 0 for e in u):
         raise ValueError("psi needs a non-negative exponent vector")
-    grp = divisor_class_group(g)
-    return GradedPolynomial(grp.invariant_factors, {(sum(u), div_class(g, u)): 1})
+    return _collect(g, [(u, 1)])
 
 
 def hilbert_numerator(g: Multigraph) -> GradedPolynomial:
@@ -116,23 +128,20 @@ def hilbert_numerator(g: Multigraph) -> GradedPolynomial:
     if not g.is_saturated():
         raise ValueError("the closed-form numerator requires a saturated graph")
     n = g.n
-    out = GradedPolynomial(divisor_class_group(g).invariant_factors, {})
-    from .resolutions import _basis_label
-
-    for k in range(1, n + 1):
-        for p in cyc_partitions(n, k):
-            term = psi(g, _basis_label(g, p, n - 1))
-            out = out.add(term if k % 2 else term.neg())
-    return out
+    return _collect(
+        g,
+        (
+            (basis_label(g, p, n - 1), 1 if k % 2 else -1)
+            for k in range(1, n + 1)
+            for p in cyc_partitions(n, k)
+        ),
+    )
 
 
 def parking_sum(g: Multigraph) -> GradedPolynomial:
     """Sum of t^|u| q^div(u) over all parking functions u (the standard
     monomials of the parking ideal); one term per spanning tree."""
-    out = GradedPolynomial(divisor_class_group(g).invariant_factors, {})
-    for u in standard_monomials(parking_ideal(g)):
-        out = out.add(psi(g, u))
-    return out
+    return _collect(g, ((u, 1) for u in standard_monomials(parking_ideal(g))))
 
 
 def hilbert_identity_check(g: Multigraph, psum=None, numerator=None) -> dict:

@@ -7,6 +7,7 @@ monomials).  Ideals keep a minimized generator antichain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 __all__ = [
@@ -103,30 +104,64 @@ class MonomialIdeal:
                     best = g[i]
         return best
 
+    @cached_property
+    def _socle(self) -> tuple:
+        """Socle of an artinian ideal, built once per ideal from its staircase."""
+        stair = _staircase(self)
+        inside = set(stair)
+        return tuple(
+            u
+            for u in stair
+            if all(
+                u[:i] + (u[i] + 1,) + u[i + 1 :] not in inside
+                for i in range(self.vars)
+            )
+        )
+
 
 def require_artinian(M: MonomialIdeal):
     if not M.is_artinian():
         raise ValueError("ideal must be artinian (a pure power in every variable)")
 
 
+def _staircase(M: MonomialIdeal) -> list:
+    """Standard monomials of an artinian ideal, walked in lexicographic order.
+
+    The walk fixes u[0], u[1], ... in turn.  The prefix u[:i] carries the
+    generators g with g[:i] dividing it, and u[i] runs below the least g[i]
+    over the carried g with g[i+1:] == 0 (the pure power of x_i is one of
+    them).  So every prefix visited extends by zeros to a standard monomial,
+    and the work grows with the output, not with the box of pure powers.
+    """
+    require_artinian(M)
+    last = M.vars - 1
+    gens = [
+        (g, max((i for i, e in enumerate(g) if e), default=0))
+        for g in M.generators
+    ]
+    out = []
+
+    def walk(prefix, i, carried):
+        bound = min(g[i] for g, end in carried if end <= i)
+        if i == last:
+            out.extend(prefix + (v,) for v in range(bound))
+            return
+        for v in range(bound):
+            walk(prefix + (v,), i + 1, [ge for ge in carried if ge[0][i] <= v])
+
+    walk((), 0, gens)
+    return out
+
+
 def standard_monomials(M: MonomialIdeal) -> list:
     """All monomials outside an artinian ideal, in lexicographic order."""
-    require_artinian(M)
-    bounds = [M.pure_power(i) for i in range(M.vars)]
-    return [
-        u for u in product(*(range(b) for b in bounds)) if not M.contains(u)
-    ]
+    return _staircase(M)
 
 
 def socle(M: MonomialIdeal) -> list:
-    """Standard monomials pushed into the ideal by every variable."""
-    out = []
-    for u in standard_monomials(M):
-        if all(
-            M.contains(u[:i] + (u[i] + 1,) + u[i + 1 :]) for i in range(M.vars)
-        ):
-            out.append(u)
-    return out
+    """Standard monomials pushed into the ideal by every variable, in
+    lexicographic order; computed once per ideal object."""
+    return list(M._socle)
 
 
 def intersect_irreducible(components, vars: int) -> MonomialIdeal:
@@ -170,7 +205,7 @@ def alexander_dual_box_generators(M: MonomialIdeal, K) -> list:
         for u in product(*(range(k + 1) for k in K))
         if not M.contains(vec_sub(K, u))
     ]
-    return [u for u in hits if not any(divides(v, u) and v != u for v in hits)]
+    return list(_minimize(hits))
 
 
 def parse_ideal(text: str) -> MonomialIdeal:

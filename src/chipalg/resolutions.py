@@ -24,6 +24,7 @@ __all__ = [
     "FreeComplex",
     "LabeledComplex",
     "cyc_partitions",
+    "basis_label",
     "cyc_complex",
     "scarf_complex_parking",
     "minimality_check",
@@ -133,7 +134,7 @@ class FreeComplex:
         return True
 
 
-def _basis_label(g: Multigraph, p: OrderedPartition, nvars: int) -> tuple:
+def basis_label(g: Multigraph, p: OrderedPartition, nvars: int) -> tuple:
     """Degree of the basis element (I_1, ..., I_k): the lcm face label
     prod_{s<t} x^(I_s -> I_t), i.e. each block maps to the union of all
     later blocks."""
@@ -155,7 +156,7 @@ def _build_complex(g: Multigraph, with_wrap: bool, nvars: int) -> FreeComplex:
     basis = tuple(tuple(cyc_partitions(n, k)) for k in range(1, n + 1))
     index = [{p: i for i, p in enumerate(bs)} for bs in basis]
     labels = tuple(
-        tuple(_basis_label(g, p, nvars) for p in bs) for bs in basis
+        tuple(basis_label(g, p, nvars) for p in bs) for bs in basis
     )
     matrices = []
     for k in range(1, n):  # map from step k (k+1 blocks) to step k-1

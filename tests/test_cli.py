@@ -144,6 +144,16 @@ def test_mrank_and_rrcheck(capsys, staircase_ideal):
     assert rep["results"]["genus_min"] == 12
 
 
+def test_rrcheck_output_is_unchanged(capsys):
+    # rr_profile and both rr_verify calls share one socle per parsed ideal;
+    # the report is the one recorded before the socle was cached.
+    expected = (DATA / "k4_parking.rrcheck.json").read_text()
+    argv = ("rrcheck", str(DATA / "k4_parking.ideal"), "--b", "1,1,1", "--b=-1,2,0", "--b", "3,0,2")
+    for _ in range(2):
+        code, out, _ = _run(capsys, *argv)
+        assert code == 0 and out == expected
+
+
 def test_construct(capsys):
     code, out, _ = _run(
         capsys, "construct", "--canonical", "2,2,2",

@@ -11,8 +11,11 @@ from chipalg.hilbert import (
     parking_sum,
     psi,
 )
-from chipalg.multigraph import tree_count
-from conftest import c4, k4, random_saturated
+from chipalg.chipfiring import parking_ideal
+from chipalg.monomials import standard_monomials
+from chipalg.multigraph import divisor_class_group, tree_count
+from chipalg.resolutions import basis_label, cyc_partitions
+from conftest import c4, k4, random_connected, random_saturated
 
 
 def test_graded_polynomial_ring_axioms():
@@ -52,6 +55,35 @@ def test_parking_sum_term_count(k4_graph):
     ps = parking_sum(k4_graph)
     # one parking function per spanning tree, distinct classes: 16 terms
     assert sum(ps.terms.values()) == tree_count(k4_graph) == 16
+
+
+def _termwise(g, signed):
+    """Oracle: the sum folded one psi term at a time with GradedPolynomial.add."""
+    out = GradedPolynomial(divisor_class_group(g).invariant_factors, {})
+    for u, sign in signed:
+        term = psi(g, u)
+        out = out.add(term if sign > 0 else term.neg())
+    return out
+
+
+def test_sums_match_termwise_add():
+    rng = random.Random(31)
+    for k in range(8):
+        n = rng.randint(2, 5)
+        if k % 2:
+            g = random_connected(rng, n, max_mult=3)
+        else:
+            g = random_saturated(rng, n, max_mult=3)
+            signed = [
+                (basis_label(g, p, n - 1), 1 if j % 2 else -1)
+                for j in range(1, n + 1)
+                for p in cyc_partitions(n, j)
+            ]
+            assert hilbert_numerator(g) == _termwise(g, signed)
+        std = standard_monomials(parking_ideal(g))
+        ps = parking_sum(g)
+        assert ps == _termwise(g, [(u, 1) for u in std])
+        assert sum(ps.terms.values()) == tree_count(g)
 
 
 def test_hilbert_identity_k4(k4_graph):

@@ -1,11 +1,15 @@
 """Monomial ideals: membership, standard monomials, socle, Alexander duality."""
 
 import random
+import time
+from itertools import product
 
 import pytest
 
+from chipalg.chipfiring import parking_ideal
 from chipalg.monomials import (
     MonomialIdeal,
+    _minimize,
     alexander_dual_box_generators,
     degree,
     degree_plus,
@@ -20,11 +24,75 @@ from chipalg.monomials import (
     vec_add,
     vec_sub,
 )
+from chipalg.multigraph import tree_count
+from conftest import random_connected, random_saturated
 
 K4_GENS = [
     (3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1), (2, 2, 0), (2, 0, 2), (0, 2, 2),
 ]
 K4_SOCLE = {(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)}
+
+
+def _box_standard(M):
+    """Oracle: every point of the box prod pure powers that lies outside M."""
+    bounds = [M.pure_power(i) for i in range(M.vars)]
+    return [u for u in product(*(range(b) for b in bounds)) if not M.contains(u)]
+
+
+def _box_socle(M):
+    """Oracle: box-scanned standard monomials that every variable pushes into M."""
+    return [
+        u
+        for u in _box_standard(M)
+        if all(
+            M.contains(u[:i] + (u[i] + 1,) + u[i + 1 :]) for i in range(M.vars)
+        )
+    ]
+
+
+def _random_artinian(rng, m):
+    """Generators of a random artinian ideal in m variables, with zero tails,
+    repeated pure powers and multiples of earlier generators mixed in."""
+    gens = [
+        tuple(rng.randint(1, 5) if k == i else 0 for k in range(m))
+        for i in range(m)
+    ]
+    for _ in range(rng.randint(0, 6)):
+        v = [rng.randint(0, 4) for _ in range(m)]
+        cut = rng.randint(1, m)
+        if rng.random() < 0.4:
+            v[cut:] = [0] * (m - cut)
+        if any(v):
+            gens.append(tuple(v))
+    for _ in range(rng.randint(0, 3)):
+        g = rng.choice(gens)
+        gens.append(tuple(e + rng.randint(0, 2) for e in g))
+    rng.shuffle(gens)
+    return gens
+
+
+def _random_ideals(seed, count):
+    """Seeded artinian ideals with 1-5 variables, each once minimized and
+    once with its redundant generators kept."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(1, 5)
+        gens = _random_artinian(rng, m)
+        yield MonomialIdeal.from_generators(m, gens)
+        yield MonomialIdeal(m, tuple(gens))
+
+
+def _random_parking_ideals(seed, count):
+    """Parking ideals of seeded multigraphs with n = 2-6, saturated or not,
+    with the graph's tree count."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = rng.randint(2, 6)
+        if k % 2:
+            g = random_saturated(rng, n, max_mult=2 if n < 6 else 1)
+        else:
+            g = random_connected(rng, n, max_mult=3 if n < 6 else 2)
+        yield parking_ideal(g), tree_count(g)
 
 
 def test_vector_helpers():
@@ -77,6 +145,72 @@ def test_socle_definition_randomized():
         for u in standard_monomials(M):
             is_socle = all(M.contains(vec_add(u, ej)) for ej in e)
             assert (tuple(u) in soc) == is_socle
+
+
+def test_standard_monomials_match_box_scan():
+    for M in _random_ideals(21, 200):
+        assert standard_monomials(M) == _box_standard(M)
+    for M, trees in _random_parking_ideals(22, 24):
+        std = standard_monomials(M)
+        assert std == _box_standard(M)
+        assert len(std) == trees
+    # The zero generator puts every monomial in the ideal.
+    assert standard_monomials(MonomialIdeal(2, ((0, 0), (1, 0), (0, 1)))) == []
+
+
+def test_socle_matches_box_scan():
+    for M in _random_ideals(23, 200):
+        assert socle(M) == _box_socle(M)
+    for M, _ in _random_parking_ideals(24, 24):
+        assert socle(M) == _box_socle(M)
+
+
+def test_staircase_is_output_sensitive():
+    # Pure powers x_i^2000 and every x_i*x_j: 1 + 4 * 1999 standard monomials
+    # in a box of 2000^4 = 1.6e13 points.
+    gens = [tuple(2000 if k == i else 0 for k in range(4)) for i in range(4)]
+    gens += [
+        tuple(int(k in (i, j)) for k in range(4))
+        for i in range(4)
+        for j in range(i + 1, 4)
+    ]
+    M = MonomialIdeal.from_generators(4, gens)
+    start = time.perf_counter()
+    std = standard_monomials(M)
+    soc = socle(M)
+    elapsed = time.perf_counter() - start
+    assert len(std) == 7997
+    assert soc == [(0, 0, 0, 1999), (0, 0, 1999, 0), (0, 1999, 0, 0), (1999, 0, 0, 0)]
+    assert elapsed < 2.0
+
+
+def test_socle_cache_is_per_ideal():
+    M = parse_ideal(format_ideal(MonomialIdeal.from_generators(3, K4_GENS)))
+    first = socle(M)
+    assert first == sorted(K4_SOCLE)
+    first.append((9, 9, 9))
+    first[0] = (7, 7, 7)
+    assert socle(M) == sorted(K4_SOCLE)
+    assert socle(M) is not socle(M)
+    fresh = parse_ideal(format_ideal(M))
+    assert M == fresh and hash(M) == hash(fresh)
+    assert {M: 1}[fresh] == 1
+    assert "_socle" in vars(M) and "_socle" not in vars(fresh)
+    assert socle(fresh) == sorted(K4_SOCLE)
+
+
+def test_minimize_matches_pairwise_filter():
+    rng = random.Random(25)
+    for M in _random_ideals(26, 60):
+        K = tuple(rng.randint(0, 5) for _ in range(M.vars))
+        hits = [
+            u
+            for u in product(*(range(k + 1) for k in K))
+            if not M.contains(vec_sub(K, u))
+        ]
+        old = [u for u in hits if not any(divides(v, u) and v != u for v in hits)]
+        assert list(_minimize(hits)) == old
+        assert alexander_dual_box_generators(M, K) == old
 
 
 def test_irreducible_decomposition_k4():
