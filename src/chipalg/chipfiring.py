@@ -175,8 +175,9 @@ def canonical_divisor(g: Multigraph) -> tuple:
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def _reduced_laplacian_inverse(g: Multigraph) -> tuple:
-    """The inverse of the Laplacian with row/column n deleted, as the
-    integer pair (adj, det) with inverse = adj / det and det = tree count.
+    """The inverse of the Laplacian with row/column n deleted, as integers
+    (adj, det, rows): inverse = adj / det with det = tree count, and rows
+    are the n rows of the Laplacian with column n deleted.
 
     Fraction-free Gauss-Jordan (Bareiss) on [L' | I] keeps every entry a
     minor, so each division is exact, and ends at [det*I | adj].  L' is
@@ -204,7 +205,8 @@ def _reduced_laplacian_inverse(g: Multigraph) -> tuple:
         for j in range(m)
     ):
         raise AssertionError("reduced Laplacian adjugate check failed")
-    return adj, det
+    rows = tuple(tuple(lam.at(i, j) for j in range(m)) for i in range(g.n))
+    return adj, det, rows
 
 
 def lattice_points_in_box(g: Multigraph, lo, hi) -> list:
@@ -215,7 +217,7 @@ def lattice_points_in_box(g: Multigraph, lo, hi) -> list:
     n = g.n
     if any(l > h for l, h in zip(lo, hi)):
         return []
-    adj, det = _reduced_laplacian_inverse(g)
+    adj, det, lap = _reduced_laplacian_inverse(g)
     m = n - 1
     # v' = adj @ w' / det over the box w' in prod [lo_i, hi_i], i < n
     vlo, vhi = [], []
@@ -230,15 +232,13 @@ def lattice_points_in_box(g: Multigraph, lo, hi) -> list:
                 b += cij * l
         vlo.append(-(-a // det))  # ceil
         vhi.append(b // det)  # floor
-    lam = laplacian(g)
-    a = [[lam.at(i, j) for j in range(m)] for i in range(n)]
 
     # Suffix interval of each linear form w_i over the unfixed coordinates.
     sufmin = [[0] * n for _ in range(m + 1)]
     sufmax = [[0] * n for _ in range(m + 1)]
     for j in range(m - 1, -1, -1):
         for i in range(n):
-            c = a[i][j]
+            c = lap[i][j]
             x, y = c * vlo[j], c * vhi[j]
             sufmin[j][i] = sufmin[j + 1][i] + min(x, y)
             sufmax[j][i] = sufmax[j + 1][i] + max(x, y)
@@ -253,7 +253,7 @@ def lattice_points_in_box(g: Multigraph, lo, hi) -> list:
         # Tighten the range of v'_j from every constraint row.
         aj, bj = vlo[j], vhi[j]
         for i in range(n):
-            c = a[i][j]
+            c = lap[i][j]
             if c == 0:
                 if partial[i] + sufmin[j + 1][i] > hi[i] or partial[i] + sufmax[j + 1][i] < lo[i]:
                     return
@@ -271,10 +271,10 @@ def lattice_points_in_box(g: Multigraph, lo, hi) -> list:
                 return
         for v in range(aj, bj + 1):
             for i in range(n):
-                partial[i] += a[i][j] * v
+                partial[i] += lap[i][j] * v
             rec(j + 1, prefix + (v,))
             for i in range(n):
-                partial[i] -= a[i][j] * v
+                partial[i] -= lap[i][j] * v
 
     rec(0, ())
     return out

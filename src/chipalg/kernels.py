@@ -1,9 +1,7 @@
-"""Pure-Python elimination kernels.
+"""Exact elimination kernels.
 
 These are the hot inner loops of the package: every homology rank, tree
-count, and field-rank query bottoms out here.  A compiled twin lives in
-``_speedups.pyx``; both implement exactly the same arithmetic and either
-may be selected at import time (see ``chipalg.kernels``).
+count, and field-rank query bottoms out here.
 
 All arithmetic is exact.  ``sparse_rank`` works on a column-major sparse
 matrix (a list of ``{row: value}`` dicts) and performs fraction-free
@@ -15,7 +13,10 @@ it.  Over GF(p) the elimination is ordinary modular reduction.
 
 from math import gcd
 
-__all__ = ["sparse_rank", "bareiss_det"]
+__all__ = ["sparse_rank", "bareiss_det", "BACKEND"]
+
+#: Name of the kernel implementation, reported in benchmark environment stamps.
+BACKEND = "_impl"
 
 
 def sparse_rank(cols, p=0):

@@ -255,17 +255,23 @@ class LabeledComplex:
         return tuple(out)
 
 
-def _chains(order, children):
-    """All chains (by index) in a poset given by a strict order predicate."""
-    out = [(i,) for i in range(len(order))]
-    stack = list(out)
-    while stack:
-        chain = stack.pop()
-        for j in children[chain[-1]]:
+def _flags(subsets):
+    """Flags (chains under strict inclusion) of the given subsets, as
+    tuples of indices into ``subsets``, in lexicographic pre-order.
+
+    ``subsets`` must list every set after its proper subsets (as sorting by
+    size does), so a chain's indices ascend.
+    """
+    sets = [set(s) for s in subsets]
+    above = [[j for j in range(i + 1, len(sets)) if sets[i] < sets[j]] for i in range(len(sets))]
+
+    def walk(chain, cand):
+        for j in cand:
             ext = chain + (j,)
-            out.append(ext)
-            stack.append(ext)
-    return out
+            yield ext
+            yield from walk(ext, above[j])
+
+    return walk((), range(len(sets)))
 
 
 def bary_complex(g: Multigraph) -> LabeledComplex:
@@ -273,21 +279,12 @@ def bary_complex(g: Multigraph) -> LabeledComplex:
     non-empty subsets I of [n-1] labeled x^(I -> [n] minus I), faces are
     chains of subsets."""
     n = g.n
-    subsets = []
-    for size in range(1, n):
-        subsets.extend(combinations(range(1, n), size))
-    subsets.sort(key=lambda s: (len(s), s))
+    subsets = [s for size in range(1, n) for s in combinations(range(1, n), size)]
     labels = tuple(
         _arrow(g, s, tuple(k for k in range(1, n + 1) if k not in s))
         for s in subsets
     )
-    sets = [set(s) for s in subsets]
-    children = [
-        [j for j in range(len(subsets)) if sets[i] < sets[j]]
-        for i in range(len(subsets))
-    ]
-    faces = tuple(sorted(_chains(subsets, children)))
-    return LabeledComplex(labels, faces)
+    return LabeledComplex(labels, tuple(_flags(subsets)))
 
 
 def _faces_below(labels, deg, roots, extend) -> tuple:
@@ -297,21 +294,21 @@ def _faces_below(labels, deg, roots, extend) -> tuple:
     lexicographic pre-order: ``roots`` are the vertices that start a face,
     and ``extend(face, cand)`` gives the vertices, ascending and above the
     last one of ``face``, that extend it, where ``cand`` are the ones that
-    extended its parent.  The lcm label only grows along the walk, so a
+    extended its parent.  The lcm label only increases along the walk, so a
     branch ends where its label stops properly dividing x^deg.
     """
     deg = tuple(deg)
     out = []
 
-    def grow(face, label, cand):
+    def walk(face, label, cand):
         for j in cand:
             lab = lcm_exp(label, labels[j]) if face else labels[j]
             if lab != deg and divides(lab, deg):
                 nxt = face + (j,)
                 out.append(nxt)
-                grow(nxt, lab, extend(nxt, cand))
+                walk(nxt, lab, extend(nxt, cand))
 
-    grow((), None, roots)
+    walk((), None, roots)
     return tuple(out)
 
 
@@ -396,27 +393,12 @@ def homology_ranks(c: LabeledComplex, char: int = 0) -> dict:
     return out
 
 
-def betti_parking(g: Multigraph, char: int = 0) -> dict:
-    """Betti table of the quotient by the parking ideal.
-
-    Candidate degrees are the distinct face labels of the barycentric
-    complex; entry j >= 1 in degree c is the rank of reduced homology in
-    dimension j-2 of the subcomplex strictly below c.
-    """
+def _parking_homology(g: Multigraph, char: int):
+    """Yield (c, reduced homology ranks of the barycentric subcomplex
+    strictly below c) for each distinct barycentric face label c, ascending."""
     bary = bary_complex(g)
-    degrees = sorted({bary.face_label(f) for f in bary.faces})
-    n = g.n
-    total = [0] * n
-    total[0] = 1
-    entries = [((0,) * n, 0, 1)]
-    for c in degrees:
-        hr = homology_ranks(sub_below(bary, c), char)
-        for i, r in hr.items():
-            j = i + 2
-            if r and 1 <= j < n:
-                total[j] += r
-                entries.append((c, j, r))
-    return {"total": tuple(total), "entries": entries}
+    for c in sorted({bary.face_label(f) for f in bary.faces}):
+        yield c, homology_ranks(sub_below(bary, c), char)
 
 
 def _zero_incident_labels(g: Multigraph) -> list:
@@ -425,55 +407,54 @@ def _zero_incident_labels(g: Multigraph) -> list:
 
     Faces at the origin correspond to chains of proper non-empty subsets
     I of [n] (the neighbors are the classes of the indicator vectors e_I);
-    every label orbit has such a representative by translation.
+    every label orbit has such a representative by translation.  Each class
+    keeps the first label met with the flags in lexicographic pre-order.
     """
     n = g.n
     lam = laplacian(g)
-    subsets = []
-    for size in range(1, n):
-        subsets.extend(combinations(range(1, n + 1), size))
-    imgs = {
-        s: lam.mul_vec(tuple(1 if i + 1 in s else 0 for i in range(n)))
-        for s in subsets
-    }
+    subsets = [s for size in range(1, n) for s in combinations(range(1, n + 1), size)]
+    imgs = [lam.mul_vec(tuple(int(i + 1 in s) for i in range(n))) for s in subsets]
     grp = divisor_class_group(g)
-    seen = {}
-
-    def visit(label):
-        key = (sum(label), grp.class_of(label))
-        if key not in seen:
-            seen[key] = label
-
-    visit((0,) * n)
-
-    def grow(chain_top, label):
-        for s in subsets:
-            if set(chain_top) < set(s):
-                lab = lcm_exp(label, imgs[s])
-                visit(lab)
-                grow(s, lab)
-
-    for s in subsets:
-        lab = lcm_exp((0,) * n, imgs[s])
-        visit(lab)
-        grow(s, lab)
+    label = {(): (0,) * n}
+    seen = {(0, grp.class_of(label[()])): label[()]}
+    for chain in _flags(subsets):
+        lab = label[chain] = lcm_exp(label[chain[:-1]], imgs[chain[-1]])
+        seen.setdefault((sum(lab), grp.class_of(lab)), lab)
     return sorted(seen.values())
+
+
+def _toppling_homology(g: Multigraph, char: int):
+    """Yield (c, reduced homology ranks of the apartment slice below c) for
+    one label c per lattice orbit of apartment face labels, ascending."""
+    for c in _zero_incident_labels(g):
+        yield c, homology_ranks(apt_region(g, c), char)
+
+
+def _betti_table(n: int, pairs, shift: int, entries: list) -> dict:
+    """Betti table from (degree, homology ranks) pairs: reduced homology in
+    dimension i below degree c gives beta_{i+shift, c}, for indices below n."""
+    for c, hr in pairs:
+        entries += [(c, i + shift, r) for i, r in hr.items() if r and i + shift < n]
+    total = [0] * n
+    for _, j, r in entries:
+        total[j] += r
+    return {"total": tuple(total), "entries": entries}
+
+
+def betti_parking(g: Multigraph, char: int = 0) -> dict:
+    """Betti table of the quotient by the parking ideal.
+
+    Candidate degrees are the distinct face labels of the barycentric
+    complex; entry j >= 1 in degree c is the rank of reduced homology in
+    dimension j-2 of the subcomplex strictly below c.
+    """
+    return _betti_table(g.n, _parking_homology(g, char), 2, [((0,) * g.n, 0, 1)])
 
 
 def betti_toppling(g: Multigraph, char: int = 0) -> dict:
     """Betti table of the quotient by the toppling ideal via apartment
     homology, one candidate degree per lattice orbit of face labels."""
-    n = g.n
-    total = [0] * n
-    entries = []
-    for c in _zero_incident_labels(g):
-        hr = homology_ranks(apt_region(g, c), char)
-        for i, r in hr.items():
-            j = i + 1
-            if r and 0 <= j < n:
-                total[j] += r
-                entries.append((c, j, r))
-    return {"total": tuple(total), "entries": entries}
+    return _betti_table(g.n, _toppling_homology(g, char), 1, [])
 
 
 def conjecture_check(g: Multigraph, char: int = 0) -> dict:
@@ -486,49 +467,45 @@ def conjecture_check(g: Multigraph, char: int = 0) -> dict:
     dimension i-1 of the subcomplex below c is compared with the homology
     in dimension i of the apartment slice.  Classes with several distinct
     barycentric labels are reported as ambiguous pairings; apartment label
-    orbits hit by no barycentric label must carry no homology.
+    orbits hit by no barycentric label must carry no homology.  Every
+    barycentric label is an apartment face label at the origin, so every
+    class has an apartment slice.
     """
     n = g.n
-    bary = bary_complex(g)
-    degrees = sorted({bary.face_label(f) for f in bary.faces})
     grp = divisor_class_group(g)
 
     def key(c):
         return (sum(c), grp.class_of(c))
 
-    by_key = {}
-    for c in degrees:
-        by_key.setdefault(key(c), []).append(c)
-    ambiguous = [tuple(v) for v in by_key.values() if len(v) > 1]
+    by_key, bsums = {}, {}
+    for c, hr in _parking_homology(g, char):
+        k = key(c)
+        by_key.setdefault(k, []).append(c)
+        bsum = bsums.setdefault(k, {})
+        for i, r in hr.items():
+            bsum[i] = bsum.get(i, 0) + r
+    apt = {key(c): (c, hr) for c, hr in _toppling_homology(g, char)}
 
     mismatches = []
     detail = []
-    for labels in by_key.values():
-        bsum = {}
-        for c in labels:
-            for i, r in homology_ranks(sub_below(bary, c), char).items():
-                bsum[i] = bsum.get(i, 0) + r
-        rep = labels[0]
-        ha = homology_ranks(apt_region(g, rep), char)
+    for k, labels in by_key.items():
+        ha = apt.pop(k)[1]
         for i in range(-1, n):
-            b, a = bsum.get(i, 0), ha.get(i + 1, 0)
+            b, a = bsums[k].get(i, 0), ha.get(i + 1, 0)
             if b or a:
                 detail.append({"degrees": tuple(labels), "dimension": i, "bary": b, "apt": a})
             if b != a:
                 mismatches.append(detail[-1])
 
-    unmatched = []
-    for c in _zero_incident_labels(g):
-        if key(c) in by_key or c == (0,) * n:
-            continue
-        ha = homology_ranks(apt_region(g, c), char)
-        if any(r for i, r in ha.items() if i >= 0):
-            unmatched.append({"degree": c, "homology": {i: r for i, r in ha.items() if r}})
-
+    unmatched = [
+        {"degree": c, "homology": {i: r for i, r in ha.items() if r}}
+        for c, ha in apt.values()
+        if any(r for i, r in ha.items() if i >= 0)
+    ]
     return {
         "compared": detail,
         "mismatches": mismatches,
         "unmatched_orbits": unmatched,
-        "ambiguous_pairings": ambiguous,
+        "ambiguous_pairings": [tuple(v) for v in by_key.values() if len(v) > 1],
         "pass": not mismatches and not unmatched,
     }

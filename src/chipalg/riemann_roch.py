@@ -104,24 +104,17 @@ def mono_rank_lcm(M: MonomialIdeal, b) -> int:
 def rr_profile(M: MonomialIdeal) -> RRProfile:
     """Socle, genus bounds, level flag, and the canonical monomial search.
 
-    Any valid K must equal c + c' for socle monomials c, c', so the pair
-    sums exhaust the candidates; K is valid when c -> K - c maps the socle
-    onto itself.
+    K is valid when c -> K - c maps the socle onto itself.  Then K - c0 is
+    a socle monomial for the first socle monomial c0, so the s sums c0 + d
+    over socle monomials d exhaust the candidates.
     """
     require_artinian(M)
     soc = tuple(socle(M))
     socset = set(soc)
     degs = [degree(c) for c in soc]
     gmin, gmax = 1 + min(degs), 1 + max(degs)
-    candidates = sorted({vec_add(c, d) for c in soc for d in soc})
-    valid = tuple(
-        K
-        for K in candidates
-        if all(
-            all(e >= 0 for e in vec_sub(K, c)) and vec_sub(K, c) in socset
-            for c in soc
-        )
-    )
+    candidates = sorted(vec_add(soc[0], d) for d in soc)
+    valid = tuple(K for K in candidates if all(vec_sub(K, c) in socset for c in soc))
     return RRProfile(
         ideal=M,
         socle=soc,

@@ -141,7 +141,7 @@ def test_reduced_laplacian_adjugate_matches_fraction_inverse():
     for k in range(30):
         n = rng.randint(2, 6)
         g = random_saturated(rng, n) if k % 3 == 0 else random_connected(rng, n, max_mult=3)
-        adj, det = _reduced_laplacian_inverse(g)
+        adj, det, _ = _reduced_laplacian_inverse(g)
         assert det == tree_count(g)
         inv = _fraction_inverse(g)
         assert [[Fraction(x, det) for x in row] for row in adj] == inv

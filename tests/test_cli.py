@@ -154,6 +154,19 @@ def test_rrcheck_output_is_unchanged(capsys):
         assert code == 0 and out == expected
 
 
+@pytest.mark.parametrize("graph", ["prism", "c4", "k4", "chain"])
+@pytest.mark.parametrize(
+    "name, argv", [("conjecture", ("conjecture",)), ("toppling", ("betti", "--ideal", "toppling"))]
+)
+def test_toppling_side_output_is_unchanged(capsys, graph, name, argv):
+    # pins each toppling class's representative label (the chain graph has
+    # classes with several parking labels); recorded before the Betti loops
+    # and chain enumerators were merged
+    expected = (DATA / f"{graph}.{name}.json").read_text()
+    code, out, _ = _run(capsys, argv[0], str(DATA / f"{graph}.graph"), *argv[1:])
+    assert code == 0 and out == expected
+
+
 def test_construct(capsys):
     code, out, _ = _run(
         capsys, "construct", "--canonical", "2,2,2",

@@ -1,21 +1,12 @@
-"""The two elimination backends agree with each other and with slow oracles."""
+"""The elimination kernels agree with slow oracles."""
 
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chipalg.kernels import _impl
-
-try:
-    from chipalg.kernels import _speedups
-
-    BACKENDS = [_impl, _speedups]
-except ImportError:  # pragma: no cover - compiled extension always built in CI
-    _speedups = None
-    BACKENDS = [_impl]
+from chipalg.kernels import bareiss_det, sparse_rank
 
 
 def _dense_to_cols(rows):
@@ -81,10 +72,7 @@ matrix_strategy = st.integers(1, 5).flatmap(
 @settings(max_examples=150, deadline=None)
 @given(rows=matrix_strategy, p=st.sampled_from([0, 2, 3, 5]))
 def test_sparse_rank_matches_fraction_oracle(rows, p):
-    cols = _dense_to_cols(rows)
-    expected = _rank_fraction_oracle(rows, p)
-    for backend in BACKENDS:
-        assert backend.sparse_rank([dict(c) for c in cols], p) == expected
+    assert sparse_rank(_dense_to_cols(rows), p) == _rank_fraction_oracle(rows, p)
 
 
 @settings(max_examples=100, deadline=None)
@@ -98,44 +86,25 @@ def test_sparse_rank_matches_fraction_oracle(rows, p):
     )
 )
 def test_bareiss_matches_cofactor_expansion(rows):
-    expected = _det_cofactor(rows)
-    for backend in BACKENDS:
-        assert backend.bareiss_det([list(r) for r in rows]) == expected
+    assert bareiss_det([list(r) for r in rows]) == _det_cofactor(rows)
 
 
-@pytest.mark.skipif(_speedups is None, reason="compiled backend not built")
-def test_backends_agree_on_larger_random_matrices():
+def test_kernels_match_oracles_on_larger_random_matrices():
     rng = random.Random(42)
+    squares = 0
     for _ in range(20):
         nr, nc = rng.randint(1, 12), rng.randint(1, 12)
         rows = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
-        cols = _dense_to_cols(rows)
         for p in (0, 2, 101):
-            assert _impl.sparse_rank([dict(c) for c in cols], p) == _speedups.sparse_rank(
-                [dict(c) for c in cols], p
-            )
+            assert sparse_rank(_dense_to_cols(rows), p) == _rank_fraction_oracle(rows, p)
         if nr == nc:
-            assert _impl.bareiss_det([list(r) for r in rows]) == _speedups.bareiss_det(
-                [list(r) for r in rows]
-            )
-
-
-def test_backend_selection_env(monkeypatch):
-    import importlib
-
-    import chipalg.kernels as k
-
-    monkeypatch.setenv("CHIPALG_PURE_PYTHON", "1")
-    mod = importlib.reload(k)
-    assert mod.BACKEND == "_impl"
-    monkeypatch.delenv("CHIPALG_PURE_PYTHON")
-    mod = importlib.reload(k)
-    assert mod.BACKEND in ("_impl", "_speedups")
+            squares += 1
+            assert bareiss_det([list(r) for r in rows]) == _det_cofactor(rows)
+    assert squares
 
 
 def test_empty_and_zero_matrices():
-    for backend in BACKENDS:
-        assert backend.sparse_rank([], 0) == 0
-        assert backend.sparse_rank([{}, {}], 0) == 0
-        assert backend.bareiss_det([]) == 1
-        assert backend.bareiss_det([[0, 0], [0, 0]]) == 0
+    assert sparse_rank([], 0) == 0
+    assert sparse_rank([{}, {}], 0) == 0
+    assert bareiss_det([]) == 1
+    assert bareiss_det([[0, 0], [0, 0]]) == 0

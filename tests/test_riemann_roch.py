@@ -1,10 +1,11 @@
 """Riemann-Roch theory for artinian monomial ideals."""
 
 import random
+from itertools import product
 
 import pytest
 
-from chipalg.monomials import MonomialIdeal, degree, vec_sub
+from chipalg.monomials import MonomialIdeal, degree, socle, vec_add, vec_sub
 from chipalg.riemann_roch import (
     clifford_check,
     construct_rr_ideal,
@@ -40,6 +41,45 @@ def test_k4_profile():
     assert prof.level and prof.genus == 4
     assert prof.canonical == (2, 2, 2)
     assert len(prof.socle) == 6
+
+
+def _pair_sum_canonicals(M):
+    """Every valid K, searched over all pair sums of socle monomials."""
+    soc = socle(M)
+    sums = sorted({vec_add(c, d) for c in soc for d in soc})
+    return tuple(
+        K for K in sums
+        if all(all(e >= 0 for e in vec_sub(K, c)) and vec_sub(K, c) in soc for c in soc)
+    )
+
+
+def _random_seeded_ideal(rng):
+    """A random artinian ideal in 1-3 variables: pure powers plus a few
+    mixed generators, so most are not level."""
+    m = rng.randint(1, 3)
+    gens = [tuple(rng.randint(1, 5) if k == i else 0 for k in range(m)) for i in range(m)]
+    gens += [tuple(rng.randint(0, 4) for _ in range(m)) for _ in range(rng.randint(0, 5))]
+    return MonomialIdeal.from_generators(m, [g for g in gens if any(g)])
+
+
+def test_canonical_search_matches_pair_sums():
+    # non-level but reflection invariant: socle {x, y^2}, K = x y^2
+    ideals = [STAIRCASE, K4_PARKING, MonomialIdeal.from_generators(2, [(2, 0), (1, 1), (0, 3)])]
+    rng = random.Random(31)
+    ideals += [_random_seeded_ideal(rng) for _ in range(150)]
+    for K in ((2, 2, 2), (4, 2), (2, 4, 2)):
+        half = degree(K) // 2
+        seeds = [
+            s for s in product(*(range(e + 1) for e in K)) if degree(s) == half
+        ]
+        for _ in range(4):
+            ideals.append(construct_rr_ideal(K, rng.sample(seeds, rng.randint(1, 3))))
+    kinds = set()
+    for M in ideals:
+        prof = rr_profile(M)
+        assert prof.canonical_candidates == _pair_sum_canonicals(M)
+        kinds.add((prof.level, prof.reflection_invariant))
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_rank_definitions_agree_randomized():
