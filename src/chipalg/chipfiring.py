@@ -209,10 +209,14 @@ def _reduced_laplacian_inverse(g: Multigraph) -> tuple:
     return adj, det, rows
 
 
-def lattice_points_in_box(g: Multigraph, lo, hi) -> list:
+def lattice_points_in_box(g: Multigraph, lo, hi, excess=None) -> list:
     """All Laplacian-lattice vectors w with lo <= w <= hi componentwise.
 
     Returns (v, w) pairs with w = Laplacian @ v and v normalized to v_n = 0.
+    With ``excess=(x, budget)`` only the w whose excess
+    sum_i max(0, w_i - x_i) is below ``budget`` are returned.  The test is
+    made on whole points: a prefix of v only bounds each w_i by the suffix
+    intervals, which are too wide to make the excess of a prefix cut pay.
     """
     n = g.n
     if any(l > h for l, h in zip(lo, hi)):
@@ -277,38 +281,65 @@ def lattice_points_in_box(g: Multigraph, lo, hi) -> list:
                 partial[i] -= lap[i][j] * v
 
     rec(0, ())
+    if excess is not None:
+        x, budget = excess
+        out = [(v, w) for v, w in out if sum(wi - xi for wi, xi in zip(w, x) if wi > xi) < budget]
     return out
+
+
+def _descend(y, moves) -> int:
+    """degree_plus of y after greedily subtracting single ``moves`` for as
+    long as one lowers it: a local minimum, an upper bound for the least."""
+    val = degree_plus(y)
+    improved = True
+    while improved:
+        improved = False
+        for m in moves:
+            z = [a - b for a, b in zip(y, m)]
+            zval = degree_plus(z)
+            if zval < val:
+                y, val, improved = z, zval, True
+    return val
 
 
 def divisor_rank(g: Multigraph, u) -> int:
     """Rank of the divisor x^u: min over lattice-module socle monomials c of
     degree_plus(u - c), minus 1.
 
-    The socle is infinite (base monomials times lattice vectors); the search
-    is cut to the box forced by the incumbent minimum, since degree_plus and
-    degree_minus of u - c differ by the constant deg(u) - genus + 1.
+    The socle is infinite: base monomials c0 plus lattice vectors w.  With
+    x = u - c0, degree_plus(x - w) = deg(x) + excess, where the excess is
+    sum_i max(0, w_i - x_i) and deg(x) = deg(u) - genus + 1 for every c0.
+    So w beats the incumbent minimum only if its excess is below
+    budget = incumbent - deg(x).  The incumbent starts from a greedy descent
+    (firing or unfiring one vertex at a time) from the c0 with the least
+    degree_plus(u - c0); then one pass over the base searches each box with
+    the budget of the current incumbent, which only shrinks, and stops once
+    no point can beat it.
     """
     if len(u) != g.n:
         raise ValueError("divisor length must equal the node count")
     u = tuple(u)
+    n = g.n
     base = lattice_socle_base(g)
-    best = min(degree_plus(vec_sub(u, c0)) for c0 in base)
-    degu = sum(u)
-    genus = g.genus
-    while True:
-        bound_minus = best - (degu - genus + 1)
-        improved = False
-        for c0 in base:
-            lo = tuple(ui - best - c0i for ui, c0i in zip(u, c0))
-            hi = tuple(ui + bound_minus - c0i for ui, c0i in zip(u, c0))
-            for _, w in lattice_points_in_box(g, lo, hi):
-                c = tuple(a + b for a, b in zip(c0, w))
-                val = degree_plus(vec_sub(u, c))
-                if val < best:
-                    best = val
-                    improved = True
-        if not improved:
-            return best - 1
+    lam = laplacian(g)
+    cols = [tuple(lam.at(i, j) for i in range(n)) for j in range(n)]
+    moves = cols + [tuple(-a for a in col) for col in cols]
+    start = min(base, key=lambda c0: degree_plus(vec_sub(u, c0)))
+    best = _descend(vec_sub(u, start), moves)
+    degx = sum(u) - g.genus + 1
+    for c0 in base:
+        budget = best - degx
+        # degree_plus is never negative, so 0 cannot be beaten
+        if best <= 0 or budget <= 0:
+            break
+        x = vec_sub(u, c0)
+        # each (x_i - w_i)^+ is at most degree_plus < best, and each
+        # (w_i - x_i)^+ at most the excess < budget
+        lo = tuple(xi - best + 1 for xi in x)
+        hi = tuple(xi + budget - 1 for xi in x)
+        for _, w in lattice_points_in_box(g, lo, hi, excess=(x, budget)):
+            best = min(best, degree_plus(vec_sub(x, w)))
+    return best - 1
 
 
 def q_reduced(g: Multigraph, d) -> tuple:
@@ -374,39 +405,48 @@ def q_reduced(g: Multigraph, d) -> tuple:
                         d[w] += m
 
 
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def divisor_rank_oracle(g: Multigraph, u) -> int:
     """Independent divisor rank: largest r such that subtracting any
     effective divisor of degree r leaves an effective class, decided by
-    q-reduction."""
+    q-reduction.
+
+    A depth-first walk over the effective e as non-decreasing vertex
+    sequences carries the q-reduced divisor d equivalent to u - e.  Taking a
+    chip from a vertex that has one keeps d q-reduced; only a vertex without
+    chips calls ``q_reduced``.  Effectiveness is monotone in e, so branches
+    at or beyond the least degree of a failing e found so far are cut, and
+    the rank is that degree minus one.  Node q comes last in the order and
+    d is q-reduced, so e plus j copies of q stays effective exactly for
+    j <= d_q: those chains bound the failing degree without being walked.
+    The walk uses an explicit stack, as its depth reaches deg(u).
+    """
     if len(u) != g.n:
         raise ValueError("divisor length must equal the node count")
     u = tuple(u)
+    q = g.n - 1
     deg = sum(u)
     if deg < 0:
         return -1
-
-    def eff(d):
-        red = q_reduced(g, d)
-        return red[g.n - 1] >= 0
-
-    if not eff(u):
+    d = q_reduced(g, u)
+    if d[q] < 0:
         return -1
-    r = 0
-    while r < deg:
-        if all(eff(vec_sub(u, e)) for e in _compositions(r + 1, g.n)):
-            r += 1
-        else:
-            break
-    return r
+    fail = deg + 1  # every e of degree deg(u) + 1 fails
+    # (q-reduced divisor equivalent to u - e, deg e, least vertex e may still take)
+    stack = [(d, 0, 0)]
+    while stack:
+        d, k, first = stack.pop()
+        fail = min(fail, k + d[q] + 1)
+        if k + 1 >= fail:
+            continue
+        for v in range(first, q):
+            child = d[:v] + (d[v] - 1,) + d[v + 1 :]
+            if d[v] == 0:
+                child = q_reduced(g, child)
+                if child[q] < 0:
+                    fail = k + 1
+                    break
+            stack.append((child, k + 1, v))
+    return fail - 1
 
 
 def baker_norine_verify(g: Multigraph, u) -> dict:

@@ -90,12 +90,6 @@ class GradedPolynomial:
         ]
 
 
-def _one(g: Multigraph) -> GradedPolynomial:
-    grp = divisor_class_group(g)
-    ident = (0,) * len(grp.invariant_factors)
-    return GradedPolynomial(grp.invariant_factors, {(0, ident): 1})
-
-
 def _collect(g: Multigraph, signed) -> GradedPolynomial:
     """Sum of c * t^|u| q^div(u) over the (u, c) pairs, collected in one
     dict; zero coefficients are dropped."""
@@ -144,17 +138,35 @@ def parking_sum(g: Multigraph) -> GradedPolynomial:
     return _collect(g, ((u, 1) for u in standard_monomials(parking_ideal(g))))
 
 
+def _times_one_minus(p: GradedPolynomial, cls) -> GradedPolynomial:
+    """p * (1 - t q^cls): p minus a copy of p shifted by (1, cls).  Each
+    class is shifted once, however many t-degrees it carries."""
+    out = dict(p.terms)
+    moved = {}
+    for (t, q), c in p.terms.items():
+        r = moved.get(q)
+        if r is None:
+            r = moved[q] = tuple((a + b) % d for a, b, d in zip(q, cls, p.factors))
+        k = (t + 1, r)
+        v = out.get(k, 0) - c
+        if v:
+            out[k] = v
+        else:
+            del out[k]
+    return GradedPolynomial(p.factors, out)
+
+
 def hilbert_identity_check(g: Multigraph, psum=None, numerator=None) -> dict:
     """Verify parking_sum * prod_{i<n} (1 - psi(x_i)) = numerator exactly.
 
-    ``psum`` and ``numerator``, when given, are the already built
-    ``parking_sum(g)`` and ``hilbert_numerator(g)``.
+    psi(x_i) is the single term t q^div(x_i), so each factor is a
+    shift-and-subtract.  ``psum`` and ``numerator``, when given, are the
+    already built ``parking_sum(g)`` and ``hilbert_numerator(g)``.
     """
-    one = _one(g)
     lhs = parking_sum(g) if psum is None else psum
     for i in range(g.n - 1):
         xi = tuple(1 if j == i else 0 for j in range(g.n - 1))
-        lhs = lhs.mul(one.sub(psi(g, xi)))
+        lhs = _times_one_minus(lhs, div_class(g, xi))
     rhs = hilbert_numerator(g) if numerator is None else numerator
     return {
         "lhs_terms": len(lhs.terms),

@@ -1,4 +1,5 @@
-"""Shared fixtures: the named example graphs and random graph generators."""
+"""Shared fixtures: the named example graphs, random graph generators and
+graph oracles."""
 
 import random
 from pathlib import Path
@@ -84,6 +85,55 @@ def all_connected_graphs(n: int, max_mult: int):
             yield Multigraph.from_edges(n, edges)
         except ValueError:  # disconnected
             continue
+
+
+def acyclic_orientations_unique_sink(g: Multigraph, sink: int) -> int:
+    """Acyclic orientations of the underlying simple graph with the given
+    node as unique sink, by a loop over all 2^|E| orientations (an oracle
+    for the top Betti number and the size of the parking socle).
+
+    Multi-edges are collapsed: an orientation only depends on the simple
+    support of the graph.
+    """
+    n = g.n
+    edges = [
+        (i, j) for i in range(n) for j in range(i + 1, n) if g.mult[i][j] > 0
+    ]
+    q = sink - 1
+    count = 0
+    for mask in range(1 << len(edges)):
+        # bit set: orient i -> j, else j -> i
+        out = [[] for _ in range(n)]
+        outdeg = [0] * n
+        for k, (i, j) in enumerate(edges):
+            if mask >> k & 1:
+                out[i].append(j)
+                outdeg[i] += 1
+            else:
+                out[j].append(i)
+                outdeg[j] += 1
+        if outdeg[q] != 0 or any(outdeg[v] == 0 for v in range(n) if v != q):
+            continue
+        if _is_acyclic(n, out):
+            count += 1
+    return count
+
+
+def _is_acyclic(n, out) -> bool:
+    indeg = [0] * n
+    for v in range(n):
+        for w in out[v]:
+            indeg[w] += 1
+    stack = [v for v in range(n) if indeg[v] == 0]
+    seen = 0
+    while stack:
+        v = stack.pop()
+        seen += 1
+        for w in out[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                stack.append(w)
+    return seen == n
 
 
 @pytest.fixture(name="k4_graph")

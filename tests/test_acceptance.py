@@ -28,11 +28,7 @@ from chipalg.monomials import (
     standard_monomials,
     vec_sub,
 )
-from chipalg.multigraph import (
-    acyclic_orientations_unique_sink,
-    connected_splits,
-    tree_count,
-)
+from chipalg.multigraph import connected_splits, tree_count
 from chipalg.resolutions import (
     apt_region,
     bary_complex,
@@ -53,6 +49,7 @@ from chipalg.riemann_roch import (
     rr_verify,
 )
 from conftest import (
+    acyclic_orientations_unique_sink,
     all_connected_graphs,
     c4,
     chain_graph,

@@ -1,6 +1,8 @@
 """Toppling ideals, parking functions, lattice geometry, and divisor ranks."""
 
 import random
+import sys
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -22,15 +24,22 @@ from chipalg.chipfiring import (
     split_binomial,
     toppling_generators,
 )
-from chipalg.monomials import MonomialIdeal, monomial_str, socle, vec_sub
+from chipalg.monomials import MonomialIdeal, degree_plus, monomial_str, socle, vec_sub
 from chipalg.multigraph import (
+    Multigraph,
     Split,
-    acyclic_orientations_unique_sink,
     divisor_class_group,
     laplacian,
     tree_count,
 )
-from conftest import c4, chain_graph, k4, random_connected, random_saturated
+from conftest import (
+    acyclic_orientations_unique_sink,
+    c4,
+    chain_graph,
+    k4,
+    random_connected,
+    random_saturated,
+)
 
 K4_BINOMIALS = {
     ("x1^3", "x2*x3*x4"),
@@ -219,6 +228,163 @@ def test_divisor_rank_matches_oracle():
         g = random_connected(rng, rng.randint(2, 4), max_mult=2)
         u = tuple(rng.randint(-2, 4) for _ in range(g.n))
         assert divisor_rank(g, u) == divisor_rank_oracle(g, u)
+
+
+def _rank_by_rounds(g, u):
+    """Oracle: the round-based socle search.  Every round enumerates each
+    base socle element's whole box under the incumbent, until a round
+    brings no improvement."""
+    u = tuple(u)
+    base = lattice_socle_base(g)
+    best = min(degree_plus(vec_sub(u, c0)) for c0 in base)
+    degu = sum(u)
+    while True:
+        bound_minus = best - (degu - g.genus + 1)
+        improved = False
+        for c0 in base:
+            lo = tuple(ui - best - c0i for ui, c0i in zip(u, c0))
+            hi = tuple(ui + bound_minus - c0i for ui, c0i in zip(u, c0))
+            for _, w in lattice_points_in_box(g, lo, hi):
+                val = degree_plus(vec_sub(u, tuple(a + b for a, b in zip(c0, w))))
+                if val < best:
+                    best = val
+                    improved = True
+        if not improved:
+            return best - 1
+
+
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _rank_by_compositions(g, u):
+    """Oracle: q-reduce u - e afresh for every effective e of degree
+    r + 1, for r = 0, 1, ... up to deg(u)."""
+    u = tuple(u)
+    deg = sum(u)
+    if deg < 0:
+        return -1
+
+    def eff(d):
+        return q_reduced(g, d)[g.n - 1] >= 0
+
+    if not eff(u):
+        return -1
+    r = 0
+    while r < deg and all(eff(vec_sub(u, e)) for e in _compositions(r + 1, g.n)):
+        r += 1
+    return r
+
+
+def _rank_cases(seed):
+    """Seeded graphs with n = 2-6, saturated and not, multiplicity <= 3
+    (at most 2 for n = 5 and 1 for n = 6, which keeps the compositions
+    oracle fast), each with a negative divisor, divisors of degree near
+    the genus, K, K - u and random degrees up to 2 * genus."""
+    rng = random.Random(seed)
+    for k in range(20):
+        n = 2 + k % 5
+        mult = {5: 2, 6: 1}.get(n, 3)
+        if k % 2:
+            g = random_saturated(rng, n, max_mult=mult)
+        else:
+            g = random_connected(rng, n, max_mult=mult)
+        genus = g.genus
+        K = canonical_divisor(g)
+
+        def spread(deg):
+            # a divisor of the given degree with entries of both signs
+            d = [rng.randint(-2, 2) for _ in range(n)]
+            d[rng.randrange(n)] += deg - sum(d)
+            return tuple(d)
+
+        near = [spread(genus + t) for t in (-1, 0, 1)]
+        yield g, spread(-rng.randint(1, 3))
+        for u in near:
+            yield g, u
+        yield g, K
+        yield g, vec_sub(K, near[1])
+        yield g, spread(rng.randint(0, 2 * genus))
+
+
+def test_divisor_rank_matches_round_search():
+    cases = list(_rank_cases(21))
+    assert {g.n for g, _ in cases} == {2, 3, 4, 5, 6}
+    for g, u in cases:
+        assert divisor_rank(g, u) == _rank_by_rounds(g, u), (g, u)
+
+
+def test_divisor_rank_oracle_matches_compositions():
+    ranks = set()
+    for g, u in _rank_cases(21):
+        r = divisor_rank_oracle(g, u)
+        assert r == _rank_by_compositions(g, u), (g, u)
+        ranks.add(r)
+    assert -1 in ranks and max(ranks) >= 5
+
+
+def test_divisor_rank_with_spread_entries():
+    # min degree_plus(u - c0) over the base is far from the rank here, so
+    # boxes sized by it are huge.  On a 2-vCPU VM the round search took
+    # 12.5 s for the 8 random cases and 83 s for the fixed one, which the
+    # single pass without the descent still needed 81 s for.
+    rng = random.Random(31)
+    cases = [
+        (
+            Multigraph.from_edges(
+                6,
+                {(1, 2): 3, (1, 4): 1, (1, 5): 2, (2, 3): 1, (2, 4): 3, (2, 5): 3,
+                 (2, 6): 2, (3, 5): 3, (4, 5): 3},
+            ),
+            (14, -11, -2, 12, -9, 11),
+        )
+    ]
+    for _ in range(8):
+        g = random_saturated(rng, 6, max_mult=2)
+        cases.append((g, tuple(rng.randint(-15, 15) for _ in range(6))))
+    start = time.perf_counter()
+    for g, u in cases:
+        assert divisor_rank(g, u) == divisor_rank_oracle(g, u), (g, u)
+    assert time.perf_counter() - start < 5
+
+
+def test_lattice_points_excess_matches_filtered_box():
+    rng = random.Random(22)
+    cut = 0
+    for g in _random_graphs(23, 30):
+        for _ in range(3):
+            x = tuple(rng.randint(-4, 4) for _ in range(g.n))
+            budget = rng.randint(0, 12)
+            lo = tuple(xi - rng.randint(0, 8) for xi in x)
+            hi = tuple(xi + rng.randint(0, 8) for xi in x)
+            box = lattice_points_in_box(g, lo, hi)
+            expect = [
+                (v, w) for v, w in box if sum(max(0, wi - xi) for wi, xi in zip(w, x)) < budget
+            ]
+            assert lattice_points_in_box(g, lo, hi, excess=(x, budget)) == expect
+            cut += 0 < len(expect) < len(box)
+    assert cut >= 20
+
+
+def test_divisor_rank_oracle_needs_no_recursion():
+    # the walk reaches depth deg(u): 300 here
+    g = Multigraph.from_edges(2, {(1, 2): 1})
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        assert divisor_rank_oracle(g, (300, 0)) == 300
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_divisor_rank_is_class_invariant():

@@ -167,6 +167,28 @@ def test_toppling_side_output_is_unchanged(capsys, graph, name, argv):
     assert code == 0 and out == expected
 
 
+RANK_DIVISORS = {
+    # a negative divisor, one of degree near the genus, and K
+    "k4": ("-2,0,1,0", "3,0,-1,1", "1,1,1,1"),
+    "c4": ("-1,0,0,0", "2,-1,0,0", "0,0,0,0"),
+    "prism": ("-1,0,1,-1,0,0", "2,0,-1,1,0,2", "1,1,1,1,1,1"),
+    "chain": ("0,-2,1,0", "0,2,-1,2", "0,1,2,1"),
+}
+
+
+@pytest.mark.parametrize("graph", sorted(RANK_DIVISORS))
+def test_rank_output_is_unchanged(capsys, graph):
+    # the three reports, concatenated; recorded from the round-based socle
+    # search and the compositions oracle
+    expected = (DATA / f"{graph}.rank.json").read_text()
+    out = ""
+    for d in RANK_DIVISORS[graph]:
+        code, text, _ = _run(capsys, "rank", str(DATA / f"{graph}.graph"), f"--divisor={d}")
+        assert code == 0
+        out += text
+    assert out == expected
+
+
 def test_construct(capsys):
     code, out, _ = _run(
         capsys, "construct", "--canonical", "2,2,2",

@@ -6,6 +6,7 @@ import pytest
 
 from chipalg.hilbert import (
     GradedPolynomial,
+    _times_one_minus,
     hilbert_identity_check,
     hilbert_numerator,
     parking_sum,
@@ -13,7 +14,7 @@ from chipalg.hilbert import (
 )
 from chipalg.chipfiring import parking_ideal
 from chipalg.monomials import standard_monomials
-from chipalg.multigraph import divisor_class_group, tree_count
+from chipalg.multigraph import div_class, divisor_class_group, tree_count
 from chipalg.resolutions import basis_label, cyc_partitions
 from conftest import c4, k4, random_connected, random_saturated
 
@@ -84,6 +85,27 @@ def test_sums_match_termwise_add():
         ps = parking_sum(g)
         assert ps == _termwise(g, [(u, 1) for u in std])
         assert sum(ps.terms.values()) == tree_count(g)
+
+
+def test_shift_and_subtract_matches_mul():
+    # the generic product with 1 - psi(x_i) is the oracle
+    rng = random.Random(9)
+    graphs = [k4(), c4()]
+    graphs += [random_saturated(rng, rng.randint(2, 5), max_mult=2) for _ in range(4)]
+    graphs += [random_connected(rng, rng.randint(2, 5), max_mult=3) for _ in range(4)]
+    for g in graphs:
+        factors = divisor_class_group(g).invariant_factors
+        one = GradedPolynomial(factors, {(0, (0,) * len(factors)): 1})
+        p = q = parking_sum(g)
+        for i in range(g.n - 1):
+            xi = tuple(int(j == i) for j in range(g.n - 1))
+            p = _times_one_minus(p, div_class(g, xi))
+            q = q.mul(one.sub(psi(g, xi)))
+            assert p == q
+        # (1 + t q^c)(1 - t q^c) = 1 - t^2 q^2c: the t-term cancels
+        xi = (1,) + (0,) * (g.n - 2)
+        f = one.add(psi(g, xi))
+        assert _times_one_minus(f, div_class(g, xi)) == f.mul(one.sub(psi(g, xi)))
 
 
 def test_hilbert_identity_k4(k4_graph):

@@ -8,7 +8,6 @@ from chipalg.exactla import determinant
 from chipalg.multigraph import (
     Multigraph,
     Split,
-    acyclic_orientations_unique_sink,
     connected_splits,
     div_class,
     divisor_class_group,
@@ -18,7 +17,7 @@ from chipalg.multigraph import (
     splits,
     tree_count,
 )
-from conftest import c4, k4, prism, random_connected
+from conftest import acyclic_orientations_unique_sink, c4, k4, prism, random_connected
 
 
 def test_validation():

@@ -7,7 +7,6 @@ from math import factorial
 import pytest
 
 from chipalg.monomials import divides, vec_add
-from chipalg.multigraph import acyclic_orientations_unique_sink
 from chipalg.resolutions import (
     FreeComplex,
     LabeledComplex,
@@ -24,7 +23,14 @@ from chipalg.resolutions import (
     scarf_complex_parking,
     sub_below,
 )
-from conftest import c4, chain_graph, k4, random_connected, random_saturated
+from conftest import (
+    acyclic_orientations_unique_sink,
+    c4,
+    chain_graph,
+    k4,
+    random_connected,
+    random_saturated,
+)
 
 
 def _stirling2(n, k):
