@@ -209,14 +209,10 @@ def _reduced_laplacian_inverse(g: Multigraph) -> tuple:
     return adj, det, rows
 
 
-def lattice_points_in_box(g: Multigraph, lo, hi, excess=None) -> list:
+def lattice_points_in_box(g: Multigraph, lo, hi) -> list:
     """All Laplacian-lattice vectors w with lo <= w <= hi componentwise.
 
     Returns (v, w) pairs with w = Laplacian @ v and v normalized to v_n = 0.
-    With ``excess=(x, budget)`` only the w whose excess
-    sum_i max(0, w_i - x_i) is below ``budget`` are returned.  The test is
-    made on whole points: a prefix of v only bounds each w_i by the suffix
-    intervals, which are too wide to make the excess of a prefix cut pay.
     """
     n = g.n
     if any(l > h for l, h in zip(lo, hi)):
@@ -281,25 +277,7 @@ def lattice_points_in_box(g: Multigraph, lo, hi, excess=None) -> list:
                 partial[i] -= lap[i][j] * v
 
     rec(0, ())
-    if excess is not None:
-        x, budget = excess
-        out = [(v, w) for v, w in out if sum(wi - xi for wi, xi in zip(w, x) if wi > xi) < budget]
     return out
-
-
-def _descend(y, moves) -> int:
-    """degree_plus of y after greedily subtracting single ``moves`` for as
-    long as one lowers it: a local minimum, an upper bound for the least."""
-    val = degree_plus(y)
-    improved = True
-    while improved:
-        improved = False
-        for m in moves:
-            z = [a - b for a, b in zip(y, m)]
-            zval = degree_plus(z)
-            if zval < val:
-                y, val, improved = z, zval, True
-    return val
 
 
 def divisor_rank(g: Multigraph, u) -> int:
@@ -310,22 +288,16 @@ def divisor_rank(g: Multigraph, u) -> int:
     x = u - c0, degree_plus(x - w) = deg(x) + excess, where the excess is
     sum_i max(0, w_i - x_i) and deg(x) = deg(u) - genus + 1 for every c0.
     So w beats the incumbent minimum only if its excess is below
-    budget = incumbent - deg(x).  The incumbent starts from a greedy descent
-    (firing or unfiring one vertex at a time) from the c0 with the least
-    degree_plus(u - c0); then one pass over the base searches each box with
-    the budget of the current incumbent, which only shrinks, and stops once
-    no point can beat it.
+    budget = incumbent - deg(x).  The incumbent starts at the least
+    degree_plus(u - c0); one pass over the base searches each box with the
+    budget of the current incumbent, which only shrinks, and stops once no
+    point can beat it.
     """
     if len(u) != g.n:
         raise ValueError("divisor length must equal the node count")
     u = tuple(u)
-    n = g.n
     base = lattice_socle_base(g)
-    lam = laplacian(g)
-    cols = [tuple(lam.at(i, j) for i in range(n)) for j in range(n)]
-    moves = cols + [tuple(-a for a in col) for col in cols]
-    start = min(base, key=lambda c0: degree_plus(vec_sub(u, c0)))
-    best = _descend(vec_sub(u, start), moves)
+    best = min(degree_plus(vec_sub(u, c0)) for c0 in base)
     degx = sum(u) - g.genus + 1
     for c0 in base:
         budget = best - degx
@@ -337,7 +309,7 @@ def divisor_rank(g: Multigraph, u) -> int:
         # (w_i - x_i)^+ at most the excess < budget
         lo = tuple(xi - best + 1 for xi in x)
         hi = tuple(xi + budget - 1 for xi in x)
-        for _, w in lattice_points_in_box(g, lo, hi, excess=(x, budget)):
+        for _, w in lattice_points_in_box(g, lo, hi):
             best = min(best, degree_plus(vec_sub(x, w)))
     return best - 1
 
