@@ -314,6 +314,30 @@ def divisor_rank(g: Multigraph, u) -> int:
     return best - 1
 
 
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
+def _q_layers(g: Multigraph) -> tuple:
+    """The set-up of ``q_reduced``: per-vertex neighbour lists (w, mult), and
+    the BFS layers t >= 1 from q = node n, deepest first, each with its
+    edges (v, w, mult) from layer t to layer t - 1."""
+    n = g.n
+    q = n - 1
+    nbrs = tuple(tuple((w, m) for w, m in enumerate(row) if m) for row in g.mult)
+    dist = [-1] * n
+    dist[q] = 0
+    order = [q]
+    for v in order:
+        for w, _ in nbrs[v]:
+            if dist[w] < 0:
+                dist[w] = dist[v] + 1
+                order.append(w)
+    layers = []
+    for t in range(dist[order[-1]], 0, -1):
+        layer = tuple(v for v in order if dist[v] == t)
+        edges = tuple((v, w, m) for v in layer for w, m in nbrs[v] if dist[w] == t - 1)
+        layers.append((layer, edges))
+    return nbrs, tuple(layers)
+
+
 def q_reduced(g: Multigraph, d) -> tuple:
     """The q-reduced (superstable off the sink) representative of the
     divisor class of d, with q = node n.
@@ -324,31 +348,18 @@ def q_reduced(g: Multigraph, d) -> tuple:
     n = g.n
     q = n - 1
     d = list(d)
-    nbrs = [[(w, m) for w, m in enumerate(row) if m] for row in g.mult]
-
-    # BFS layers from q.
-    dist = [-1] * n
-    dist[q] = 0
-    order = [q]
-    for v in order:
-        for w, _ in nbrs[v]:
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                order.append(w)
+    nbrs, layers = _q_layers(g)
 
     # Unfire U_t = {v : dist[v] >= t} from the deepest layer inward; a layer
     # never loses chips after its own pass.  BFS edges leaving U_t all join
     # layer t to layer t - 1, and each layer-t vertex has at least one.
-    for t in range(dist[order[-1]], 0, -1):
-        layer = [v for v in order if dist[v] == t]
+    for layer, edges in layers:
         need = max(0, max(-d[v] for v in layer))
         if need == 0:
             continue
-        for v in layer:
-            for w, m in nbrs[v]:
-                if dist[w] == t - 1:
-                    d[v] += need * m
-                    d[w] -= need * m
+        for v, w, m in edges:
+            d[v] += need * m
+            d[w] -= need * m
 
     # Dhar burning: the fire spreads from q to every vertex with fewer chips
     # than burnt edges; if some vertices stay unburnt, they fire together.

@@ -1,5 +1,5 @@
-"""Exact integer/rational linear algebra: determinants, field ranks,
-Smith normal form, and integer linear solving.
+"""Exact integer/rational linear algebra: determinants, Smith normal form,
+integer linear solving, and the check on a field characteristic.
 
 Everything is exact; no floating point is used anywhere in the package.
 The elimination work is delegated to :mod:`chipalg.kernels`.
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kernels import bareiss_det, sparse_rank
+from .kernels import bareiss_det
 
 __all__ = [
     "IntMatrix",
@@ -17,7 +17,6 @@ __all__ = [
     "check_char",
     "determinant",
     "is_prime",
-    "rank_over_field",
     "smith_normal_form",
     "solve_integer",
 ]
@@ -133,27 +132,10 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def _sparse_cols(m: IntMatrix) -> list:
-    cols = [dict() for _ in range(m.cols)]
-    for i in range(m.rows):
-        base = i * m.cols
-        for j in range(m.cols):
-            v = m.entries[base + j]
-            if v:
-                cols[j][i] = v
-    return cols
-
-
 def check_char(char: int) -> None:
     """Reject a characteristic that is neither 0 nor a prime."""
     if char != 0 and not is_prime(char):
         raise ValueError(f"characteristic must be 0 or a prime, got {char}")
-
-
-def rank_over_field(m: IntMatrix, char: int = 0) -> int:
-    """Exact rank over Q (``char = 0``) or GF(p) (``char`` a prime)."""
-    check_char(char)
-    return sparse_rank(_sparse_cols(m), char)
 
 
 def smith_normal_form(m: IntMatrix) -> SmithForm:

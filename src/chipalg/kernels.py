@@ -1,14 +1,16 @@
 """Exact elimination kernels.
 
-These are the hot inner loops of the package: every homology rank, tree
-count, and field-rank query bottoms out here.
+These are the hot inner loops of the package: every homology rank and
+tree count bottoms out here.
 
 All arithmetic is exact.  ``sparse_rank`` works on a column-major sparse
 matrix (a list of ``{row: value}`` dicts) and performs fraction-free
 Gaussian elimination: with a unit pivot the update is division-free, and
 with a general pivot the row is cross-multiplied and re-normalized by its
 gcd, which keeps entry growth tame on the incidence-like matrices we feed
-it.  Over GF(p) the elimination is ordinary modular reduction.
+it.  Over GF(p) the elimination is ordinary modular reduction.  Each pivot
+comes from a shortest remaining row, so it is found without scanning the
+whole matrix.
 """
 
 from math import gcd
@@ -39,28 +41,14 @@ def sparse_rank(cols, p=0):
 
     rank = 0
     while rows:
-        # Markowitz-style pivot: prefer unit entries and low fill-in.
-        best = None
-        bestkey = None
-        done = False
-        for r, row in rows.items():
-            lr = len(row) - 1
-            for c, v in row.items():
-                fill = lr * (len(colrows[c]) - 1)
-                if p:
-                    key = (fill, 0)
-                else:
-                    key = (0 if v == 1 or v == -1 else 1, fill, abs(v))
-                if bestkey is None or key < bestkey:
-                    bestkey = key
-                    best = (r, c)
-                    if fill == 0 and (p or key[0] == 0):
-                        done = True
-                        break
-            if done:
-                break
-        r, c = best
+        # Pivot from a shortest row: a unit entry over Q first, then the
+        # column with the fewest rows, then the smallest |v|.
+        _, r = min(zip(map(len, rows.values()), rows))
         prow = rows.pop(r)
+        if p:
+            c = min(prow, key=lambda c: len(colrows[c]))
+        else:
+            c = min(prow, key=lambda c: (prow[c] not in (1, -1), len(colrows[c]), abs(prow[c])))
         pv = prow[c]
         for cc in prow:
             s = colrows[cc]

@@ -319,39 +319,97 @@ def sub_below(c: LabeledComplex, deg) -> LabeledComplex:
     return LabeledComplex(c.vertex_labels, faces)
 
 
+def _bits(mask) -> list:
+    """Positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _subset_images(g: Multigraph) -> tuple:
+    """The proper non-empty subsets I of [n], by size, and the Laplacian
+    images of their indicator vectors e_I."""
+    n = g.n
+    lam = laplacian(g)
+    subsets = [s for size in range(1, n) for s in combinations(range(1, n + 1), size)]
+    return subsets, [lam.mul_vec(tuple(int(i + 1 in s) for i in range(n))) for s in subsets]
+
+
+def _apartment_slices(g: Multigraph, degs):
+    """Yield ``apt_region(g, c)`` for each degree c of ``degs`` in turn, all
+    cut from one lattice box.
+
+    Laplacian images sum to 0, so a lattice vector w <= c has
+    w_i >= c_i - sum(c) >= top_i - sum(top), where ``top`` is the
+    componentwise max of the degrees: the box [top - sum(top), top] holds
+    every slice.  Its points are sorted by w once, and bit k of a mask
+    stands for the k-th of them.  A slice is the AND over i of the masks of
+    points with w_i <= c_i.
+    """
+    degs = [tuple(c) for c in degs]
+    top = tuple(map(max, zip(*degs)))
+    total = sum(top)
+    lo = tuple(t - total for t in top)
+    ws = sorted(w for _, w in lattice_points_in_box(g, lo, top))
+    index = {w: k for k, w in enumerate(ws)}
+
+    # at_most[i][t]: the points with w_i <= lo_i + t
+    at_most = []
+    for i in range(g.n):
+        cum = [0] * (total + 1)
+        for k, w in enumerate(ws):
+            cum[w[i] - lo[i]] |= 1 << k
+        for t in range(1, total + 1):
+            cum[t] |= cum[t - 1]
+        at_most.append(cum)
+    masks = []
+    for c in degs:
+        mask = (1 << len(ws)) - 1
+        for i, cum in enumerate(at_most):
+            t = c[i] - lo[i]
+            mask &= cum[t] if t >= 0 else 0
+        masks.append(mask)
+
+    # The later neighbours of each point in some slice.  Tropical distance 1
+    # means v' - v = e_I modulo the all-ones vector for a proper non-empty
+    # I, that is, w' - w is the image of e_I.
+    _, imgs = _subset_images(g)
+    union = 0
+    for mask in masks:
+        union |= mask
+    above = {}
+    for k in _bits(union):
+        above[k] = 0
+        for d in imgs:
+            j = index.get(vec_add(ws[k], d), -1)
+            if j > k:
+                above[k] |= 1 << j
+
+    for c, mask in zip(degs, masks):
+        idx = _bits(mask)
+        pos = {k: a for a, k in enumerate(idx)}
+        up = [{pos[j] for j in _bits(above[k] & mask)} for k in idx]
+        labels = tuple(ws[k] for k in idx)
+
+        def extend(face, cand):
+            nbrs = up[face[-1]]
+            return [k for k in cand if k in nbrs]
+
+        yield LabeledComplex(labels, _faces_below(labels, c, range(len(idx)), extend))
+
+
 def apt_region(g: Multigraph, deg) -> LabeledComplex:
     """Finite slice of the apartment complex below a degree.
 
     Vertices are the lattice classes v (normalized v_n = 0) with
-    Laplacian@v <= deg componentwise, labeled by Laplacian@v; faces are
-    cliques of pairwise tropical distance <= 1 whose lcm label properly
-    divides x^deg.
+    Laplacian@v <= deg componentwise, labeled by Laplacian@v and sorted by
+    label; faces are cliques of pairwise tropical distance <= 1 whose lcm
+    label properly divides x^deg.
     """
-    deg = tuple(deg)
-    total = sum(deg)
-    if total < 0:
-        return LabeledComplex((), ())
-    lo = tuple(d - total for d in deg)
-    pts = lattice_points_in_box(g, lo, deg)
-    pts.sort(key=lambda vw: vw[1])
-    vs = [v for v, _ in pts]
-    labels = tuple(w for _, w in pts)
-
-    def dist_ok(i, j):
-        d = [a - b for a, b in zip(vs[i], vs[j])]
-        return max(d) - min(d) <= 1
-
-    m = len(pts)
-    adj = [[False] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            adj[i][j] = adj[j][i] = dist_ok(i, j)
-
-    def extend(face, cand):
-        j = face[-1]
-        return [k for k in cand if k > j and adj[j][k]]
-
-    return LabeledComplex(labels, _faces_below(labels, deg, range(m), extend))
+    return next(_apartment_slices(g, [deg]))
 
 
 def homology_ranks(c: LabeledComplex, char: int = 0) -> dict:
@@ -411,9 +469,7 @@ def _zero_incident_labels(g: Multigraph) -> list:
     keeps the first label met with the flags in lexicographic pre-order.
     """
     n = g.n
-    lam = laplacian(g)
-    subsets = [s for size in range(1, n) for s in combinations(range(1, n + 1), size)]
-    imgs = [lam.mul_vec(tuple(int(i + 1 in s) for i in range(n))) for s in subsets]
+    subsets, imgs = _subset_images(g)
     grp = divisor_class_group(g)
     label = {(): (0,) * n}
     seen = {(0, grp.class_of(label[()])): label[()]}
@@ -426,8 +482,9 @@ def _zero_incident_labels(g: Multigraph) -> list:
 def _toppling_homology(g: Multigraph, char: int):
     """Yield (c, reduced homology ranks of the apartment slice below c) for
     one label c per lattice orbit of apartment face labels, ascending."""
-    for c in _zero_incident_labels(g):
-        yield c, homology_ranks(apt_region(g, c), char)
+    labels = _zero_incident_labels(g)
+    for c, region in zip(labels, _apartment_slices(g, labels)):
+        yield c, homology_ranks(region, char)
 
 
 def _betti_table(n: int, pairs, shift: int, entries: list) -> dict:

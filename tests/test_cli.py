@@ -96,6 +96,49 @@ def test_betti_json_shape(capsys):
     assert set(entry) == {"degree", "index", "rank"}
 
 
+BETTI_CHECKS = ["top_betti_equals_socle", "betti_nonnegative"]
+
+
+@pytest.mark.parametrize("ideal", ["parking", "toppling"])
+@pytest.mark.parametrize("graph", ["k4", "c4", "prism", "chain"])
+def test_betti_checks_pass(capsys, graph, ideal):
+    for char in ("0", "2"):
+        code, out, _ = _run(capsys, "betti", str(DATA / f"{graph}.graph"), "--ideal", ideal, "--char", char)
+        rep = json.loads(out)
+        assert code == 0
+        assert [c["name"] for c in rep["checks"]] == BETTI_CHECKS
+        assert all(c["pass"] for c in rep["checks"])
+        top = rep["checks"][0]["details"]
+        assert top["top"] == top["socle"] == rep["results"]["total"][-1]
+
+
+@pytest.mark.parametrize("ideal", ["parking", "toppling"])
+@pytest.mark.parametrize(
+    "failing, change",
+    [("top_betti_equals_socle", (0, 1)), ("betti_nonnegative", (-2, 0))],
+)
+def test_betti_checks_fail_on_a_wrong_table(capsys, monkeypatch, ideal, failing, change):
+    # a table with one more top syzygy, or with a negative entry
+    import chipalg.cli as cli
+
+    name = f"betti_{ideal}"
+    right = getattr(cli, name)
+    rank_change, top_change = change
+
+    def wrong(g, char=0):
+        table = right(g, char)
+        c, j, r = table["entries"][0]
+        total = list(table["total"])
+        total[-1] += top_change
+        return {"total": tuple(total), "entries": [(c, j, r + rank_change)] + table["entries"][1:]}
+
+    monkeypatch.setattr(cli, name, wrong)
+    code, out, err = _run(capsys, "betti", K4, "--ideal", ideal)
+    rep = json.loads(out)
+    assert code == 2 and failing in err
+    assert [c["name"] for c in rep["checks"] if not c["pass"]] == [failing]
+
+
 def test_conjecture(capsys):
     code, out, _ = _run(capsys, "conjecture", C4, "--char", "2")
     rep = json.loads(out)
@@ -154,14 +197,15 @@ def test_rrcheck_output_is_unchanged(capsys):
         assert code == 0 and out == expected
 
 
-@pytest.mark.parametrize("graph", ["prism", "c4", "k4", "chain"])
+@pytest.mark.parametrize("graph", ["prism", "c4", "k4", "chain", "sat5"])
 @pytest.mark.parametrize(
     "name, argv", [("conjecture", ("conjecture",)), ("toppling", ("betti", "--ideal", "toppling"))]
 )
 def test_toppling_side_output_is_unchanged(capsys, graph, name, argv):
     # pins each toppling class's representative label (the chain graph has
-    # classes with several parking labels); recorded before the Betti loops
-    # and chain enumerators were merged
+    # classes with several parking labels); the results were recorded before
+    # the Betti loops and chain enumerators were merged (sat5: before the
+    # apartment slices shared one lattice box), the betti checks later
     expected = (DATA / f"{graph}.{name}.json").read_text()
     code, out, _ = _run(capsys, argv[0], str(DATA / f"{graph}.graph"), *argv[1:])
     assert code == 0 and out == expected

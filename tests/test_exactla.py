@@ -8,17 +8,23 @@ from hypothesis import strategies as st
 
 from chipalg.exactla import (
     IntMatrix,
+    check_char,
     determinant,
-    rank_over_field,
     smith_normal_form,
     solve_integer,
 )
+from chipalg.kernels import sparse_rank
 
 square_strategy = st.integers(1, 5).flatmap(
     lambda n: st.lists(
         st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n
     )
 )
+
+def _rank(m, p):
+    cols = [{i: m.at(i, j) for i in range(m.rows) if m.at(i, j)} for j in range(m.cols)]
+    return sparse_rank(cols, p)
+
 
 rect_strategy = st.integers(1, 5).flatmap(
     lambda nr: st.integers(1, 5).flatmap(
@@ -50,7 +56,7 @@ def test_smith_form_reconstruction(rows):
     assert all(d >= 0 for d in s.diagonal)
     assert list(s.diagonal[: len(nz)]) == nz
     assert all(b % a == 0 for a, b in zip(nz, nz[1:]))
-    assert s.rank == rank_over_field(m, 0)
+    assert s.rank == _rank(m, 0)
 
 
 @settings(max_examples=120, deadline=None)
@@ -69,13 +75,15 @@ def test_determinant_equals_smith_diagonal_product(rows):
 @given(rows=rect_strategy, p=st.sampled_from([2, 3, 5, 7]))
 def test_rank_mod_p_at_most_rank_over_q(rows, p):
     m = IntMatrix.from_rows(rows)
-    assert rank_over_field(m, p) <= rank_over_field(m, 0)
+    assert _rank(m, p) <= _rank(m, 0)
 
 
-def test_rank_rejects_composite_characteristic():
-    m = IntMatrix.from_rows([[1]])
-    with pytest.raises(ValueError):
-        rank_over_field(m, 4)
+def test_check_char_rejects_composite_characteristic():
+    for char in (0, 2, 101):
+        check_char(char)
+    for char in (1, 4, -2):
+        with pytest.raises(ValueError):
+            check_char(char)
 
 
 @settings(max_examples=80, deadline=None)

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -101,6 +102,58 @@ def test_kernels_match_oracles_on_larger_random_matrices():
             squares += 1
             assert bareiss_det([list(r) for r in rows]) == _det_cofactor(rows)
     assert squares
+
+
+def _random_complex_boundaries(rng):
+    """Boundary matrices (dense rows) of the downward closure of random
+    faces on up to 8 vertices, one per dimension d >= 1."""
+    nv = rng.randint(3, 8)
+    faces = set()
+    for _ in range(rng.randint(1, 8)):
+        top = tuple(sorted(rng.sample(range(nv), rng.randint(2, min(nv, 5)))))
+        for k in range(1, len(top) + 1):
+            faces.update(combinations(top, k))
+    by_dim = {}
+    for f in sorted(faces):
+        by_dim.setdefault(len(f) - 1, []).append(f)
+    mats = []
+    for d in range(1, max(by_dim) + 1):
+        pos = {f: i for i, f in enumerate(by_dim[d - 1])}
+        cols = by_dim[d]
+        rows = [[0] * len(cols) for _ in pos]
+        for j, f in enumerate(cols):
+            for i in range(len(f)):
+                rows[pos[f[:i] + f[i + 1 :]]][j] = -1 if i % 2 else 1
+        mats.append(rows)
+    return mats
+
+
+def test_sparse_rank_on_boundary_matrices():
+    rng = random.Random(7)
+    checked = 0
+    for _ in range(40):
+        for rows in _random_complex_boundaries(rng):
+            for p in (0, 2, 101):
+                assert sparse_rank(_dense_to_cols(rows), p) == _rank_fraction_oracle(rows, p)
+            checked += 1
+    assert checked > 80
+
+
+def test_sparse_rank_when_shortest_row_has_no_unit():
+    # the pivot comes from a shortest row; here that row holds no +-1, so
+    # the elimination takes the cross-multiplying branch first
+    rng = random.Random(8)
+    for _ in range(40):
+        nr, nc = rng.randint(2, 9), rng.randint(3, 9)
+        rows = [[rng.choice((0, 1, -1, rng.randint(-9, 9))) for _ in range(nc)] for _ in range(nr)]
+        short = rng.sample(range(nc), 2)
+        rows[0] = [rng.choice((2, -2, 3, -3, 4, 6, -9)) if j in short else 0 for j in range(nc)]
+        for r in rows[1:]:
+            for j in rng.sample(range(nc), 3):
+                r[j] = r[j] or rng.choice((1, -1, 5))
+        assert all(sum(map(bool, r)) > 2 for r in rows[1:])
+        for p in (0, 2, 101):
+            assert sparse_rank(_dense_to_cols(rows), p) == _rank_fraction_oracle(rows, p)
 
 
 def test_empty_and_zero_matrices():

@@ -6,11 +6,14 @@ from math import factorial
 
 import pytest
 
-from chipalg.monomials import divides, vec_add
+from chipalg.chipfiring import lattice_points_in_box
+from chipalg.monomials import divides, lcm_exp, vec_add
 from chipalg.resolutions import (
     FreeComplex,
     LabeledComplex,
     OrderedPartition,
+    _apartment_slices,
+    _zero_incident_labels,
     apt_region,
     bary_complex,
     betti_parking,
@@ -266,6 +269,63 @@ def test_chain_graph_apartment_slice():
         (2, -2, 0, 0), (2, -3, 1, 0), (2, -4, 2, 0), (2, -5, 3, 0),
     }
     assert set(apt.vertex_labels) == expected_labels
+
+
+def _apt_region_own_box(g, deg) -> LabeledComplex:
+    """Reference for the apartment slice below deg: the lattice points of
+    its own box [deg - sum(deg), deg], sorted by label, and every clique of
+    pairwise tropical distance <= 1 whose lcm label properly divides x^deg,
+    in lexicographic pre-order."""
+    deg = tuple(deg)
+    total = sum(deg)
+    if total < 0:
+        return LabeledComplex((), ())
+    pts = sorted(lattice_points_in_box(g, tuple(d - total for d in deg), deg), key=lambda vw: vw[1])
+    vs = [v for v, _ in pts]
+    labels = tuple(w for _, w in pts)
+
+    def dist_ok(i, j):
+        d = [a - b for a, b in zip(vs[i], vs[j])]
+        return max(d) - min(d) <= 1
+
+    faces = []
+
+    def walk(face, label, start):
+        for k in range(start, len(pts)):
+            if all(dist_ok(j, k) for j in face):
+                lab = lcm_exp(label, labels[k]) if face else labels[k]
+                if lab != deg and divides(lab, deg):
+                    faces.append(face + (k,))
+                    walk(face + (k,), lab, k + 1)
+
+    walk((), None, 0)
+    return LabeledComplex(labels, tuple(faces))
+
+
+def test_apartment_slices_match_own_boxes():
+    """Every slice cut from the one box over the join of the zero-incident
+    labels equals the slice from the label's own box, vertices and faces in
+    the same order; so does apt_region on degrees that are not labels."""
+    rng = random.Random(24)
+    graphs = [k4(), c4(), chain_graph()]
+    for n in range(1, 7):
+        for max_mult in (1, 2, 3) if n < 6 else (1,):
+            graphs.append(random_connected(rng, n, max_mult))
+            graphs.append(random_saturated(rng, n, max_mult))
+    nonempty = 0
+    for g in graphs:
+        labels = _zero_incident_labels(g)
+        for c, got in zip(labels, _apartment_slices(g, labels), strict=True):
+            want = _apt_region_own_box(g, c)
+            assert got.vertex_labels == want.vertex_labels
+            assert got.faces == want.faces
+            nonempty += bool(got.faces)
+        if g.n < 6:
+            top = tuple(map(max, zip(*labels)))
+            for _ in range(5):
+                deg = tuple(rng.randint(-2, t + 1) for t in top)
+                assert apt_region(g, deg) == _apt_region_own_box(g, deg)
+    assert nonempty > 1000
 
 
 def test_conjecture_check_small_graphs():
