@@ -24,6 +24,7 @@ __all__ = [
     "groebner_certificate",
     "lattice_member",
     "flag_socles",
+    "connected_flags",
     "lattice_socle_base",
     "canonical_divisor",
     "divisor_rank",
@@ -123,49 +124,146 @@ def flag_socles(g: Multigraph) -> list:
     return out
 
 
+def _layerings(g: Multigraph, singletons: bool) -> list:
+    """(k, c) for each connected flag (P, O) of g, with singleton blocks
+    only when ``singletons`` is set; see ``connected_flags``.
+
+    A flag is walked as the longest-path layering of O from the sink:
+    vertex sets U_0, U_1, ... that partition the vertices, where U_0 is the
+    block of node n and the blocks of U_i are the components of the
+    subgraph that U_i induces (blocks of one layer are not adjacent, and
+    every edge between layers points to the earlier one).  So a layering
+    is valid when U_0 is connected and every component of each later U_i
+    has a neighbour in U_(i-1), and it meets each flag once.  A vertex of
+    U_i has degree equal to its edges into U_0, ..., U_(i-1).
+
+    Cut: let C be a component of the vertices left unplaced after U_i.
+    The first later layer that meets C needs a neighbour in the layer
+    before it, and outside itself C has neighbours only in U_0, ..., U_i;
+    so that layer is U_(i+1), and C must have a neighbour in U_i.  With
+    this cut every branch of the walk ends in a flag.  Vertex sets are
+    bitmasks.
+    """
+    n = g.n
+    adj = [sum(1 << w for w, m in enumerate(row) if m) for row in g.mult]
+    edges = [[(1 << w, m) for w, m in enumerate(row) if m] for row in g.mult]
+    memo_nbhd, memo_comps, memo_degs = {}, {}, {}
+
+    def nbhd(mask):
+        out = memo_nbhd.get(mask)
+        if out is None:
+            out = 0
+            for v in _bits(mask):
+                out |= adj[v]
+            memo_nbhd[mask] = out
+        return out
+
+    def comps(mask):
+        """The vertex sets of the components of the subgraph on ``mask``."""
+        out = memo_comps.get(mask)
+        if out is None:
+            out, left = [], mask
+            while left:
+                seen = left & -left
+                while True:
+                    grown = seen | nbhd(seen) & left
+                    if grown == seen:
+                        break
+                    seen = grown
+                out.append(seen)
+                left ^= seen
+            memo_comps[mask] = out
+        return out
+
+    def degs(rest):
+        """Each unplaced vertex with its edges into the placed ones."""
+        out = memo_degs.get(rest)
+        if out is None:
+            placed = ~rest
+            out = memo_degs[rest] = {
+                u: sum(m for bit, m in edges[u] if bit & placed) for u in _bits(rest)
+            }
+        return out
+
+    def reaches(left, layer):
+        """Whether every component of ``left`` has a neighbour in ``layer``."""
+        around = nbhd(layer)
+        return all(c & around for c in comps(left))
+
+    deg = [0] * n
+    out = []
+
+    def walk(prev, rest, k):
+        if not rest:
+            out.append((k, tuple(deg)))
+            return
+        near = nbhd(prev)
+        ds = degs(rest)
+        pool = rest & near if singletons else rest
+        sub = pool
+        while sub:
+            cs = comps(sub)
+            if (
+                all(c & near for c in cs)
+                and not (singletons and nbhd(sub) & sub)
+                and reaches(rest & ~sub, sub)
+            ):
+                for u in _bits(sub):
+                    deg[u] = ds[u]
+                walk(sub, rest & ~sub, k + len(cs))
+            sub = (sub - 1) & pool
+
+    full = (1 << n) - 1
+    sink = 1 << (n - 1)
+    others = 0 if singletons else full ^ sink
+    sub = others
+    while True:
+        root = sub | sink
+        if len(comps(root)) == 1 and reaches(full & ~root, root):
+            for u in _bits(root):
+                deg[u] = 0
+            walk(root, full & ~root, 1)
+        if not sub:
+            return out
+        sub = (sub - 1) & others
+
+
+def _bits(mask) -> list:
+    """Positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def connected_flags(g: Multigraph) -> list:
+    """(k, c) for each connected flag (P, O) of g: P is a partition of [n]
+    into k blocks that each induce a connected subgraph, O an acyclic
+    orientation of the quotient G/P whose only sink is the block of node n,
+    and c_u, for each node u, the number of edges from u to the blocks that
+    O points u's block to (so c_n = 0).
+
+    These pairs count the graded Betti numbers: the parking ideal has
+    beta_{k-1, c} equal to the number of pairs with k blocks and degree c
+    (Manjunath-Schreyer-Wilmes, Trans. AMS 2015; Mohammadi-Shokrieh,
+    IMRN 2014), and the toppling ideal the same counts per divisor class.
+    """
+    return _layerings(g, singletons=False)
+
+
 def lattice_socle_base(g: Multigraph) -> list:
     """Distinct base socle monomials s / x_n of the lattice module, as
     exponent vectors over [n] (last coordinate -1), in lexicographic order.
 
     The socle of the parking ideal is the set of maximal superstables,
     which are c(v) = indeg_O(v) - 1 over the acyclic orientations O with
-    node n as unique source (Benson-Chakrabarty-Tetali).  Each such O is
-    enumerated once, by its longest-path layering from n: every layer is an
-    independent set and every vertex in it has a neighbour in the layer
-    before, and edges point from earlier layers to later ones.
+    node n as unique source (Benson-Chakrabarty-Tetali).  Reversing O makes
+    n the unique sink, so these are the connected flags with singleton
+    blocks, with one subtracted from each degree.
     """
-    n = g.n
-    q = n - 1
-    mult = g.mult
-    nbrs = [frozenset(w for w in range(n) if row[w]) for row in mult]
-    indeg = [0] * n
-    out = []
-
-    def layers(prev, rest):
-        if not rest:
-            out.append(tuple(c - 1 for c in indeg[:q]) + (-1,))
-            return
-        cand = sorted(v for v in rest if nbrs[v] & prev)
-
-        def pick(i, layer, blocked):
-            if i == len(cand):
-                left = rest - layer
-                # a vertex whose neighbours are all placed before this layer
-                # can never get an in-neighbour in the layer before its own
-                if layer and all(nbrs[w] & rest for w in left):
-                    for v in layer:
-                        indeg[v] = sum(mult[v][w] for w in nbrs[v] - rest)
-                    layers(layer, left)
-                return
-            v = cand[i]
-            if v not in blocked:
-                pick(i + 1, layer | {v}, blocked | nbrs[v])
-            pick(i + 1, layer, blocked)
-
-        pick(0, frozenset(), frozenset())
-
-    layers(frozenset((q,)), frozenset(range(q)))
-    return sorted(out)
+    return sorted(tuple(d - 1 for d in c) for _, c in _layerings(g, singletons=True))
 
 
 def canonical_divisor(g: Multigraph) -> tuple:

@@ -119,7 +119,7 @@ def _cmd_socle(args):
 def _cmd_betti(args):
     g = _load_graph(args)
     fn = betti_toppling if args.ideal == "toppling" else betti_parking
-    table = fn(g, args.char)
+    table = fn(g)
     top, socle = table["total"][-1], len(lattice_socle_base(g))
     negative = sum(1 for _, _, r in table["entries"] if r < 0)
     return {"ideal": args.ideal, "char": args.char, **_betti_json(table)}, [

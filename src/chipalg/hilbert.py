@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .chipfiring import parking_ideal
+from .chipfiring import connected_flags, parking_ideal
 from .monomials import standard_monomials
 from .multigraph import Multigraph, div_class, divisor_class_group
-from .resolutions import basis_label, cyc_partitions
 
 __all__ = [
     "GradedPolynomial",
@@ -115,21 +114,13 @@ def psi(g: Multigraph, u) -> GradedPolynomial:
 def hilbert_numerator(g: Multigraph) -> GradedPolynomial:
     """Numerator of the graded Hilbert series of the toppling quotient.
 
-    Alternating sum, over all cyclically ordered partitions of [n], of the
-    image of the x_n-free degree monomial of each basis element; the
-    single-block partition contributes the constant term 1.
+    The graded Euler characteristic of the minimal free resolution: the sum,
+    over the connected flags with k blocks and degree c, of
+    (-1)^(k-1) psi(c) on the first n-1 nodes; the one-block flag
+    contributes the constant term 1.
     """
-    if not g.is_saturated():
-        raise ValueError("the closed-form numerator requires a saturated graph")
-    n = g.n
-    return _collect(
-        g,
-        (
-            (basis_label(g, p, n - 1), 1 if k % 2 else -1)
-            for k in range(1, n + 1)
-            for p in cyc_partitions(n, k)
-        ),
-    )
+    q = g.n - 1
+    return _collect(g, ((c[:q], 1 if k % 2 else -1) for k, c in connected_flags(g)))
 
 
 def parking_sum(g: Multigraph) -> GradedPolynomial:

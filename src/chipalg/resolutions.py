@@ -3,17 +3,20 @@
 Three actors: the free complex on cyclically ordered partitions (with its
 Scarf truncation for the parking ideal), the barycentric subdivision of the
 (n-2)-simplex with monomial labels, and the apartment complex of lattice
-classes under the tropical metric.  Betti numbers come from reduced
+classes under the tropical metric.  The Betti tables are counted from the
+connected flags of the graph (``chipfiring.connected_flags``); the
+parking-vs-toppling comparison takes its Betti numbers from the reduced
 homology of label-restricted subcomplexes.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .chipfiring import _arrow, lattice_points_in_box
+from .chipfiring import _arrow, _bits, connected_flags, lattice_points_in_box
 from .exactla import check_char
 from .kernels import sparse_rank
 from .monomials import divides, lcm_exp, vec_add
@@ -294,8 +297,9 @@ def _faces_below(labels, deg, roots, extend) -> tuple:
     lexicographic pre-order: ``roots`` are the vertices that start a face,
     and ``extend(face, cand)`` gives the vertices, ascending and above the
     last one of ``face``, that extend it, where ``cand`` are the ones that
-    extended its parent.  The lcm label only increases along the walk, so a
-    branch ends where its label stops properly dividing x^deg.
+    extended its parent.  Every root and extension must have a label that
+    divides x^deg, so every lcm label on the walk divides it too; the label
+    only increases along the walk, so a branch ends where it reaches x^deg.
     """
     deg = tuple(deg)
     out = []
@@ -303,7 +307,7 @@ def _faces_below(labels, deg, roots, extend) -> tuple:
     def walk(face, label, cand):
         for j in cand:
             lab = lcm_exp(label, labels[j]) if face else labels[j]
-            if lab != deg and divides(lab, deg):
+            if lab != deg:
                 nxt = face + (j,)
                 out.append(nxt)
                 walk(nxt, lab, extend(nxt, cand))
@@ -315,18 +319,14 @@ def _faces_below(labels, deg, roots, extend) -> tuple:
 def sub_below(c: LabeledComplex, deg) -> LabeledComplex:
     """Subcomplex of faces whose label properly divides x^deg."""
     ext = c.extensions
-    faces = _faces_below(c.vertex_labels, deg, ext.get((), ()), lambda f, _: ext.get(f, ()))
-    return LabeledComplex(c.vertex_labels, faces)
+    labels = c.vertex_labels
+    below = {v for v, lab in enumerate(labels) if divides(lab, deg)}
 
+    def extend(face, _):
+        return [v for v in ext.get(face, ()) if v in below]
 
-def _bits(mask) -> list:
-    """Positions of the set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    faces = _faces_below(labels, deg, extend((), None), extend)
+    return LabeledComplex(labels, faces)
 
 
 def _subset_images(g: Multigraph) -> tuple:
@@ -487,31 +487,34 @@ def _toppling_homology(g: Multigraph, char: int):
         yield c, homology_ranks(region, char)
 
 
-def _betti_table(n: int, pairs, shift: int, entries: list) -> dict:
-    """Betti table from (degree, homology ranks) pairs: reduced homology in
-    dimension i below degree c gives beta_{i+shift, c}, for indices below n."""
-    for c, hr in pairs:
-        entries += [(c, i + shift, r) for i, r in hr.items() if r and i + shift < n]
+def _count_table(n: int, flags) -> dict:
+    """Betti table from (degree, index) pairs, one per connected flag."""
+    counts = Counter(flags)
     total = [0] * n
-    for _, j, r in entries:
+    for (_, j), r in counts.items():
         total[j] += r
-    return {"total": tuple(total), "entries": entries}
+    return {"total": tuple(total), "entries": sorted((c, j, r) for (c, j), r in counts.items())}
 
 
-def betti_parking(g: Multigraph, char: int = 0) -> dict:
-    """Betti table of the quotient by the parking ideal.
+def betti_parking(g: Multigraph) -> dict:
+    """Betti table of the quotient by the parking ideal: beta_{k-1, c} is
+    the number of connected flags with k blocks and degree c.
 
-    Candidate degrees are the distinct face labels of the barycentric
-    complex; entry j >= 1 in degree c is the rank of reduced homology in
-    dimension j-2 of the subcomplex strictly below c.
+    The resolution is defined over the integers, so the table is the same
+    in every characteristic.
     """
-    return _betti_table(g.n, _parking_homology(g, char), 2, [((0,) * g.n, 0, 1)])
+    return _count_table(g.n, ((c, k - 1) for k, c in connected_flags(g)))
 
 
-def betti_toppling(g: Multigraph, char: int = 0) -> dict:
-    """Betti table of the quotient by the toppling ideal via apartment
-    homology, one candidate degree per lattice orbit of face labels."""
-    return _betti_table(g.n, _toppling_homology(g, char), 1, [])
+def betti_toppling(g: Multigraph) -> dict:
+    """Betti table of the quotient by the toppling ideal: the connected
+    flag counts per divisor class of the degree, each class written as its
+    label from ``_zero_incident_labels``."""
+    grp = divisor_class_group(g)
+    rep = {(sum(c), grp.class_of(c)): c for c in _zero_incident_labels(g)}
+    return _count_table(
+        g.n, ((rep[sum(c), grp.class_of(c)], k - 1) for k, c in connected_flags(g))
+    )
 
 
 def conjecture_check(g: Multigraph, char: int = 0) -> dict:

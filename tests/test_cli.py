@@ -125,8 +125,8 @@ def test_betti_checks_fail_on_a_wrong_table(capsys, monkeypatch, ideal, failing,
     right = getattr(cli, name)
     rank_change, top_change = change
 
-    def wrong(g, char=0):
-        table = right(g, char)
+    def wrong(g):
+        table = right(g)
         c, j, r = table["entries"][0]
         total = list(table["total"])
         total[-1] += top_change
@@ -151,6 +151,14 @@ def test_hilbert(capsys):
     rep = json.loads(out)
     assert code == 0
     assert len(rep["results"]["numerator"]) == 26
+
+
+@pytest.mark.parametrize("graph", [C4, str(DATA / "chain.graph")])
+def test_hilbert_on_graphs_that_are_not_saturated(capsys, graph):
+    code, out, _ = _run(capsys, "hilbert", graph)
+    rep = json.loads(out)
+    assert code == 0 and rep["checks"][0]["name"] == "hilbert_identity"
+    assert rep["checks"][0]["pass"]
 
 
 def test_rank_and_sink(capsys):
@@ -209,6 +217,36 @@ def test_toppling_side_output_is_unchanged(capsys, graph, name, argv):
     expected = (DATA / f"{graph}.{name}.json").read_text()
     code, out, _ = _run(capsys, argv[0], str(DATA / f"{graph}.graph"), *argv[1:])
     assert code == 0 and out == expected
+
+
+@pytest.mark.parametrize("graph", ["prism", "c4", "k4", "chain", "sat5"])
+def test_parking_side_output_is_unchanged(capsys, graph):
+    # recorded from the homology of the barycentric subcomplexes, before the
+    # table was counted from connected flags
+    expected = (DATA / f"{graph}.parking.json").read_text()
+    code, out, _ = _run(capsys, "betti", str(DATA / f"{graph}.graph"), "--ideal", "parking")
+    assert code == 0 and out == expected
+
+
+@pytest.mark.parametrize("char", ["1", "4"])
+def test_betti_toppling_rejects_non_prime_char(capsys, char):
+    # the counted tables do not read the characteristic, which is still
+    # checked before any work (the parking side: test_non_prime_char_exits_1)
+    code, out, err = _run(capsys, "betti", K4, "--ideal", "toppling", "--char", char)
+    assert code == 1 and "characteristic" in json.loads(out)["error"]
+    assert "results" not in json.loads(out) and "error" in err
+
+
+@pytest.mark.parametrize("ideal", ["parking", "toppling"])
+@pytest.mark.parametrize("graph, sink", [("chain", 1), ("chain", 2), ("prism", 3), ("c4", 2)])
+def test_betti_sink_is_relabelled_graph(capsys, tmp_path, ideal, graph, sink):
+    # --sink i reports the table of the graph with nodes i and n swapped
+    path = DATA / f"{graph}.graph"
+    swapped = tmp_path / "swapped.graph"
+    swapped.write_text(format_graph(parse_graph(path.read_text()).relabel_sink(sink)))
+    code, out, _ = _run(capsys, "betti", str(path), "--ideal", ideal, "--sink", str(sink))
+    code2, out2, _ = _run(capsys, "betti", str(swapped), "--ideal", ideal)
+    assert code == code2 == 0 and out == out2
 
 
 RANK_DIVISORS = {

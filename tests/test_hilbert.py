@@ -67,6 +67,17 @@ def _termwise(g, signed):
     return out
 
 
+def _cyclic_partition_terms(g):
+    """Oracle for saturated graphs: the x_n-free degree of each cyclically
+    ordered partition of [n] into j blocks, with sign (-1)^(j-1)."""
+    n = g.n
+    return [
+        (basis_label(g, p, n - 1), 1 if j % 2 else -1)
+        for j in range(1, n + 1)
+        for p in cyc_partitions(n, j)
+    ]
+
+
 def test_sums_match_termwise_add():
     rng = random.Random(31)
     for k in range(8):
@@ -75,12 +86,7 @@ def test_sums_match_termwise_add():
             g = random_connected(rng, n, max_mult=3)
         else:
             g = random_saturated(rng, n, max_mult=3)
-            signed = [
-                (basis_label(g, p, n - 1), 1 if j % 2 else -1)
-                for j in range(1, n + 1)
-                for p in cyc_partitions(n, j)
-            ]
-            assert hilbert_numerator(g) == _termwise(g, signed)
+            assert hilbert_numerator(g) == _termwise(g, _cyclic_partition_terms(g))
         std = standard_monomials(parking_ideal(g))
         ps = parking_sum(g)
         assert ps == _termwise(g, [(u, 1) for u in std])
@@ -114,9 +120,19 @@ def test_hilbert_identity_k4(k4_graph):
     assert rep["lhs_terms"] == rep["rhs_terms"] == 26
 
 
-def test_numerator_rejects_non_saturated():
-    with pytest.raises(ValueError):
-        hilbert_numerator(c4())
+def test_numerator_matches_cyclic_partitions():
+    # on saturated graphs every partition is connected and every quotient
+    # complete, so the flags and the cyclic partitions give the same sum
+    rng = random.Random(33)
+    graphs = [k4()] + [random_saturated(rng, n, max_mult=3) for n in (2, 3, 4, 5, 5, 6)]
+    for g in graphs:
+        assert hilbert_numerator(g) == _termwise(g, _cyclic_partition_terms(g))
+
+
+def test_hilbert_identity_c4():
+    # not saturated: the numerator comes from the connected flags alone
+    rep = hilbert_identity_check(c4())
+    assert rep["pass"] and rep["lhs_terms"] == rep["rhs_terms"]
 
 
 def test_numerator_constant_term(k4_graph):
@@ -128,6 +144,14 @@ def test_hilbert_identity_random_saturated():
     rng = random.Random(30)
     for _ in range(5):
         g = random_saturated(rng, rng.randint(2, 4), max_mult=3)
+        assert hilbert_identity_check(g)["pass"]
+
+
+def test_hilbert_identity_random_not_saturated():
+    rng = random.Random(32)
+    graphs = [random_connected(rng, n, max_mult=3) for n in (2, 3, 4, 5, 5, 6) for _ in range(3)]
+    assert sum(not g.is_saturated() for g in graphs) >= 10
+    for g in graphs:
         assert hilbert_identity_check(g)["pass"]
 
 

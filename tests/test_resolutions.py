@@ -6,13 +6,15 @@ from math import factorial
 
 import pytest
 
-from chipalg.chipfiring import lattice_points_in_box
+from chipalg.chipfiring import connected_flags, lattice_points_in_box, lattice_socle_base
 from chipalg.monomials import divides, lcm_exp, vec_add
 from chipalg.resolutions import (
     FreeComplex,
     LabeledComplex,
     OrderedPartition,
     _apartment_slices,
+    _parking_homology,
+    _toppling_homology,
     _zero_incident_labels,
     apt_region,
     bary_complex,
@@ -31,6 +33,7 @@ from conftest import (
     c4,
     chain_graph,
     k4,
+    prism,
     random_connected,
     random_saturated,
 )
@@ -238,6 +241,64 @@ def test_top_betti_is_acyclic_orientation_count():
         g = random_connected(rng, 4, max_mult=2)
         total = betti_parking(g)["total"]
         assert total[-1] == acyclic_orientations_unique_sink(g, g.n)
+
+
+def _betti_table(n: int, pairs, shift: int, entries: list) -> dict:
+    """Oracle: Betti table from (degree, reduced homology ranks) pairs;
+    homology in dimension i below degree c gives beta_{i+shift, c}, for
+    indices below n."""
+    for c, hr in pairs:
+        entries += [(c, i + shift, r) for i, r in hr.items() if r and i + shift < n]
+    total = [0] * n
+    for _, j, r in entries:
+        total[j] += r
+    return {"total": tuple(total), "entries": sorted(entries)}
+
+
+def _homology_tables(g, char):
+    """The parking and the toppling Betti tables from the homology of the
+    barycentric subcomplexes and of the apartment slices."""
+    parking = _betti_table(g.n, _parking_homology(g, char), 2, [((0,) * g.n, 0, 1)])
+    toppling = _betti_table(g.n, _toppling_homology(g, char), 1, [])
+    return parking, toppling
+
+
+def _oracle_graphs():
+    """Seeded graphs with n = 1-6, saturated or not, multiplicities up to 3
+    (1 at n = 6), and the prism."""
+    rng = random.Random(25)
+    graphs = [k4(), c4(), chain_graph(), prism()]
+    for n in range(1, 7):
+        for max_mult in (1, 2, 3) if n < 6 else (1,):
+            graphs.append(random_connected(rng, n, max_mult))
+            if n > 1:
+                graphs.append(random_saturated(rng, n, max_mult))
+    return graphs
+
+
+def test_betti_tables_match_homology():
+    """The counted tables equal the homology tables entry for entry, degrees
+    included, in characteristics 0, 2 and 3."""
+    graphs = _oracle_graphs()
+    assert len(graphs) >= 30
+    assert sum(not g.is_saturated() for g in graphs) >= 10
+    for k, g in enumerate(graphs):
+        parking, toppling = betti_parking(g), betti_toppling(g)
+        for char in (0, 2, 3) if g.n < 6 else ((0, 2, 3)[k % 3],):
+            assert _homology_tables(g, char) == (parking, toppling)
+
+
+def test_flag_counts():
+    """Every flag has a degree with c_n = 0 and k - 1 blocks besides the
+    sink's; the all-singleton flags are the parking socle, one per acyclic
+    orientation with n as unique sink; and there is one flag per k = 1."""
+    for g in _oracle_graphs():
+        flags = connected_flags(g)
+        assert all(c[-1] == 0 and 1 <= k <= g.n for k, c in flags)
+        assert [c for k, c in flags if k == 1] == [(0,) * g.n]
+        top = sorted(tuple(d - 1 for d in c) for k, c in flags if k == g.n)
+        assert top == lattice_socle_base(g)
+        assert len(top) == acyclic_orientations_unique_sink(g, g.n)
 
 
 def test_chain_graph_example():
