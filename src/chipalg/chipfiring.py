@@ -1,5 +1,5 @@
-"""Toppling and parking-function ideals, lattice membership, and
-divisor rank on a multigraph.
+"""Toppling and parking-function ideals, connected flags, lattice points,
+and divisor rank on a multigraph.
 
 Node n is the distinguished node: lead monomials avoid x_n, parking
 functions live on x_1..x_{n-1}, and divisor reduction is taken at n.
@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
-from .exactla import solve_integer
 from .monomials import MonomialIdeal, degree_plus, standard_monomials, vec_sub
 from .multigraph import GRAPH_CACHE_SIZE, Multigraph, Split, connected_splits, laplacian, tree_count
 
@@ -22,7 +21,6 @@ __all__ = [
     "toppling_generators",
     "parking_ideal",
     "groebner_certificate",
-    "lattice_member",
     "flag_socles",
     "connected_flags",
     "lattice_socle_base",
@@ -92,14 +90,6 @@ def groebner_certificate(g: Multigraph) -> dict:
     trees = tree_count(g)
     std = len(standard_monomials(parking_ideal(g)))
     return {"tree_count": trees, "standard_monomials": std, "pass": trees == std}
-
-
-def lattice_member(g: Multigraph, v):
-    """Whether v lies in the Laplacian lattice; returns (bool, witness or None)."""
-    if len(v) != g.n:
-        raise ValueError("vector length must equal the node count")
-    x = solve_integer(laplacian(g), tuple(v))
-    return (x is not None), x
 
 
 def flag_socles(g: Multigraph) -> list:

@@ -49,10 +49,6 @@ class IntMatrix:
     def identity(cls, n: int) -> "IntMatrix":
         return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(rows, cols, (0,) * (rows * cols))
-
     def at(self, i: int, j: int) -> int:
         return self.entries[i * self.cols + j]
 
@@ -62,31 +58,12 @@ class IntMatrix:
     def to_rows(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_rows(
-            [[self.at(i, j) for i in range(self.rows)] for j in range(self.cols)]
-        )
-
     def mul_vec(self, v) -> tuple:
         if len(v) != self.cols:
             raise ValueError("vector length does not match column count")
         return tuple(
             sum(self.at(i, j) * v[j] for j in range(self.cols)) for i in range(self.rows)
         )
-
-    def matmul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        rows = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            rows.append(
-                [
-                    sum(ri[k] * other.at(k, j) for k in range(self.cols))
-                    for j in range(other.cols)
-                ]
-            )
-        return IntMatrix.from_rows(rows) if rows else IntMatrix.zero(0, other.cols)
 
     def delete_row_col(self, i: int, j: int) -> "IntMatrix":
         rows = [
@@ -108,10 +85,6 @@ class SmithForm:
     diagonal: tuple
     left: IntMatrix
     right: IntMatrix
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal if d)
 
 
 def determinant(m: IntMatrix) -> int:

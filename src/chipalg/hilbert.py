@@ -3,7 +3,8 @@ group Z (+) Div_0(G).
 
 Group-algebra elements are finite integer combinations of (t-degree,
 class) pairs; classes are residue tuples against the invariant factors of
-Div_0(G).
+Div_0(G).  psi(u) denotes the image t^|u| q^div(u) of the monomial x^u on
+the first n-1 nodes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from .multigraph import Multigraph, div_class, divisor_class_group
 
 __all__ = [
     "GradedPolynomial",
-    "psi",
     "hilbert_numerator",
     "parking_sum",
     "hilbert_identity_check",
@@ -54,12 +54,6 @@ class GradedPolynomial:
             if out[k] == 0:
                 del out[k]
         return GradedPolynomial(self.factors, out)
-
-    def neg(self) -> "GradedPolynomial":
-        return GradedPolynomial(self.factors, {k: -c for k, c in self.terms.items()})
-
-    def sub(self, other: "GradedPolynomial") -> "GradedPolynomial":
-        return self.add(other.neg())
 
     def mul(self, other: "GradedPolynomial") -> "GradedPolynomial":
         self._check(other)
@@ -100,15 +94,6 @@ def _collect(g: Multigraph, signed) -> GradedPolynomial:
         divisor_class_group(g).invariant_factors,
         {k: c for k, c in terms.items() if c},
     )
-
-
-def psi(g: Multigraph, u) -> GradedPolynomial:
-    """Image of the monomial x^u (u over the first n-1 nodes) in the group
-    algebra: the single term t^|u| q^div(u)."""
-    u = tuple(u)
-    if any(e < 0 for e in u):
-        raise ValueError("psi needs a non-negative exponent vector")
-    return _collect(g, [(u, 1)])
 
 
 def hilbert_numerator(g: Multigraph) -> GradedPolynomial:

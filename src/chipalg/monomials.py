@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 __all__ = [
     "MonomialIdeal",
@@ -22,9 +21,7 @@ __all__ = [
     "standard_monomials",
     "socle",
     "intersect_irreducible",
-    "alexander_dual_box_generators",
     "parse_ideal",
-    "format_ideal",
     "monomial_str",
 ]
 
@@ -189,25 +186,6 @@ def intersect_irreducible(components, vars: int) -> MonomialIdeal:
     return MonomialIdeal(vars, tuple(gens))
 
 
-def alexander_dual_box_generators(M: MonomialIdeal, K) -> list:
-    """Minimal u with 0 <= u <= K and x^(K-u) outside M.
-
-    This is the box/complement description of the Alexander dual's
-    generators; for a reflection-invariant ideal with canonical monomial
-    x^K it returns exactly the socle.
-    """
-    require_artinian(M)
-    K = tuple(K)
-    if any(e < 0 for e in K):
-        raise ValueError("box corner must be non-negative")
-    hits = [
-        u
-        for u in product(*(range(k + 1) for k in K))
-        if not M.contains(vec_sub(K, u))
-    ]
-    return list(_minimize(hits))
-
-
 def parse_ideal(text: str) -> MonomialIdeal:
     """Parse the shared ideal text format: ``vars <m>`` then ``gen e_1 ... e_m`` lines."""
     m = None
@@ -235,13 +213,6 @@ def parse_ideal(text: str) -> MonomialIdeal:
     if not gens:
         raise ValueError("ideal needs at least one generator")
     return MonomialIdeal.from_generators(m, gens)
-
-
-def format_ideal(M: MonomialIdeal) -> str:
-    lines = [f"vars {M.vars}"]
-    for g in M.generators:
-        lines.append("gen " + " ".join(str(e) for e in g))
-    return "\n".join(lines) + "\n"
 
 
 def monomial_str(v, names=None) -> str:

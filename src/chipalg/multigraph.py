@@ -26,7 +26,6 @@ __all__ = [
     "divisor_class_group",
     "div_class",
     "parse_graph",
-    "format_graph",
 ]
 
 
@@ -176,21 +175,11 @@ class DivisorClassGroup:
     invariant_factors: tuple
     _proj_rows: tuple  # rows of the left SNF transform for the nontrivial factors
 
-    @property
-    def order(self) -> int:
-        out = 1
-        for d in self.invariant_factors:
-            out *= d
-        return out
-
     def class_of(self, w) -> tuple:
         return tuple(
             sum(r * x for r, x in zip(row, w)) % d
             for row, d in zip(self._proj_rows, self.invariant_factors)
         )
-
-    def class_add(self, a: tuple, b: tuple) -> tuple:
-        return tuple((x + y) % d for x, y, d in zip(a, b, self.invariant_factors))
 
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
@@ -248,12 +237,3 @@ def parse_graph(text: str) -> Multigraph:
     if n is None:
         raise ValueError("missing 'nodes <n>' line")
     return Multigraph.from_edges(n, edges)
-
-
-def format_graph(g: Multigraph) -> str:
-    lines = [f"nodes {g.n}"]
-    for i in range(g.n):
-        for j in range(i + 1, g.n):
-            if g.mult[i][j]:
-                lines.append(f"edge {i + 1} {j + 1} {g.mult[i][j]}")
-    return "\n".join(lines) + "\n"

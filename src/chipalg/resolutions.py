@@ -1,12 +1,12 @@
 """Cellular free resolutions of toppling and parking ideals.
 
-Three actors: the free complex on cyclically ordered partitions (with its
-Scarf truncation for the parking ideal), the barycentric subdivision of the
+The Betti tables are counted from the connected flags of the graph
+(``chipfiring.connected_flags``).  The parking-vs-toppling comparison takes
+its Betti numbers from the reduced homology of label-restricted
+subcomplexes of two labeled complexes: the barycentric subdivision of the
 (n-2)-simplex with monomial labels, and the apartment complex of lattice
-classes under the tropical metric.  The Betti tables are counted from the
-connected flags of the graph (``chipfiring.connected_flags``); the
-parking-vs-toppling comparison takes its Betti numbers from the reduced
-homology of label-restricted subcomplexes.
+classes under the tropical metric.  ``cyc_partitions`` lists the cyclically
+ordered partitions of [n], which index the paper's free complex.
 """
 
 from __future__ import annotations
@@ -24,13 +24,8 @@ from .multigraph import Multigraph, divisor_class_group, laplacian
 
 __all__ = [
     "OrderedPartition",
-    "FreeComplex",
     "LabeledComplex",
     "cyc_partitions",
-    "basis_label",
-    "cyc_complex",
-    "scarf_complex_parking",
-    "minimality_check",
     "bary_complex",
     "sub_below",
     "apt_region",
@@ -105,123 +100,6 @@ def cyc_partitions(n: int, k: int) -> list:
 
 
 @dataclass(frozen=True)
-class FreeComplex:
-    """Complex of free modules with signed-monomial boundary matrices.
-
-    ``matrices[i]`` maps step i+1 to step i; entries are maps from an
-    exponent tuple to an integer coefficient, indexed by (row, col).
-    ``labels[i][j]`` is the exponent-vector degree of basis element j.
-    """
-
-    nvars: int
-    ranks: tuple
-    basis: tuple  # per step, tuple of OrderedPartition
-    labels: tuple
-    matrices: tuple  # per step, dict (row, col) -> {exp: coeff}
-
-    def d_squared_is_zero(self) -> bool:
-        for a, b in zip(self.matrices, self.matrices[1:]):
-            # product entry (i, k) = sum_j a[i,j] * b[j,k]
-            prod = {}
-            for (j, k), pb in b.items():
-                for (i, j2), pa in a.items():
-                    if j2 != j:
-                        continue
-                    acc = prod.setdefault((i, k), {})
-                    for ea, ca in pa.items():
-                        for eb, cb in pb.items():
-                            e = vec_add(ea, eb)
-                            acc[e] = acc.get(e, 0) + ca * cb
-            if any(any(c for c in p.values()) for p in prod.values()):
-                return False
-        return True
-
-
-def basis_label(g: Multigraph, p: OrderedPartition, nvars: int) -> tuple:
-    """Degree of the basis element (I_1, ..., I_k): the lcm face label
-    prod_{s<t} x^(I_s -> I_t), i.e. each block maps to the union of all
-    later blocks."""
-    out = (0,) * g.n
-    k = len(p.blocks)
-    for s in range(k - 1):
-        later = tuple(sorted(v for b in p.blocks[s + 1 :] for v in b))
-        out = vec_add(out, _arrow(g, p.blocks[s], later))
-    return out[:nvars]
-
-
-def _merge(blocks, s):
-    merged = tuple(sorted(blocks[s] + blocks[s + 1]))
-    return blocks[:s] + (merged,) + blocks[s + 2 :]
-
-
-def _build_complex(g: Multigraph, with_wrap: bool, nvars: int) -> FreeComplex:
-    n = g.n
-    basis = tuple(tuple(cyc_partitions(n, k)) for k in range(1, n + 1))
-    index = [{p: i for i, p in enumerate(bs)} for bs in basis]
-    labels = tuple(
-        tuple(basis_label(g, p, nvars) for p in bs) for bs in basis
-    )
-    matrices = []
-    for k in range(1, n):  # map from step k (k+1 blocks) to step k-1
-        mat = {}
-
-        def put(row, col, exp, coeff):
-            if coeff == 0:
-                return
-            entry = mat.setdefault((row, col), {})
-            entry[exp] = entry.get(exp, 0) + coeff
-            if entry[exp] == 0:
-                del entry[exp]
-                if not entry:
-                    del mat[(row, col)]
-
-        for col, p in enumerate(basis[k]):
-            blocks = p.blocks
-            r = len(blocks)
-            for s in range(r - 1):
-                mono = _arrow(g, blocks[s], blocks[s + 1])[:nvars]
-                target = OrderedPartition(_merge(blocks, s))
-                sign = -1 if s % 2 else 1
-                put(index[k - 1][target], col, mono, sign)
-            if with_wrap:
-                mono = _arrow(g, blocks[-1], blocks[0])[:nvars]
-                merged = tuple(sorted(blocks[0] + blocks[-1]))
-                target = OrderedPartition(blocks[1:-1] + (merged,))
-                put(index[k - 1][target], col, mono, -1)
-        matrices.append(mat)
-    return FreeComplex(
-        nvars=nvars,
-        ranks=tuple(len(bs) for bs in basis),
-        basis=basis,
-        labels=labels,
-        matrices=tuple(matrices),
-    )
-
-
-def cyc_complex(g: Multigraph) -> FreeComplex:
-    """The cellular free resolution of K[x]/I_G on cyclic partitions,
-    wrap-around boundary terms included."""
-    return _build_complex(g, with_wrap=True, nvars=g.n)
-
-
-def scarf_complex_parking(g: Multigraph) -> FreeComplex:
-    """The resolution of the parking ideal over x_1..x_{n-1}: the cyclic
-    complex with the wrap-around terms dropped."""
-    return _build_complex(g, with_wrap=False, nvars=g.n - 1)
-
-
-def minimality_check(c: FreeComplex) -> bool:
-    """A resolution is minimal iff no boundary entry carries a unit:
-    every entry is graded, so a unit appears only as a nonzero constant."""
-    zero = (0,) * c.nvars
-    for mat in c.matrices:
-        for poly in mat.values():
-            if poly.get(zero, 0) != 0:
-                return False
-    return True
-
-
-@dataclass(frozen=True)
 class LabeledComplex:
     """Simplicial complex with exponent-vector labels on the vertices.
 
@@ -246,16 +124,6 @@ class LabeledComplex:
         for v in face[1:]:
             lab = lcm_exp(lab, self.vertex_labels[v])
         return lab
-
-    def face_counts(self) -> tuple:
-        """Number of faces per dimension."""
-        if not self.faces:
-            return ()
-        top = max(len(f) for f in self.faces)
-        out = [0] * top
-        for f in self.faces:
-            out[len(f) - 1] += 1
-        return tuple(out)
 
 
 def _flags(subsets):

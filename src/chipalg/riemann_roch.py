@@ -28,12 +28,8 @@ __all__ = [
     "RankWitness",
     "mono_rank_bruteforce",
     "mono_rank",
-    "mono_rank_lcm",
     "rr_profile",
     "rr_verify",
-    "rr_inequalities",
-    "clifford_check",
-    "superadditivity_check",
     "construct_rr_ideal",
 ]
 
@@ -64,14 +60,22 @@ class RRProfile:
         return self.genus_min
 
 
+def _exponents(M: MonomialIdeal, b) -> tuple:
+    """b as a tuple with one exponent per variable of the artinian ideal M."""
+    require_artinian(M)
+    b = tuple(b)
+    if len(b) != M.vars:
+        raise ValueError("monomial length must equal the variable count")
+    return b
+
+
 def mono_rank_bruteforce(M: MonomialIdeal, b) -> RankWitness:
     """Rank by direct search: the smallest-degree a with 0 <= a <= b and
     x^(b-a) outside M; rank = degree(a) - 1.
 
     Ties within a degree are broken lexicographically.
     """
-    require_artinian(M)
-    b = tuple(b)
+    b = _exponents(M, b)
     if any(e < 0 for e in b):
         raise ValueError("brute-force rank needs a non-negative monomial")
     best = None
@@ -87,18 +91,8 @@ def mono_rank_bruteforce(M: MonomialIdeal, b) -> RankWitness:
 
 def mono_rank(M: MonomialIdeal, b) -> int:
     """Rank of a Laurent monomial: min over socle c of degree_plus(b - c), minus 1."""
-    require_artinian(M)
-    b = tuple(b)
+    b = _exponents(M, b)
     return min(degree_plus(vec_sub(b, c)) for c in socle(M)) - 1
-
-
-def mono_rank_lcm(M: MonomialIdeal, b) -> int:
-    """Rank via the S-pair form: min over socle c of degree(lcm(x^b, x^c)/x^c), minus 1."""
-    require_artinian(M)
-    b = tuple(b)
-    return min(
-        sum(max(x, y) - y for x, y in zip(b, c)) for c in socle(M)
-    ) - 1
 
 
 def rr_profile(M: MonomialIdeal) -> RRProfile:
@@ -154,62 +148,6 @@ def rr_verify(M: MonomialIdeal, K, b) -> dict:
         "genus": genus,
         "pass": rb - rdual == degree(b) - genus + 1,
     }
-
-
-def rr_inequalities(M: MonomialIdeal, K, b) -> dict:
-    """Check genus_min - 1 <= degree(b) - rank(x^b) + rank(x^K/x^b) <= genus_max - 1.
-
-    Level is not required, but reflection invariance with the given K is.
-    """
-    prof = rr_profile(M)
-    K = tuple(K)
-    if K not in prof.canonical_candidates:
-        raise ValueError(
-            "precondition failed: ideal is not reflection-invariant with this K"
-        )
-    b = tuple(b)
-    mid = degree(b) - mono_rank(M, b) + mono_rank(M, vec_sub(K, b))
-    return {
-        "lower": prof.genus_min - 1,
-        "value": mid,
-        "upper": prof.genus_max - 1,
-        "pass": prof.genus_min - 1 <= mid <= prof.genus_max - 1,
-    }
-
-
-def clifford_check(M: MonomialIdeal, K, b) -> dict:
-    """Clifford bound 2*rank(x^b) <= degree(x^b) - 1 for special divisors.
-
-    Applies when b divides K and both rank(x^b) and rank(x^K/x^b) are
-    non-negative; unmet preconditions are reported as skipped.
-    """
-    require_artinian(M)
-    K = tuple(K)
-    b = tuple(b)
-    report = {"skipped": False, "reason": None, "pass": None}
-    if not divides(b, K) or any(e < 0 for e in b):
-        report.update(skipped=True, reason="b does not divide K")
-        return report
-    rb = mono_rank(M, b)
-    rdual = mono_rank(M, vec_sub(K, b))
-    if rb < 0 or rdual < 0:
-        report.update(skipped=True, reason="a side has negative rank")
-        return report
-    report.update(
-        rank=rb, degree=degree(b), **{"pass": 2 * rb <= degree(b) - 1}
-    )
-    return report
-
-
-def superadditivity_check(M: MonomialIdeal, a, b) -> dict:
-    """Check rank(x^a * x^b) >= rank(x^a) + rank(x^b) for non-negative a, b."""
-    require_artinian(M)
-    a, b = tuple(a), tuple(b)
-    if any(e < 0 for e in a + b):
-        raise ValueError("superadditivity needs non-negative monomials")
-    ra, rb = mono_rank(M, a), mono_rank(M, b)
-    rab = mono_rank(M, vec_add(a, b))
-    return {"rank_a": ra, "rank_b": rb, "rank_ab": rab, "pass": rab >= ra + rb}
 
 
 def construct_rr_ideal(K, seeds) -> MonomialIdeal:

@@ -1,12 +1,17 @@
-"""Shared fixtures: the named example graphs, random graph generators and
-graph oracles."""
+"""Shared fixtures: the named example graphs, random graph generators,
+graph oracles, and the cyclic-partition free complex."""
 
 import random
+from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 import pytest
 
+from chipalg.chipfiring import _arrow
+from chipalg.monomials import MonomialIdeal, _minimize, require_artinian, vec_add, vec_sub
 from chipalg.multigraph import Multigraph
+from chipalg.resolutions import LabeledComplex, OrderedPartition, cyc_partitions
 
 DATA = Path(__file__).parent / "data"
 
@@ -87,6 +92,39 @@ def all_connected_graphs(n: int, max_mult: int):
             continue
 
 
+def format_graph(g: Multigraph) -> str:
+    """The graph in the text format that ``parse_graph`` reads."""
+    lines = [f"nodes {g.n}"]
+    for i in range(g.n):
+        for j in range(i + 1, g.n):
+            if g.mult[i][j]:
+                lines.append(f"edge {i + 1} {j + 1} {g.mult[i][j]}")
+    return "\n".join(lines) + "\n"
+
+
+def face_counts(c: LabeledComplex) -> tuple:
+    """Number of faces per dimension."""
+    if not c.faces:
+        return ()
+    out = [0] * max(len(f) for f in c.faces)
+    for f in c.faces:
+        out[len(f) - 1] += 1
+    return tuple(out)
+
+
+def alexander_dual_box_generators(M: MonomialIdeal, K) -> list:
+    """Minimal u with 0 <= u <= K and x^(K-u) outside M, by a scan of the
+    box: the generators of the Alexander dual at the corner K.  For a
+    reflection-invariant ideal with canonical monomial x^K they are the
+    socle."""
+    require_artinian(M)
+    K = tuple(K)
+    if any(e < 0 for e in K):
+        raise ValueError("box corner must be non-negative")
+    hits = [u for u in product(*(range(k + 1) for k in K)) if not M.contains(vec_sub(K, u))]
+    return list(_minimize(hits))
+
+
 def acyclic_orientations_unique_sink(g: Multigraph, sink: int) -> int:
     """Acyclic orientations of the underlying simple graph with the given
     node as unique sink, by a loop over all 2^|E| orientations (an oracle
@@ -134,6 +172,127 @@ def _is_acyclic(n, out) -> bool:
             if indeg[w] == 0:
                 stack.append(w)
     return seen == n
+
+
+# The paper's cellular resolution on cyclically ordered partitions.  On a
+# saturated graph it is minimal, so its ranks are the Betti numbers.
+
+
+@dataclass(frozen=True)
+class FreeComplex:
+    """Complex of free modules with signed-monomial boundary matrices.
+
+    ``matrices[i]`` maps step i+1 to step i; entries are maps from an
+    exponent tuple to an integer coefficient, indexed by (row, col).
+    ``labels[i][j]`` is the exponent-vector degree of basis element j.
+    """
+
+    nvars: int
+    ranks: tuple
+    basis: tuple  # per step, tuple of OrderedPartition
+    labels: tuple
+    matrices: tuple  # per step, dict (row, col) -> {exp: coeff}
+
+    def d_squared_is_zero(self) -> bool:
+        for a, b in zip(self.matrices, self.matrices[1:]):
+            # product entry (i, k) = sum_j a[i,j] * b[j,k]
+            prod = {}
+            for (j, k), pb in b.items():
+                for (i, j2), pa in a.items():
+                    if j2 != j:
+                        continue
+                    acc = prod.setdefault((i, k), {})
+                    for ea, ca in pa.items():
+                        for eb, cb in pb.items():
+                            e = vec_add(ea, eb)
+                            acc[e] = acc.get(e, 0) + ca * cb
+            if any(any(c for c in p.values()) for p in prod.values()):
+                return False
+        return True
+
+
+def basis_label(g: Multigraph, p: OrderedPartition, nvars: int) -> tuple:
+    """Degree of the basis element (I_1, ..., I_k): the lcm face label
+    prod_{s<t} x^(I_s -> I_t), i.e. each block maps to the union of all
+    later blocks."""
+    out = (0,) * g.n
+    k = len(p.blocks)
+    for s in range(k - 1):
+        later = tuple(sorted(v for b in p.blocks[s + 1 :] for v in b))
+        out = vec_add(out, _arrow(g, p.blocks[s], later))
+    return out[:nvars]
+
+
+def _merge(blocks, s):
+    merged = tuple(sorted(blocks[s] + blocks[s + 1]))
+    return blocks[:s] + (merged,) + blocks[s + 2 :]
+
+
+def _build_complex(g: Multigraph, with_wrap: bool, nvars: int) -> FreeComplex:
+    n = g.n
+    basis = tuple(tuple(cyc_partitions(n, k)) for k in range(1, n + 1))
+    index = [{p: i for i, p in enumerate(bs)} for bs in basis]
+    labels = tuple(
+        tuple(basis_label(g, p, nvars) for p in bs) for bs in basis
+    )
+    matrices = []
+    for k in range(1, n):  # map from step k (k+1 blocks) to step k-1
+        mat = {}
+
+        def put(row, col, exp, coeff):
+            if coeff == 0:
+                return
+            entry = mat.setdefault((row, col), {})
+            entry[exp] = entry.get(exp, 0) + coeff
+            if entry[exp] == 0:
+                del entry[exp]
+                if not entry:
+                    del mat[(row, col)]
+
+        for col, p in enumerate(basis[k]):
+            blocks = p.blocks
+            r = len(blocks)
+            for s in range(r - 1):
+                mono = _arrow(g, blocks[s], blocks[s + 1])[:nvars]
+                target = OrderedPartition(_merge(blocks, s))
+                sign = -1 if s % 2 else 1
+                put(index[k - 1][target], col, mono, sign)
+            if with_wrap:
+                mono = _arrow(g, blocks[-1], blocks[0])[:nvars]
+                merged = tuple(sorted(blocks[0] + blocks[-1]))
+                target = OrderedPartition(blocks[1:-1] + (merged,))
+                put(index[k - 1][target], col, mono, -1)
+        matrices.append(mat)
+    return FreeComplex(
+        nvars=nvars,
+        ranks=tuple(len(bs) for bs in basis),
+        basis=basis,
+        labels=labels,
+        matrices=tuple(matrices),
+    )
+
+
+def cyc_complex(g: Multigraph) -> FreeComplex:
+    """The cellular free resolution of K[x]/I_G on cyclic partitions,
+    wrap-around boundary terms included."""
+    return _build_complex(g, with_wrap=True, nvars=g.n)
+
+
+def scarf_complex_parking(g: Multigraph) -> FreeComplex:
+    """The resolution of the parking ideal over x_1..x_{n-1}: the cyclic
+    complex with the wrap-around terms dropped."""
+    return _build_complex(g, with_wrap=False, nvars=g.n - 1)
+
+
+def minimality_check(c: FreeComplex) -> bool:
+    """A resolution is minimal iff no boundary entry carries a unit:
+    every entry is graded, so a unit appears only as a nonzero constant."""
+    zero = (0,) * c.nvars
+    for mat in c.matrices:
+        for poly in mat.values():
+            if poly.get(zero, 0) != 0:
+                return False
+    return True
 
 
 @pytest.fixture(name="k4_graph")

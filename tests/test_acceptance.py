@@ -21,7 +21,6 @@ from chipalg.chipfiring import (
 from chipalg.hilbert import hilbert_identity_check
 from chipalg.monomials import (
     MonomialIdeal,
-    alexander_dual_box_generators,
     intersect_irreducible,
     monomial_str,
     socle,
@@ -35,11 +34,8 @@ from chipalg.resolutions import (
     betti_parking,
     betti_toppling,
     conjecture_check,
-    cyc_complex,
     cyc_partitions,
     homology_ranks,
-    minimality_check,
-    scarf_complex_parking,
     sub_below,
 )
 from chipalg.riemann_roch import (
@@ -50,14 +46,19 @@ from chipalg.riemann_roch import (
 )
 from conftest import (
     acyclic_orientations_unique_sink,
+    alexander_dual_box_generators,
     all_connected_graphs,
     c4,
     chain_graph,
+    cyc_complex,
     cycle_family,
+    face_counts,
     k4,
+    minimality_check,
     prism,
     random_connected,
     random_saturated,
+    scarf_complex_parking,
 )
 
 
@@ -164,7 +165,7 @@ def test_criterion_5_chain_graph_slices():
     ok &= {bary.face_label(f) for f in bary.faces} == {(2, 0, 0, 0), (0, 0, 3, 0)}
     ok &= homology_ranks(bary)[0] == 1
     apt = apt_region(g, deg)
-    ok &= apt.face_counts() == (16, 28, 12)
+    ok &= face_counts(apt) == (16, 28, 12)
     hr = homology_ranks(apt)
     ok &= hr.get(1) == 1 and hr.get(0) == 0
     ok &= set(apt.vertex_labels) == {

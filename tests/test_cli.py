@@ -9,7 +9,8 @@ import pytest
 from chipalg.chipfiring import flag_socles, parking_ideal
 from chipalg.cli import run
 from chipalg.monomials import socle
-from chipalg.multigraph import Multigraph, format_graph, parse_graph
+from chipalg.multigraph import Multigraph, parse_graph
+from conftest import format_graph
 
 DATA = Path(__file__).parent / "data"
 K4 = str(DATA / "k4.graph")
@@ -193,6 +194,24 @@ def test_mrank_and_rrcheck(capsys, staircase_ideal):
     assert code == 0
     assert rep["results"]["canonical"] == [9, 13]
     assert rep["results"]["genus_min"] == 12
+
+
+def test_wrong_length_monomial_exits_1(capsys):
+    # the ideal has 3 variables: a monomial of another length is malformed
+    # input, not a rank to report or a failed Riemann-Roch check
+    ideal = str(DATA / "k4_parking.ideal")
+    for argv in (
+        ("mrank", ideal, "--monomial=2,2,2,5"),
+        ("mrank", ideal, "--monomial=-1,2"),
+        ("mrank", ideal, "--monomial=2,2"),
+        ("rrcheck", ideal, "--b", "1,1"),
+        ("rrcheck", ideal, "--b", "1,1,0,7"),
+    ):
+        code, out, err = _run(capsys, *argv)
+        rep = json.loads(out)
+        assert code == 1 and "results" not in rep
+        assert rep["error"] == "monomial length must equal the variable count"
+        assert "error" in err
 
 
 def test_rrcheck_output_is_unchanged(capsys):

@@ -21,6 +21,17 @@ square_strategy = st.integers(1, 5).flatmap(
     )
 )
 
+
+def _matmul(a, b):
+    """The product a @ b."""
+    assert a.cols == b.rows
+    return IntMatrix(
+        a.rows,
+        b.cols,
+        tuple(sum(a.at(i, k) * b.at(k, j) for k in range(a.cols)) for i in range(a.rows) for j in range(b.cols)),
+    )
+
+
 def _rank(m, p):
     cols = [{i: m.at(i, j) for i in range(m.rows) if m.at(i, j)} for j in range(m.cols)]
     return sparse_rank(cols, p)
@@ -43,7 +54,7 @@ def test_smith_form_reconstruction(rows):
     m = IntMatrix.from_rows(rows)
     s = smith_normal_form(m)
     # left @ m @ right is the diagonal matrix
-    prod = s.left.matmul(m).matmul(s.right)
+    prod = _matmul(_matmul(s.left, m), s.right)
     for i in range(prod.rows):
         for j in range(prod.cols):
             expect = s.diagonal[i] if i == j and i < len(s.diagonal) else 0
@@ -56,7 +67,7 @@ def test_smith_form_reconstruction(rows):
     assert all(d >= 0 for d in s.diagonal)
     assert list(s.diagonal[: len(nz)]) == nz
     assert all(b % a == 0 for a, b in zip(nz, nz[1:]))
-    assert s.rank == _rank(m, 0)
+    assert sum(1 for d in s.diagonal if d) == _rank(m, 0)
 
 
 @settings(max_examples=120, deadline=None)
@@ -120,4 +131,4 @@ def test_determinant_random_multiplicativity():
         n = rng.randint(1, 5)
         a = IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
         b = IntMatrix.from_rows([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
-        assert determinant(a.matmul(b)) == determinant(a) * determinant(b)
+        assert determinant(_matmul(a, b)) == determinant(a) * determinant(b)

@@ -10,11 +10,9 @@ from chipalg.chipfiring import parking_ideal
 from chipalg.monomials import (
     MonomialIdeal,
     _minimize,
-    alexander_dual_box_generators,
     degree,
     degree_plus,
     divides,
-    format_ideal,
     intersect_irreducible,
     lcm_exp,
     monomial_str,
@@ -25,12 +23,19 @@ from chipalg.monomials import (
     vec_sub,
 )
 from chipalg.multigraph import tree_count
-from conftest import random_connected, random_saturated
+from conftest import alexander_dual_box_generators, random_connected, random_saturated
 
 K4_GENS = [
     (3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1), (2, 2, 0), (2, 0, 2), (0, 2, 2),
 ]
 K4_SOCLE = {(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)}
+
+
+def format_ideal(M):
+    """The ideal in the text format that ``parse_ideal`` reads."""
+    lines = [f"vars {M.vars}"]
+    lines += ["gen " + " ".join(str(e) for e in g) for g in M.generators]
+    return "\n".join(lines) + "\n"
 
 
 def _box_standard(M):

@@ -5,17 +5,13 @@ from itertools import product
 
 import pytest
 
-from chipalg.monomials import MonomialIdeal, degree, socle, vec_add, vec_sub
+from chipalg.monomials import MonomialIdeal, degree, divides, socle, vec_add, vec_sub
 from chipalg.riemann_roch import (
-    clifford_check,
     construct_rr_ideal,
     mono_rank,
     mono_rank_bruteforce,
-    mono_rank_lcm,
-    rr_inequalities,
     rr_profile,
     rr_verify,
-    superadditivity_check,
 )
 
 K4_PARKING = MonomialIdeal.from_generators(
@@ -25,6 +21,31 @@ K4_PARKING = MonomialIdeal.from_generators(
 STAIRCASE = MonomialIdeal.from_generators(
     2, [(9, 0), (6, 4), (5, 7), (2, 8), (0, 11)]
 )
+
+
+def rr_inequalities(M, K, b) -> bool:
+    """genus_min - 1 <= degree(b) - rank(x^b) + rank(x^K/x^b) <= genus_max - 1,
+    for an ideal that is reflection invariant with canonical monomial x^K."""
+    prof = rr_profile(M)
+    assert tuple(K) in prof.canonical_candidates
+    mid = degree(b) - mono_rank(M, b) + mono_rank(M, vec_sub(K, b))
+    return prof.genus_min - 1 <= mid <= prof.genus_max - 1
+
+
+def clifford_check(M, K, b):
+    """Clifford's bound 2 rank(x^b) <= degree(b) - 1, or None where it does
+    not apply: unless b divides K and x^b and x^K/x^b have non-negative rank."""
+    if not divides(b, K) or any(e < 0 for e in b):
+        return None
+    rb = mono_rank(M, b)
+    if rb < 0 or mono_rank(M, vec_sub(K, b)) < 0:
+        return None
+    return 2 * rb <= degree(b) - 1
+
+
+def superadditivity_check(M, a, b) -> bool:
+    """rank(x^a x^b) >= rank(x^a) + rank(x^b)."""
+    return mono_rank(M, vec_add(a, b)) >= mono_rank(M, a) + mono_rank(M, b)
 
 
 def test_staircase_profile():
@@ -96,7 +117,7 @@ def test_rank_definitions_agree_randomized():
         M = intersect_irreducible(comps, m)
         b = tuple(rng.randint(0, 6) for _ in range(m))
         w = mono_rank_bruteforce(M, b)
-        assert mono_rank(M, b) == w.rank == mono_rank_lcm(M, b)
+        assert mono_rank(M, b) == w.rank
         # the witness is genuine: x^(b-a) outside M at minimal degree
         assert not M.contains(vec_sub(b, w.witness))
         count += 1
@@ -106,6 +127,14 @@ def test_rank_sign_convention():
     assert mono_rank(K4_PARKING, (0, 0, 0)) == -1  # standard monomial
     assert mono_rank(K4_PARKING, (3, 0, 0)) == 0  # generator sits on the border
     assert mono_rank(K4_PARKING, (2, 2, 2)) == 2  # canonical: genus - 2
+
+
+def test_rank_rejects_wrong_length():
+    # one exponent per variable: no entry is dropped or padded
+    for b in [(2, 2), (2, 2, 2, 5), (-1, 2)]:
+        for rank in (mono_rank, mono_rank_bruteforce):
+            with pytest.raises(ValueError, match="length must equal the variable count"):
+                rank(K4_PARKING, b)
 
 
 def test_rr_verify_staircase():
@@ -132,17 +161,16 @@ def test_rr_inequalities_collapse_for_level():
     rng = random.Random(8)
     for _ in range(10):
         b = (rng.randint(-3, 5), rng.randint(-3, 5))
-        rep = rr_inequalities(M, (2, 2), b)
-        assert rep["pass"]
+        assert rr_inequalities(M, (2, 2), b)
 
 
 def test_clifford_staircase():
     applied = 0
     # generators whose complement relative to K is also in the ideal
     for b in [(9, 0), (6, 4), (2, 8), (0, 11), (8, 3), (0, 0)]:
-        rep = clifford_check(STAIRCASE, (9, 13), b)
-        if not rep["skipped"]:
-            assert rep["pass"]
+        holds = clifford_check(STAIRCASE, (9, 13), b)
+        if holds is not None:
+            assert holds
             applied += 1
     assert applied >= 4
 
@@ -154,7 +182,7 @@ def test_superadditivity():
         b = tuple(rng.randint(0, 5) for _ in range(3))
         if mono_rank(K4_PARKING, a) < 0 or mono_rank(K4_PARKING, b) < 0:
             continue
-        assert superadditivity_check(K4_PARKING, a, b)["pass"]
+        assert superadditivity_check(K4_PARKING, a, b)
 
 
 def test_construct_rr_ideal_k4_seeds():
