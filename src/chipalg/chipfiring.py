@@ -380,6 +380,14 @@ def divisor_rank(g: Multigraph, u) -> int:
     degree_plus(u - c0); one pass over the base searches each box with the
     budget of the current incumbent, which only shrinks, and stops once no
     point can beat it.
+
+    Two boxes are complete linear systems, decided by one q-reduction
+    (Baker-Norine: a divisor is equivalent to an effective one iff its
+    q-reduced form is effective).  At budget 1 the points that beat the
+    incumbent are the w <= x, which exist iff x is; at incumbent 1 they
+    are the w >= x, which exist iff -x is.  Either hit lowers the
+    incumbent by one and ends the pass.  By Riemann-Roch the pass ends at
+    budget r(K - u) + 1, so K ends at budget 1, and 0 at incumbent 1.
     """
     if len(u) != g.n:
         raise ValueError("divisor length must equal the node count")
@@ -393,6 +401,11 @@ def divisor_rank(g: Multigraph, u) -> int:
         if best <= 0 or budget <= 0:
             break
         x = vec_sub(u, c0)
+        if budget == 1 or best == 1:
+            y = x if budget == 1 else tuple(-xi for xi in x)
+            if q_reduced(g, y)[-1] >= 0:
+                best -= 1
+            continue
         # each (x_i - w_i)^+ is at most degree_plus < best, and each
         # (w_i - x_i)^+ at most the excess < budget
         lo = tuple(xi - best + 1 for xi in x)

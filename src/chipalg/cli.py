@@ -27,6 +27,7 @@ from .monomials import monomial_str, parse_ideal
 from .multigraph import divisor_class_group, parse_graph, tree_count
 from .resolutions import betti_parking, betti_toppling, conjecture_check
 from .riemann_roch import (
+    _exponents,
     construct_rr_ideal,
     mono_rank,
     mono_rank_bruteforce,
@@ -206,10 +207,11 @@ def _cmd_rrcheck(args):
         "canonical": list(prof.canonical) if prof.canonical else None,
         "canonical_candidates": [list(c) for c in prof.canonical_candidates],
     }
+    # a malformed --b is bad input whether or not the ideal qualifies
+    bs_exps = [(bs, _exponents(M, _csv_ints(bs))) for bs in args.b or []]
     checks = []
     if prof.reflection_invariant and prof.level:
-        for bs in args.b or []:
-            b = _csv_ints(bs)
+        for bs, b in bs_exps:
             rep = rr_verify(M, prof.canonical, b)
             checks.append((f"riemann_roch_at_{bs}", rep["pass"], rep))
     elif args.b:

@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+from chipalg import chipfiring
 from chipalg.chipfiring import (
     _reduced_laplacian_inverse,
     baker_norine_verify,
@@ -312,11 +313,47 @@ def _rank_cases(seed):
         yield g, spread(rng.randint(0, 2 * genus))
 
 
-def test_divisor_rank_matches_round_search():
+def test_divisor_rank_matches_round_search(monkeypatch):
+    # At budget 1 divisor_rank q-reduces x = u - c0, at incumbent 1 it
+    # q-reduces -x, instead of walking the box; the round search walks it.
     cases = list(_rank_cases(21))
     assert {g.n for g, _ in cases} == {2, 3, 4, 5, 6}
+    for g in dict.fromkeys(g for g, _ in cases):
+        cases += [(g, (0,) * g.n), (g, canonical_divisor(g))]
+    calls = []
+
+    def counted(g, d):
+        calls.append(d)
+        return q_reduced(g, d)
+
+    monkeypatch.setattr(chipfiring, "q_reduced", counted)
+    budget_one = incumbent_one = 0
     for g, u in cases:
+        calls.clear()
         assert divisor_rank(g, u) == _rank_by_rounds(g, u), (g, u)
+        # budget 1 needs deg(x) >= 0; incumbent 1 with budget > 1 has deg(x) < 0
+        degx = sum(u) - g.genus + 1
+        xs = [vec_sub(u, c0) for c0 in lattice_socle_base(g)]
+        expect = xs if degx >= 0 else [tuple(-xi for xi in x) for x in xs]
+        assert all(d in expect for d in calls), (g, u)
+        if calls:
+            budget_one += degx >= 0
+            incumbent_one += degx < 0
+    assert budget_one and incumbent_one
+
+
+def test_divisor_rank_of_k_and_0_walks_no_box(monkeypatch):
+    # On a saturated graph some base element starts K at budget 1 and 0 at
+    # incumbent 1, so neither rank walks a lattice box.
+    g = random_saturated(random.Random(8), 6)
+    assert g.genus >= 15
+
+    def no_box(*args):
+        raise AssertionError("lattice box walked")
+
+    monkeypatch.setattr(chipfiring, "lattice_points_in_box", no_box)
+    assert divisor_rank(g, canonical_divisor(g)) == g.genus - 1
+    assert divisor_rank(g, (0,) * 6) == 0
 
 
 def test_divisor_rank_oracle_matches_compositions():

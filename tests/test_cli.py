@@ -28,6 +28,17 @@ def _staircase_ideal(tmp_path):
     return str(path)
 
 
+@pytest.fixture(name="c4_parking_ideal")
+def _c4_parking_ideal(tmp_path):
+    # the 4-cycle's parking ideal: 3 variables, neither level nor
+    # reflection-invariant
+    path = tmp_path / "c4.ideal"
+    path.write_text(
+        "vars 3\ngen 2 0 0\ngen 1 1 0\ngen 1 0 1\ngen 0 2 0\ngen 0 1 1\ngen 0 0 2\n"
+    )
+    return str(path)
+
+
 def _run(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
@@ -214,6 +225,21 @@ def test_wrong_length_monomial_exits_1(capsys):
         assert "error" in err
 
 
+def test_rrcheck_rejects_wrong_length_on_any_ideal(capsys, c4_parking_ideal):
+    # --b is checked before the level and reflection-invariance branch, so
+    # an ideal that fails the preconditions still rejects it with exit 1
+    code, out, _ = _run(capsys, "ideal", C4)
+    gens = {tuple(m) for m in json.loads(out)["results"]["parking_generators"]}
+    text = open(c4_parking_ideal).read().splitlines()
+    assert gens == {tuple(int(e) for e in line.split()[1:]) for line in text[1:]}
+    for bs in ("1,1", "1,1,0,7"):
+        code, out, err = _run(capsys, "rrcheck", c4_parking_ideal, "--b", "1,0,0", "--b", bs)
+        rep = json.loads(out)
+        assert code == 1 and "results" not in rep
+        assert rep["error"] == "monomial length must equal the variable count"
+        assert "error" in err
+
+
 def test_rrcheck_output_is_unchanged(capsys):
     # rr_profile and both rr_verify calls share one socle per parsed ideal;
     # the report is the one recorded before the socle was cached.
@@ -311,13 +337,9 @@ def test_exit_code_1_on_malformed_input(capsys, tmp_path):
     assert code == 1
 
 
-def test_exit_code_2_on_failed_math_check(capsys, tmp_path):
+def test_exit_code_2_on_failed_math_check(capsys, c4_parking_ideal):
     # the 4-cycle's parking ideal is not reflection-invariant
-    path = tmp_path / "c4.ideal"
-    path.write_text(
-        "vars 3\ngen 2 0 0\ngen 1 1 0\ngen 1 0 1\ngen 0 2 0\ngen 0 1 1\ngen 0 0 2\n"
-    )
-    code, out, err = _run(capsys, "rrcheck", str(path), "--b", "1,0,0")
+    code, out, err = _run(capsys, "rrcheck", c4_parking_ideal, "--b", "1,0,0")
     assert code == 2 and "FAILED" in err
     rep = json.loads(out)
     assert not rep["checks"][0]["pass"]
