@@ -273,6 +273,42 @@ def test_parking_side_output_is_unchanged(capsys, graph):
     assert code == 0 and out == expected
 
 
+@pytest.mark.parametrize("graph", ["prism", "c4", "k4", "chain", "sat5"])
+@pytest.mark.parametrize("command", ["ideal", "hilbert", "socle", "info"])
+def test_graph_report_is_unchanged(capsys, graph, command):
+    # recorded while `ideal` still rebuilt the toppling generators for the
+    # parking ideal and for its certificate
+    expected = (DATA / f"{graph}.{command}.json").read_text()
+    code, out, _ = _run(capsys, command, str(DATA / f"{graph}.graph"))
+    assert code == 0 and out == expected
+
+
+K4_IDEAL = str(DATA / "k4_parking.ideal")
+
+
+@pytest.mark.parametrize(
+    "name, argvs",
+    [
+        # a non-negative monomial (checked against the search) and a negative one
+        ("k4_parking.mrank", [("mrank", K4_IDEAL, "--monomial", "2,1,3"), ("mrank", K4_IDEAL, "--monomial=-1,2,0")]),
+        (
+            "k4_seeds.construct",
+            [("construct", "--canonical", "2,2,2", "--seed", "2,1,0", "--seed", "2,0,1", "--seed", "1,2,0")],
+        ),
+    ],
+)
+def test_ideal_report_is_unchanged(capsys, name, argvs):
+    # the reports, concatenated; recorded while `construct` profiled its
+    # ideal twice
+    expected = (DATA / f"{name}.json").read_text()
+    out = ""
+    for argv in argvs:
+        code, text, _ = _run(capsys, *argv)
+        assert code == 0
+        out += text
+    assert out == expected
+
+
 @pytest.mark.parametrize("char", ["1", "4"])
 def test_betti_toppling_rejects_non_prime_char(capsys, char):
     # the counted tables do not read the characteristic, which is still
