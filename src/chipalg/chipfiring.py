@@ -17,7 +17,6 @@ from .multigraph import GRAPH_CACHE_SIZE, Multigraph, Split, connected_splits, l
 __all__ = [
     "SplitBinomial",
     "FlagSocle",
-    "split_binomial",
     "toppling_generators",
     "parking_ideal",
     "groebner_certificate",
@@ -63,19 +62,18 @@ def _arrow(g: Multigraph, I, J) -> tuple:
     return tuple(out)
 
 
-def split_binomial(g: Multigraph, s: Split) -> SplitBinomial:
-    lead = _arrow(g, s.I, s.J)
-    trail = _arrow(g, s.J, s.I)
-    lam = laplacian(g)
-    e_I = tuple(1 if i + 1 in s.I else 0 for i in range(g.n))
-    if vec_sub(lead, trail) != lam.mul_vec(e_I):
-        raise AssertionError("split binomial does not represent the Laplacian move")
-    return SplitBinomial(s, lead, trail)
-
-
 def toppling_generators(g: Multigraph) -> list:
-    """Minimal generating binomials of the toppling ideal: one per connected split."""
-    return [split_binomial(g, s) for s in connected_splits(g)]
+    """Minimal generating binomials of the toppling ideal: one per connected
+    split (I, J), each checked to be the Laplacian move L e_I."""
+    lam = laplacian(g)
+    out = []
+    for s in connected_splits(g):
+        b = SplitBinomial(s, _arrow(g, s.I, s.J), _arrow(g, s.J, s.I))
+        e_I = tuple(1 if i + 1 in s.I else 0 for i in range(g.n))
+        if vec_sub(b.lead, b.trail) != lam.mul_vec(e_I):
+            raise AssertionError("split binomial does not represent the Laplacian move")
+        out.append(b)
+    return out
 
 
 def parking_ideal(g: Multigraph) -> MonomialIdeal:
@@ -85,10 +83,11 @@ def parking_ideal(g: Multigraph) -> MonomialIdeal:
     return MonomialIdeal.from_generators(g.n - 1, gens)
 
 
-def groebner_certificate(g: Multigraph) -> dict:
-    """Check that the parking ideal has exactly tree-count many standard monomials."""
+def groebner_certificate(g: Multigraph, M: MonomialIdeal) -> dict:
+    """Check that M, the parking ideal of g, has exactly tree-count many
+    standard monomials."""
     trees = tree_count(g)
-    std = len(standard_monomials(parking_ideal(g)))
+    std = len(standard_monomials(M))
     return {"tree_count": trees, "standard_monomials": std, "pass": trees == std}
 
 

@@ -57,20 +57,17 @@ def _csv_ints(s):
 
 def _binomial_json(b):
     return {
-        "split_I": list(b.split.I),
-        "lead": list(b.lead),
-        "trail": list(b.trail),
+        "split_I": b.split.I,
+        "lead": b.lead,
+        "trail": b.trail,
         "text": f"{monomial_str(b.lead)} - {monomial_str(b.trail)}",
     }
 
 
 def _betti_json(table):
     return {
-        "total": list(table["total"]),
-        "entries": [
-            {"degree": list(c), "index": j, "rank": r}
-            for c, j, r in sorted(table["entries"])
-        ],
+        "total": table["total"],
+        "entries": [{"degree": c, "index": j, "rank": r} for c, j, r in table["entries"]],
     }
 
 
@@ -83,7 +80,7 @@ def _cmd_info(args):
         "genus": g.genus,
         "saturated": g.is_saturated(),
         "tree_count": tree_count(g),
-        "invariant_factors": list(grp.invariant_factors),
+        "invariant_factors": grp.invariant_factors,
     }, []
 
 
@@ -91,10 +88,10 @@ def _cmd_ideal(args):
     g = _load_graph(args)
     gens = toppling_generators(g)
     M = parking_ideal(g)
-    cert = groebner_certificate(g)
+    cert = groebner_certificate(g, M)
     return {
         "toppling_generators": [_binomial_json(b) for b in gens],
-        "parking_generators": [list(m) for m in M.generators],
+        "parking_generators": M.generators,
         "standard_monomials": cert["standard_monomials"],
         "tree_count": cert["tree_count"],
     }, [("standard_monomials_equal_tree_count", cert["pass"], cert)]
@@ -111,8 +108,8 @@ def _cmd_socle(args):
             ("flag_formula_matches_socle", agrees, {"socle": len(soc), "flags": len(flags)})
         )
     return {
-        "socle": [list(m) for m in soc],
-        "flag_monomials": [list(m) for m in flags],
+        "socle": soc,
+        "flag_monomials": flags,
         "flag_formula_agrees": agrees,
     }, checks
 
@@ -134,20 +131,9 @@ def _cmd_conjecture(args):
     rep = conjecture_check(g, args.char)
     payload = {
         "char": args.char,
-        "compared": [
-            {
-                "degrees": [list(c) for c in d["degrees"]],
-                "dimension": d["dimension"],
-                "parking": d["bary"],
-                "toppling": d["apt"],
-            }
-            for d in rep["compared"]
-        ],
-        "ambiguous_pairings": [[list(c) for c in grp] for grp in rep["ambiguous_pairings"]],
-        "unmatched_orbits": [
-            {"degree": list(u["degree"]), "homology": {str(k): v for k, v in u["homology"].items()}}
-            for u in rep["unmatched_orbits"]
-        ],
+        "compared": rep["compared"],
+        "ambiguous_pairings": rep["ambiguous_pairings"],
+        "unmatched_orbits": rep["unmatched_orbits"],
     }
     return payload, [("betti_agreement", rep["pass"], {"mismatches": len(rep["mismatches"])})]
 
@@ -170,10 +156,10 @@ def _cmd_rank(args):
     r = bn["rank_u"]
     oracle = divisor_rank_oracle(g, u)
     return {
-        "divisor": list(u),
+        "divisor": u,
         "rank": r,
         "oracle_rank": oracle,
-        "canonical_divisor": list(canonical_divisor(g)),
+        "canonical_divisor": canonical_divisor(g),
         "duality": bn,
     }, [
         ("rank_matches_oracle", r == oracle, {"rank": r, "oracle": oracle}),
@@ -185,12 +171,12 @@ def _cmd_mrank(args):
     M = _load_ideal(args.ideal_file)
     b = _csv_ints(args.monomial)
     r = mono_rank(M, b)
-    payload = {"monomial": list(b), "rank": r}
+    payload = {"monomial": b, "rank": r}
     checks = []
     if all(e >= 0 for e in b):
         w = mono_rank_bruteforce(M, b)
         payload["bruteforce_rank"] = w.rank
-        payload["witness"] = list(w.witness)
+        payload["witness"] = w.witness
         checks.append(("definitions_agree", r == w.rank, {"formula": r, "search": w.rank}))
     return payload, checks
 
@@ -199,20 +185,20 @@ def _cmd_rrcheck(args):
     M = _load_ideal(args.ideal_file)
     prof = rr_profile(M)
     payload = {
-        "socle": [list(c) for c in prof.socle],
+        "socle": prof.socle,
         "genus_min": prof.genus_min,
         "genus_max": prof.genus_max,
         "level": prof.level,
         "reflection_invariant": prof.reflection_invariant,
-        "canonical": list(prof.canonical) if prof.canonical else None,
-        "canonical_candidates": [list(c) for c in prof.canonical_candidates],
+        "canonical": prof.canonical,
+        "canonical_candidates": prof.canonical_candidates,
     }
     # a malformed --b is bad input whether or not the ideal qualifies
     bs_exps = [(bs, _exponents(M, _csv_ints(bs))) for bs in args.b or []]
     checks = []
     if prof.reflection_invariant and prof.level:
         for bs, b in bs_exps:
-            rep = rr_verify(M, prof.canonical, b)
+            rep = rr_verify(prof, prof.canonical, b)
             checks.append((f"riemann_roch_at_{bs}", rep["pass"], rep))
     elif args.b:
         checks.append(
@@ -224,13 +210,12 @@ def _cmd_rrcheck(args):
 def _cmd_construct(args):
     K = _csv_ints(args.canonical)
     seeds = [_csv_ints(s) for s in args.seed]
-    M = construct_rr_ideal(K, seeds)
-    prof = rr_profile(M)
+    prof = construct_rr_ideal(K, seeds)
     return {
-        "vars": M.vars,
-        "generators": [list(g) for g in M.generators],
-        "socle": [list(c) for c in prof.socle],
-        "canonical": list(prof.canonical),
+        "vars": prof.ideal.vars,
+        "generators": prof.ideal.generators,
+        "socle": prof.socle,
+        "canonical": prof.canonical,
     }, [("profile_valid", tuple(K) in prof.canonical_candidates, {"genus": prof.genus_min})]
 
 

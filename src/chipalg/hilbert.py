@@ -132,20 +132,21 @@ def _times_one_minus(p: GradedPolynomial, cls) -> GradedPolynomial:
     return GradedPolynomial(p.factors, out)
 
 
-def hilbert_identity_check(g: Multigraph, psum=None, numerator=None) -> dict:
-    """Verify parking_sum * prod_{i<n} (1 - psi(x_i)) = numerator exactly.
+def hilbert_identity_check(
+    g: Multigraph, psum: GradedPolynomial, numerator: GradedPolynomial
+) -> dict:
+    """Verify psum * prod_{i<n} (1 - psi(x_i)) = numerator exactly, for
+    ``psum = parking_sum(g)`` and ``numerator = hilbert_numerator(g)``.
 
     psi(x_i) is the single term t q^div(x_i), so each factor is a
-    shift-and-subtract.  ``psum`` and ``numerator``, when given, are the
-    already built ``parking_sum(g)`` and ``hilbert_numerator(g)``.
+    shift-and-subtract.
     """
-    lhs = parking_sum(g) if psum is None else psum
+    lhs = psum
     for i in range(g.n - 1):
         xi = tuple(1 if j == i else 0 for j in range(g.n - 1))
         lhs = _times_one_minus(lhs, div_class(g, xi))
-    rhs = hilbert_numerator(g) if numerator is None else numerator
     return {
         "lhs_terms": len(lhs.terms),
-        "rhs_terms": len(rhs.terms),
-        "pass": lhs == rhs,
+        "rhs_terms": len(numerator.terms),
+        "pass": lhs == numerator,
     }

@@ -131,6 +131,9 @@ def _staircase(M: MonomialIdeal) -> list:
     and the work grows with the output, not with the box of pure powers.
     """
     require_artinian(M)
+    if not M.vars:
+        # 1 is the only monomial; it is standard unless M is the whole ring
+        return [] if M.generators else [()]
     last = M.vars - 1
     gens = [
         (g, max((i for i, e in enumerate(g) if e), default=0))
@@ -215,14 +218,12 @@ def parse_ideal(text: str) -> MonomialIdeal:
     return MonomialIdeal.from_generators(m, gens)
 
 
-def monomial_str(v, names=None) -> str:
+def monomial_str(v) -> str:
     """Human-readable monomial, e.g. (2, 0, -1) -> 'x1^2*x3^-1'."""
-    if names is None:
-        names = [f"x{i + 1}" for i in range(len(v))]
     parts = []
-    for name, e in zip(names, v):
+    for i, e in enumerate(v):
         if e == 1:
-            parts.append(name)
+            parts.append(f"x{i + 1}")
         elif e != 0:
-            parts.append(f"{name}^{e}")
+            parts.append(f"x{i + 1}^{e}")
     return "*".join(parts) if parts else "1"

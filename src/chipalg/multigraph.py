@@ -53,10 +53,9 @@ class Multigraph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "Multigraph":
-        """Build from ``{(i, j): mult}`` or iterable of ``(i, j, mult)``, 1-based."""
+        """Build from ``{(i, j): mult}``, 1-based."""
         m = [[0] * n for _ in range(n)]
-        items = edges.items() if hasattr(edges, "items") else ((e[:2], e[2]) for e in edges)
-        for (i, j), w in items:
+        for (i, j), w in edges.items():
             if not (1 <= i <= n and 1 <= j <= n) or i == j:
                 raise ValueError(f"bad edge ({i}, {j})")
             m[i - 1][j - 1] += w
@@ -142,9 +141,8 @@ def tree_count(g: Multigraph) -> int:
 
 
 def splits(n: int):
-    """All 2**(n-1) - 1 canonical splits of [n], ordered by |I| then lexicographically."""
-    if n < 2:
-        raise ValueError("splits require n >= 2")
+    """All 2**(n-1) - 1 canonical splits of [n], ordered by |I| then
+    lexicographically; a one-node graph has none."""
     out = []
     for size in range(1, n):
         for I in combinations(range(1, n), size):

@@ -298,21 +298,18 @@ def homology_ranks(c: LabeledComplex, char: int = 0) -> dict:
         by_dim[d].sort()
     pos = {d: {f: i for i, f in enumerate(by_dim[d])} for d in by_dim}
 
-    # boundary rank from dimension d to d-1 (d = 0 maps to the empty face)
-    def brank(d):
-        if d == 0:
-            cols = [{0: 1} for _ in by_dim[0]]
-            return sparse_rank(cols, char)
+    # ranks[d]: rank of the boundary from dimension d to d-1.  Every vertex
+    # maps to the empty face, so ranks[0] is 1; nothing lies above the top.
+    ranks = {0: 1, top + 1: 0}
+    for d in range(1, top + 1):
         cols = []
-        for f in by_dim.get(d, ()):
+        for f in by_dim[d]:
             col = {}
             for i in range(len(f)):
                 sub = f[:i] + f[i + 1 :]
                 col[pos[d - 1][sub]] = -1 if i % 2 else 1
             cols.append(col)
-        return sparse_rank(cols, char)
-
-    ranks = {d: brank(d) for d in range(top + 2)}
+        ranks[d] = sparse_rank(cols, char)
     out = {-1: 1 - ranks[0]}
     for d in range(top + 1):
         out[d] = len(by_dim.get(d, ())) - ranks[d] - ranks[d + 1]
@@ -398,6 +395,10 @@ def conjecture_check(g: Multigraph, char: int = 0) -> dict:
     orbits hit by no barycentric label must carry no homology.  Every
     barycentric label is an apartment face label at the origin, so every
     class has an apartment slice.
+
+    The report is written as ``chipalg conjecture`` prints it: each
+    compared entry holds its ``parking`` and ``toppling`` ranks, and an
+    unmatched orbit's homology is keyed by the dimension as a string.
     """
     n = g.n
     grp = divisor_class_group(g)
@@ -421,12 +422,12 @@ def conjecture_check(g: Multigraph, char: int = 0) -> dict:
         for i in range(-1, n):
             b, a = bsums[k].get(i, 0), ha.get(i + 1, 0)
             if b or a:
-                detail.append({"degrees": tuple(labels), "dimension": i, "bary": b, "apt": a})
+                detail.append({"degrees": tuple(labels), "dimension": i, "parking": b, "toppling": a})
             if b != a:
                 mismatches.append(detail[-1])
 
     unmatched = [
-        {"degree": c, "homology": {i: r for i, r in ha.items() if r}}
+        {"degree": c, "homology": {str(i): r for i, r in ha.items() if r}}
         for c, ha in apt.values()
         if any(r for i, r in ha.items() if i >= 0)
     ]

@@ -121,15 +121,14 @@ def rr_profile(M: MonomialIdeal) -> RRProfile:
     )
 
 
-def rr_verify(M: MonomialIdeal, K, b) -> dict:
-    """Check rank(x^b) - rank(x^K/x^b) = degree(x^b) - genus + 1 exactly.
+def rr_verify(prof: RRProfile, K, b) -> dict:
+    """Check rank(x^b) - rank(x^K/x^b) = degree(x^b) - genus + 1 exactly on
+    the ideal ``prof.ideal`` profiled by ``prof``.
 
-    Requires an artinian, level, reflection-invariant ideal; a violated
-    precondition is reported by name.
+    Requires a level ideal that is reflection-invariant with K (the profile
+    exists only for artinian ideals); a violated precondition is reported
+    by name.
     """
-    if not M.is_artinian():
-        raise ValueError("precondition failed: ideal is not artinian")
-    prof = rr_profile(M)
     if not prof.level:
         raise ValueError("precondition failed: ideal is not level")
     K = tuple(K)
@@ -138,8 +137,8 @@ def rr_verify(M: MonomialIdeal, K, b) -> dict:
             "precondition failed: ideal is not reflection-invariant with this K"
         )
     b = tuple(b)
-    rb = mono_rank(M, b)
-    rdual = mono_rank(M, vec_sub(K, b))
+    rb = mono_rank(prof.ideal, b)
+    rdual = mono_rank(prof.ideal, vec_sub(K, b))
     genus = prof.genus
     return {
         "rank_b": rb,
@@ -150,13 +149,14 @@ def rr_verify(M: MonomialIdeal, K, b) -> dict:
     }
 
 
-def construct_rr_ideal(K, seeds) -> MonomialIdeal:
-    """Build a Riemann-Roch ideal with canonical monomial x^K.
+def construct_rr_ideal(K, seeds) -> RRProfile:
+    """Build a Riemann-Roch ideal with canonical monomial x^K; returns its
+    profile, whose ``ideal`` is the ideal built.
 
     The socle is the seed set closed under c -> K - c; every seed must
     divide x^K and have degree degree(K)/2.  The ideal is the intersection
     of the irreducible ideals at socle + (1,...,1), and the construction is
-    verified before returning.
+    verified against its profile before returning.
     """
     K = tuple(K)
     if any(e < 0 for e in K):
@@ -180,4 +180,4 @@ def construct_rr_ideal(K, seeds) -> MonomialIdeal:
     prof = rr_profile(M)
     if set(prof.socle) != soc or K not in prof.canonical_candidates:
         raise AssertionError("constructed ideal failed its Riemann-Roch profile")
-    return M
+    return prof

@@ -18,7 +18,7 @@ from chipalg.chipfiring import (
     parking_ideal,
     toppling_generators,
 )
-from chipalg.hilbert import hilbert_identity_check
+from chipalg.hilbert import hilbert_identity_check, hilbert_numerator, parking_sum
 from chipalg.monomials import (
     MonomialIdeal,
     intersect_irreducible,
@@ -116,7 +116,7 @@ def test_criterion_2_staircase_riemann_roch():
     ok &= set(alexander_dual_box_generators(M, (9, 13))) == set(prof.socle)
     # duality identity on the whole box
     for b in product(range(-3, 13), range(-3, 17)):
-        rep = rr_verify(M, (9, 13), b)
+        rep = rr_verify(prof, (9, 13), b)
         ok &= rep["pass"]
         if not ok:
             break
@@ -242,11 +242,12 @@ def test_criterion_7_oracle_equivalence():
 
 
 def test_criterion_8_hilbert_identity():
-    ok = hilbert_identity_check(k4())["pass"]
+    g = k4()
+    ok = hilbert_identity_check(g, parking_sum(g), hilbert_numerator(g))["pass"]
     rng = random.Random(808)
     for _ in range(10):
         g = random_saturated(rng, rng.randint(2, 5), max_mult=3)
-        ok &= hilbert_identity_check(g)["pass"]
+        ok &= hilbert_identity_check(g, parking_sum(g), hilbert_numerator(g))["pass"]
         if not ok:
             break
     _report(8, "graded Hilbert numerator identity, exact", ok)

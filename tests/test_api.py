@@ -3,23 +3,26 @@ somewhere in ``src/chipalg`` besides its own definition.  A function that
 only tests call belongs in ``tests/``, as an oracle, or nowhere."""
 
 import ast
+import importlib.util
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "chipalg"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "chipalg"
+
+
+def _traced_names() -> set:
+    """``layer.name`` of each function that the benchmark's tracer wraps by
+    name (``chipbench/spans.py``, ``TARGETS``)."""
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "chipbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return {f"{layer}.{name}" for layer, name, _, _ in spans.TARGETS}
+
 
 # Public names that nothing in the package loads: the console script, the
-# kernel name stamped on benchmark reports, and the functions that the
-# benchmark's tracer wraps by name (chipbench/spans.py, TARGETS).
-UNUSED_ALLOWED = {
-    "cli.main",
-    "kernels.BACKEND",
-    "resolutions.cyc_partitions",
-    "resolutions.apt_region",
-    "exactla.solve_integer",
-    "hilbert.GradedPolynomial.add",
-    "hilbert.GradedPolynomial.mul",
-}
+# kernel name stamped on benchmark reports, and the traced functions.
+UNUSED_ALLOWED = {"cli.main", "kernels.BACKEND"} | _traced_names()
 
 
 def _loads(node) -> Counter:

@@ -20,7 +20,6 @@ from chipalg.chipfiring import (
     lattice_socle_base,
     parking_ideal,
     q_reduced,
-    split_binomial,
     toppling_generators,
 )
 from chipalg.exactla import solve_integer
@@ -81,7 +80,7 @@ def test_groebner_certificate_random():
     rng = random.Random(2)
     for _ in range(15):
         g = random_connected(rng, rng.randint(2, 5), max_mult=3)
-        assert groebner_certificate(g)["pass"]
+        assert groebner_certificate(g, parking_ideal(g))["pass"]
 
 
 def test_lattice_member():

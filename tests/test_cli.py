@@ -173,6 +173,23 @@ def test_hilbert_on_graphs_that_are_not_saturated(capsys, graph):
     assert rep["checks"][0]["pass"]
 
 
+@pytest.mark.parametrize(
+    "command, results",
+    [
+        # no split, so no generator; the standard monomial 1 is the one tree
+        ("ideal", {"toppling_generators": [], "parking_generators": [], "standard_monomials": 1, "tree_count": 1}),
+        ("hilbert", {"numerator": [{"t": 0, "q": [], "coeff": 1}], "parking_sum_terms": 1}),
+    ],
+)
+def test_one_node_graph(capsys, tmp_path, command, results):
+    path = tmp_path / "one.graph"
+    path.write_text("nodes 1\n")
+    code, out, _ = _run(capsys, command, str(path))
+    rep = json.loads(out)
+    assert code == 0 and rep["results"] == results
+    assert len(rep["checks"]) == 1 and rep["checks"][0]["pass"]
+
+
 def test_rank_and_sink(capsys):
     code, out, _ = _run(capsys, "rank", K4, "--divisor", "2,1,0,0")
     rep = json.loads(out)

@@ -124,7 +124,7 @@ def test_shift_and_subtract_matches_mul():
 
 
 def test_hilbert_identity_k4(k4_graph):
-    rep = hilbert_identity_check(k4_graph)
+    rep = hilbert_identity_check(k4_graph, parking_sum(k4_graph), hilbert_numerator(k4_graph))
     assert rep["pass"]
     assert rep["lhs_terms"] == rep["rhs_terms"] == 26
 
@@ -140,7 +140,8 @@ def test_numerator_matches_cyclic_partitions():
 
 def test_hilbert_identity_c4():
     # not saturated: the numerator comes from the connected flags alone
-    rep = hilbert_identity_check(c4())
+    g = c4()
+    rep = hilbert_identity_check(g, parking_sum(g), hilbert_numerator(g))
     assert rep["pass"] and rep["lhs_terms"] == rep["rhs_terms"]
 
 
@@ -153,7 +154,7 @@ def test_hilbert_identity_random_saturated():
     rng = random.Random(30)
     for _ in range(5):
         g = random_saturated(rng, rng.randint(2, 4), max_mult=3)
-        assert hilbert_identity_check(g)["pass"]
+        assert hilbert_identity_check(g, parking_sum(g), hilbert_numerator(g))["pass"]
 
 
 def test_hilbert_identity_random_not_saturated():
@@ -161,7 +162,7 @@ def test_hilbert_identity_random_not_saturated():
     graphs = [random_connected(rng, n, max_mult=3) for n in (2, 3, 4, 5, 5, 6) for _ in range(3)]
     assert sum(not g.is_saturated() for g in graphs) >= 10
     for g in graphs:
-        assert hilbert_identity_check(g)["pass"]
+        assert hilbert_identity_check(g, parking_sum(g), hilbert_numerator(g))["pass"]
 
 
 def test_to_json_sorted(k4_graph):

@@ -94,7 +94,7 @@ def test_canonical_search_matches_pair_sums():
             s for s in product(*(range(e + 1) for e in K)) if degree(s) == half
         ]
         for _ in range(4):
-            ideals.append(construct_rr_ideal(K, rng.sample(seeds, rng.randint(1, 3))))
+            ideals.append(construct_rr_ideal(K, rng.sample(seeds, rng.randint(1, 3))).ideal)
     kinds = set()
     for M in ideals:
         prof = rr_profile(M)
@@ -138,25 +138,26 @@ def test_rank_rejects_wrong_length():
 
 
 def test_rr_verify_staircase():
+    prof = rr_profile(STAIRCASE)
     for b in [(0, 0), (5, 5), (-2, 7), (12, 16), (9, 13)]:
-        assert rr_verify(STAIRCASE, (9, 13), b)["pass"]
+        assert rr_verify(prof, (9, 13), b)["pass"]
 
 
 def test_rr_verify_rejects_bad_preconditions():
     not_artinian = MonomialIdeal.from_generators(2, [(1, 1)])
-    with pytest.raises(ValueError, match="artinian"):
-        rr_verify(not_artinian, (0, 0), (0, 0))
+    with pytest.raises(ValueError, match="artinian"):  # it has no profile
+        rr_verify(rr_profile(not_artinian), (0, 0), (0, 0))
     c4_parking = MonomialIdeal.from_generators(
         3, [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
     )
     with pytest.raises(ValueError, match="reflection"):
-        rr_verify(c4_parking, (1, 1, 1), (0, 0, 0))
+        rr_verify(rr_profile(c4_parking), (1, 1, 1), (0, 0, 0))
 
 
 def test_rr_inequalities_collapse_for_level():
     # for a level reflection-invariant ideal the two-sided bound is tight
-    M = construct_rr_ideal((2, 2), [(2, 0), (1, 1)])
-    prof = rr_profile(M)
+    prof = construct_rr_ideal((2, 2), [(2, 0), (1, 1)])
+    M = prof.ideal
     assert prof.level and prof.genus_min == prof.genus_max
     rng = random.Random(8)
     for _ in range(10):
@@ -186,8 +187,8 @@ def test_superadditivity():
 
 
 def test_construct_rr_ideal_k4_seeds():
-    M = construct_rr_ideal((2, 2, 2), [(2, 1, 0), (2, 0, 1), (1, 2, 0)])
-    assert M == K4_PARKING
+    prof = construct_rr_ideal((2, 2, 2), [(2, 1, 0), (2, 0, 1), (1, 2, 0)])
+    assert prof.ideal == K4_PARKING and prof == rr_profile(K4_PARKING)
 
 
 def test_construct_rr_ideal_validates():
@@ -222,8 +223,8 @@ def test_construct_rr_ideal_random_roundtrip():
                 seeds.add(tuple(s))
         if not seeds:
             continue
-        M = construct_rr_ideal(K, sorted(seeds))
-        prof = rr_profile(M)
+        prof = construct_rr_ideal(K, sorted(seeds))
+        assert prof == rr_profile(prof.ideal)
         assert prof.reflection_invariant and K in prof.canonical_candidates
         b = tuple(rng.randint(-2, 4) for _ in range(m))
-        assert rr_verify(M, K, b)["pass"]
+        assert rr_verify(prof, K, b)["pass"]
