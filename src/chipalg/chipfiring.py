@@ -16,7 +16,6 @@ from .multigraph import GRAPH_CACHE_SIZE, Multigraph, Split, connected_splits, l
 
 __all__ = [
     "SplitBinomial",
-    "FlagSocle",
     "toppling_generators",
     "parking_ideal",
     "groebner_certificate",
@@ -44,14 +43,6 @@ class SplitBinomial:
     def __post_init__(self):
         if sum(self.lead) != sum(self.trail):
             raise ValueError("split binomial must be homogeneous")
-
-
-@dataclass(frozen=True)
-class FlagSocle:
-    """A complete flag of [n-1] (as a permutation) with its socle monomial."""
-
-    flag: tuple  # permutation of 1..n-1; T_i = first i entries
-    monomial: tuple  # exponents over [n-1]
 
 
 def _arrow(g: Multigraph, I, J) -> tuple:
@@ -92,25 +83,23 @@ def groebner_certificate(g: Multigraph, M: MonomialIdeal) -> dict:
 
 
 def flag_socles(g: Multigraph) -> list:
-    """The (n-1)! flag socle monomials of the parking ideal.
+    """The distinct flag socle monomials of the parking ideal, sorted.
 
-    For the flag T_1 c T_2 c ... c T_{n-1} of [n-1], the monomial is
-    lcm(x^(T_i -> complement)) divided by x_1...x_{n-1}.
+    For the flag T_1 c T_2 c ... c T_{n-1} of [n-1] whose T_i are the first
+    i entries of a permutation, the monomial is lcm(x^(T_i -> complement))
+    divided by x_1...x_{n-1}.  The exponent of x_v is largest at the first
+    T_i that holds v, so it is the number of v's edges to the nodes after v
+    in the permutation, node n included, minus 1.
     """
     n = g.n
-    out = []
-    for perm in permutations(range(1, n)):
+    out = set()
+    for perm in permutations(range(n - 1)):
         exps = [0] * (n - 1)
-        members = set()
         for i, v in enumerate(perm):
-            members.add(v)
-            outside = [k for k in range(1, n + 1) if k not in members]
-            for j in members:
-                e = sum(g.u(j, k) for k in outside)
-                if e > exps[j - 1]:
-                    exps[j - 1] = e
-        out.append(FlagSocle(perm, tuple(e - 1 for e in exps)))
-    return out
+            row = g.mult[v]
+            exps[v] = row[n - 1] + sum(row[w] for w in perm[i + 1 :]) - 1
+        out.add(tuple(exps))
+    return sorted(out)
 
 
 def _layerings(g: Multigraph, singletons: bool) -> list:
@@ -297,11 +286,10 @@ def _reduced_laplacian_inverse(g: Multigraph) -> tuple:
 
 
 def lattice_points_in_box(g: Multigraph, lo, hi) -> list:
-    """All Laplacian-lattice vectors w with lo <= w <= hi componentwise.
-
-    Returns (v, w) pairs with w = Laplacian @ v and v normalized to v_n = 0.
-    """
+    """All Laplacian-lattice vectors w with lo <= w <= hi componentwise."""
     n = g.n
+    if len(lo) != n or len(hi) != n:
+        raise ValueError("box bounds must have one entry per node")
     if any(l > h for l, h in zip(lo, hi)):
         return []
     adj, det, lap = _reduced_laplacian_inverse(g)
@@ -333,9 +321,9 @@ def lattice_points_in_box(g: Multigraph, lo, hi) -> list:
     out = []
     partial = [0] * n
 
-    def rec(j, prefix):
+    def rec(j):
         if j == m:
-            out.append((prefix + (0,), tuple(partial)))
+            out.append(tuple(partial))
             return
         # Tighten the range of v'_j from every constraint row.
         aj, bj = vlo[j], vhi[j]
@@ -359,11 +347,11 @@ def lattice_points_in_box(g: Multigraph, lo, hi) -> list:
         for v in range(aj, bj + 1):
             for i in range(n):
                 partial[i] += lap[i][j] * v
-            rec(j + 1, prefix + (v,))
+            rec(j + 1)
             for i in range(n):
                 partial[i] -= lap[i][j] * v
 
-    rec(0, ())
+    rec(0)
     return out
 
 
@@ -409,7 +397,7 @@ def divisor_rank(g: Multigraph, u) -> int:
         # (w_i - x_i)^+ at most the excess < budget
         lo = tuple(xi - best + 1 for xi in x)
         hi = tuple(xi + budget - 1 for xi in x)
-        for _, w in lattice_points_in_box(g, lo, hi):
+        for w in lattice_points_in_box(g, lo, hi):
             best = min(best, degree_plus(vec_sub(x, w)))
     return best - 1
 
@@ -446,6 +434,8 @@ def q_reduced(g: Multigraph, d) -> tuple:
     Dhar's burning algorithm.
     """
     n = g.n
+    if len(d) != n:
+        raise ValueError("divisor length must equal the node count")
     q = n - 1
     d = list(d)
     nbrs, layers = _q_layers(g)

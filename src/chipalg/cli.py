@@ -100,7 +100,7 @@ def _cmd_ideal(args):
 def _cmd_socle(args):
     g = _load_graph(args)
     soc = [c[:-1] for c in lattice_socle_base(g)]
-    flags = sorted({fs.monomial for fs in flag_socles(g)})
+    flags = flag_socles(g)
     agrees = set(soc) == set(flags)
     checks = []
     if g.is_saturated():

@@ -69,13 +69,6 @@ class GradedPolynomial:
                     del out[k]
         return GradedPolynomial(self.factors, out)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, GradedPolynomial)
-            and self.factors == other.factors
-            and self.terms == other.terms
-        )
-
     def to_json(self) -> list:
         return [
             {"t": t, "q": list(q), "coeff": c}

@@ -126,23 +126,28 @@ class LabeledComplex:
         return lab
 
 
-def _flags(subsets):
-    """Flags (chains under strict inclusion) of the given subsets, as
-    tuples of indices into ``subsets``, in lexicographic pre-order.
+def _flags(subsets, labels, n: int):
+    """Flags (chains under strict inclusion) of the given subsets, each with
+    its label, in lexicographic pre-order: ``(flag, label)`` pairs, where a
+    flag is a tuple of indices into ``subsets`` and its label is the lcm of
+    their ``labels``, as exponent vectors over [n].
 
-    ``subsets`` must list every set after its proper subsets (as sorting by
-    size does), so a chain's indices ascend.
+    The empty flag comes first, labelled 0.  ``subsets`` must list every set
+    after its proper subsets (as sorting by size does), so a chain's indices
+    ascend.
     """
     sets = [set(s) for s in subsets]
     above = [[j for j in range(i + 1, len(sets)) if sets[i] < sets[j]] for i in range(len(sets))]
 
-    def walk(chain, cand):
+    def walk(chain, label, cand):
         for j in cand:
-            ext = chain + (j,)
-            yield ext
-            yield from walk(ext, above[j])
+            ext, lab = chain + (j,), lcm_exp(label, labels[j])
+            yield ext, lab
+            yield from walk(ext, lab, above[j])
 
-    return walk((), range(len(sets)))
+    zero = (0,) * n
+    yield (), zero
+    yield from walk((), zero, range(len(sets)))
 
 
 def bary_complex(g: Multigraph) -> LabeledComplex:
@@ -155,7 +160,7 @@ def bary_complex(g: Multigraph) -> LabeledComplex:
         _arrow(g, s, tuple(k for k in range(1, n + 1) if k not in s))
         for s in subsets
     )
-    return LabeledComplex(labels, tuple(_flags(subsets)))
+    return LabeledComplex(labels, tuple(f for f, _ in _flags(subsets, labels, n) if f))
 
 
 def _faces_below(labels, deg, roots, extend) -> tuple:
@@ -221,7 +226,7 @@ def _apartment_slices(g: Multigraph, degs):
     top = tuple(map(max, zip(*degs)))
     total = sum(top)
     lo = tuple(t - total for t in top)
-    ws = sorted(w for _, w in lattice_points_in_box(g, lo, top))
+    ws = sorted(lattice_points_in_box(g, lo, top))
     index = {w: k for k, w in enumerate(ws)}
 
     # at_most[i][t]: the points with w_i <= lo_i + t
@@ -324,32 +329,31 @@ def _parking_homology(g: Multigraph, char: int):
         yield c, homology_ranks(sub_below(bary, c), char)
 
 
-def _zero_incident_labels(g: Multigraph) -> list:
-    """Distinct divisor classes of apartment face labels, represented by
-    labels of faces incident to the class of the origin.
+def _zero_incident_labels(g: Multigraph) -> dict:
+    """The toppling class table: a map from each (degree, divisor class) of
+    apartment face labels to one label of that class, in first-met order.
 
-    Faces at the origin correspond to chains of proper non-empty subsets
-    I of [n] (the neighbors are the classes of the indicator vectors e_I);
-    every label orbit has such a representative by translation.  Each class
-    keeps the first label met with the flags in lexicographic pre-order.
+    Faces at the origin correspond to flags of proper non-empty subsets I of
+    [n] (the neighbors are the classes of the indicator vectors e_I, labeled
+    L e_I), the empty flag being the origin itself; every label orbit has
+    such a representative by translation.  Each class keeps the first label
+    met with the flags in lexicographic pre-order.
     """
-    n = g.n
     subsets, imgs = _subset_images(g)
     grp = divisor_class_group(g)
-    label = {(): (0,) * n}
-    seen = {(0, grp.class_of(label[()])): label[()]}
-    for chain in _flags(subsets):
-        lab = label[chain] = lcm_exp(label[chain[:-1]], imgs[chain[-1]])
-        seen.setdefault((sum(lab), grp.class_of(lab)), lab)
-    return sorted(seen.values())
+    table = {}
+    for _, lab in _flags(subsets, imgs, g.n):
+        table.setdefault((sum(lab), grp.class_of(lab)), lab)
+    return table
 
 
 def _toppling_homology(g: Multigraph, char: int):
-    """Yield (c, reduced homology ranks of the apartment slice below c) for
-    one label c per lattice orbit of apartment face labels, ascending."""
-    labels = _zero_incident_labels(g)
-    for c, region in zip(labels, _apartment_slices(g, labels)):
-        yield c, homology_ranks(region, char)
+    """Yield (key, c, reduced homology ranks of the apartment slice below c)
+    for each (degree, class) key of the class table and its label c, in
+    ascending label order."""
+    rows = sorted(_zero_incident_labels(g).items(), key=lambda kc: kc[1])
+    for (key, c), region in zip(rows, _apartment_slices(g, [c for _, c in rows])):
+        yield key, c, homology_ranks(region, char)
 
 
 def _count_table(n: int, flags) -> dict:
@@ -374,9 +378,9 @@ def betti_parking(g: Multigraph) -> dict:
 def betti_toppling(g: Multigraph) -> dict:
     """Betti table of the quotient by the toppling ideal: the connected
     flag counts per divisor class of the degree, each class written as its
-    label from ``_zero_incident_labels``."""
+    label in the class table (``_zero_incident_labels``)."""
     grp = divisor_class_group(g)
-    rep = {(sum(c), grp.class_of(c)): c for c in _zero_incident_labels(g)}
+    rep = _zero_incident_labels(g)
     return _count_table(
         g.n, ((rep[sum(c), grp.class_of(c)], k - 1) for k, c in connected_flags(g))
     )
@@ -403,17 +407,14 @@ def conjecture_check(g: Multigraph, char: int = 0) -> dict:
     n = g.n
     grp = divisor_class_group(g)
 
-    def key(c):
-        return (sum(c), grp.class_of(c))
-
     by_key, bsums = {}, {}
     for c, hr in _parking_homology(g, char):
-        k = key(c)
+        k = (sum(c), grp.class_of(c))
         by_key.setdefault(k, []).append(c)
         bsum = bsums.setdefault(k, {})
         for i, r in hr.items():
             bsum[i] = bsum.get(i, 0) + r
-    apt = {key(c): (c, hr) for c, hr in _toppling_homology(g, char)}
+    apt = {k: (c, hr) for k, c, hr in _toppling_homology(g, char)}
 
     mismatches = []
     detail = []

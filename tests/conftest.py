@@ -3,7 +3,7 @@ graph oracles, and the cyclic-partition free complex."""
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -155,6 +155,25 @@ def acyclic_orientations_unique_sink(g: Multigraph, sink: int) -> int:
         if _is_acyclic(n, out):
             count += 1
     return count
+
+
+def flag_socle_oracle(g: Multigraph) -> dict:
+    """Map from each complete flag T_1 c ... c T_{n-1} of [n-1], given as
+    the permutation whose first i entries are T_i, to its socle monomial
+    lcm(x^(T_i -> complement)) / (x_1...x_{n-1}), with the lcm taken as a
+    running max over every T_i and each of its members."""
+    n = g.n
+    out = {}
+    for perm in permutations(range(1, n)):
+        exps = [0] * (n - 1)
+        members = set()
+        for v in perm:
+            members.add(v)
+            outside = [k for k in range(1, n + 1) if k not in members]
+            for j in members:
+                exps[j - 1] = max(exps[j - 1], sum(g.u(j, k) for k in outside))
+        out[perm] = tuple(e - 1 for e in exps)
+    return out
 
 
 def _is_acyclic(n, out) -> bool:

@@ -1,6 +1,8 @@
-"""The package ships only what its commands run: every public name is used
-somewhere in ``src/chipalg`` besides its own definition.  A function that
-only tests call belongs in ``tests/``, as an oracle, or nowhere."""
+"""The package ships only what its commands run: every public name and
+every private module-level helper is used somewhere in ``src/chipalg``
+besides its own definition, and every imported name is used in the module
+that imports it.  A function that only tests call belongs in ``tests/``, as
+an oracle, or nowhere."""
 
 import ast
 import importlib.util
@@ -70,4 +72,40 @@ def test_public_names_are_used_in_src():
         for qualified, name, node in _public_definitions(module, tree):
             if total[name] == _loads(node)[name] and qualified not in UNUSED_ALLOWED:
                 unused.append(qualified)
+    assert unused == []
+
+
+def _imported_names(tree):
+    """(bound name, line) for each name an import statement binds, besides
+    ``from __future__`` features."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from ((a.asname or a.name, node.lineno) for a in node.names)
+        elif isinstance(node, ast.Import):
+            yield from ((a.asname or a.name.split(".")[0], node.lineno) for a in node.names)
+
+
+def test_imported_names_are_used():
+    dead = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        loads = _loads(tree)
+        dead += [f"{path.stem}:{line} {name}" for name, line in _imported_names(tree) if not loads[name]]
+    assert dead == []
+
+
+def test_private_helpers_are_used():
+    """Every private module-level function and class is loaded somewhere in
+    ``src/chipalg`` outside its own definition."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    total = sum((_loads(t) for t in trees.values()), Counter())
+    unused = [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and total[node.name] == _loads(node)[node.name]
+    ]
     assert unused == []

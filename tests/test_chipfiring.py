@@ -35,6 +35,7 @@ from conftest import (
     acyclic_orientations_unique_sink,
     c4,
     chain_graph,
+    flag_socle_oracle,
     k4,
     random_connected,
     random_saturated,
@@ -96,7 +97,20 @@ def test_lattice_member():
 def test_flag_socles_k4(k4_graph):
     flags = flag_socles(k4_graph)
     assert len(flags) == 6
-    assert {f.monomial for f in flags} == set(socle(parking_ideal(k4_graph)))
+    assert flags == sorted(set(socle(parking_ideal(k4_graph))))
+
+
+def test_flag_socles_match_nested_max_oracle():
+    """The closed form per node equals the lcm over the flag's sets, on
+    graphs with n = 1-7, saturated or not, multiplicities up to 3."""
+    rng = random.Random(17)
+    graphs = [Multigraph(1, ((0,),))]
+    for n in range(2, 8):
+        for max_mult in (1, 2, 3):
+            graphs += [random_saturated(rng, n, max_mult), random_connected(rng, n, max_mult)]
+    assert sum(not g.is_saturated() for g in graphs) >= 10
+    for g in graphs:
+        assert flag_socles(g) == sorted(set(flag_socle_oracle(g).values()))
 
 
 def test_lattice_socle_base_c4():
@@ -170,7 +184,7 @@ def test_lattice_points_in_box_vs_bruteforce():
         lam = laplacian(g)
         lo = tuple(rng.randint(-6, 0) for _ in range(g.n))
         hi = tuple(l + rng.randint(0, 5) for l in lo)
-        got = {w for _, w in lattice_points_in_box(g, lo, hi)}
+        got = set(lattice_points_in_box(g, lo, hi))
         # brute force (v_n = 0 normalization) over a window that holds every
         # v' = inverse @ w' with w' in the box
         inv = _fraction_inverse(g)
@@ -182,8 +196,13 @@ def test_lattice_points_in_box_vs_bruteforce():
             if all(a <= x <= b for a, x, b in zip(lo, w, hi)):
                 expect.add(w)
         assert got == expect
-        for v, w in lattice_points_in_box(g, lo, hi):
-            assert lam.mul_vec(v) == w and v[-1] == 0
+
+
+def test_lattice_points_in_box_rejects_wrong_length():
+    g = k4()
+    for lo, hi in [((0, 0, 0), (1, 1, 1, 1)), ((0, 0, 0, 0), (1, 1, 1, 1, 1))]:
+        with pytest.raises(ValueError):
+            lattice_points_in_box(g, lo, hi)
 
 
 def test_q_reduced_properties():
@@ -244,7 +263,7 @@ def _rank_by_rounds(g, u):
         for c0 in base:
             lo = tuple(ui - best - c0i for ui, c0i in zip(u, c0))
             hi = tuple(ui + bound_minus - c0i for ui, c0i in zip(u, c0))
-            for _, w in lattice_points_in_box(g, lo, hi):
+            for w in lattice_points_in_box(g, lo, hi):
                 val = degree_plus(vec_sub(u, tuple(a + b for a, b in zip(c0, w))))
                 if val < best:
                     best = val
@@ -416,3 +435,11 @@ def test_baker_norine_k4(k4_graph):
 def test_divisor_rank_validates_length():
     with pytest.raises(ValueError):
         divisor_rank(k4(), (1, 2, 3))
+
+
+def test_q_reduced_rejects_wrong_length():
+    triangle = Multigraph.from_edges(3, {(1, 2): 1, (2, 3): 1, (1, 3): 1})
+    assert q_reduced(triangle, (1, -2, 3)) == (0, 0, 2)
+    for d in [(1, -2), (1, -2, 3, 7)]:
+        with pytest.raises(ValueError):
+            q_reduced(triangle, d)
