@@ -3,10 +3,14 @@
 The Betti tables are counted from the connected flags of the graph
 (``chipfiring.connected_flags``).  The parking-vs-toppling comparison takes
 its Betti numbers from the reduced homology of label-restricted
-subcomplexes of two labeled complexes: the barycentric subdivision of the
-(n-2)-simplex with monomial labels, and the apartment complex of lattice
-classes under the tropical metric.  ``cyc_partitions`` lists the cyclically
-ordered partitions of [n], which index the paper's free complex.
+subcomplexes of two labeled flag complexes: the barycentric subdivision of
+the (n-2)-simplex with monomial labels, and the apartment complex of
+lattice classes under the tropical metric.  A flag complex is given by one
+neighbour bitmask per vertex, and one walk (``_cliques``) lists the faces
+of both: every clique with its lcm label, cut where the label reaches a
+degree.  ``apt_region`` yields the apartment slices below several degrees,
+one at a time, from one lattice box.  ``cyc_partitions`` lists the
+cyclically ordered partitions of [n], which index the paper's free complex.
 """
 
 from __future__ import annotations
@@ -111,43 +115,50 @@ class LabeledComplex:
     faces: tuple
 
     @cached_property
-    def extensions(self) -> dict:
-        """Map from each face (and the empty face) to the vertices, in
-        ascending order, that extend it to a face by one more vertex."""
-        ext = {}
+    def neighbours(self) -> list:
+        """Bitmask of each vertex's neighbours along the edges."""
+        nbrs = [0] * len(self.vertex_labels)
         for f in self.faces:
-            ext.setdefault(f[:-1], []).append(f[-1])
-        return {f: tuple(sorted(vs)) for f, vs in ext.items()}
-
-    def face_label(self, face) -> tuple:
-        lab = self.vertex_labels[face[0]]
-        for v in face[1:]:
-            lab = lcm_exp(lab, self.vertex_labels[v])
-        return lab
+            if len(f) == 2:
+                a, b = f
+                nbrs[a] |= 1 << b
+                nbrs[b] |= 1 << a
+        return nbrs
 
 
-def _flags(subsets, labels, n: int):
-    """Flags (chains under strict inclusion) of the given subsets, each with
-    its label, in lexicographic pre-order: ``(flag, label)`` pairs, where a
-    flag is a tuple of indices into ``subsets`` and its label is the lcm of
-    their ``labels``, as exponent vectors over [n].
+def _cliques(nbrs, labels, roots, cut=None):
+    """Yield ``(face, label)`` for each non-empty clique of the graph whose
+    vertex k has the neighbour bitmask ``nbrs[k]``, within the vertex
+    bitmask ``roots``: a face is a sorted tuple of vertices and its label
+    the lcm of their ``labels``.  Faces come in lexicographic pre-order.
 
-    The empty flag comes first, labelled 0.  ``subsets`` must list every set
-    after its proper subsets (as sorting by size does), so a chain's indices
-    ascend.
+    A face labelled ``cut`` is not yielded and ends its branch: when every
+    root label divides x^cut, the label only grows along a branch, so the
+    faces yielded are those whose label properly divides x^cut.
     """
-    sets = [set(s) for s in subsets]
-    above = [[j for j in range(i + 1, len(sets)) if sets[i] < sets[j]] for i in range(len(sets))]
 
-    def walk(chain, label, cand):
-        for j in cand:
-            ext, lab = chain + (j,), lcm_exp(label, labels[j])
-            yield ext, lab
-            yield from walk(ext, lab, above[j])
+    def walk(face, label, cand):
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            j = low.bit_length() - 1
+            lab = lcm_exp(label, labels[j]) if face else labels[j]
+            if lab != cut:
+                nxt = face + (j,)
+                yield nxt, lab
+                yield from walk(nxt, lab, cand & nbrs[j])
 
-    zero = (0,) * n
-    yield (), zero
-    yield from walk((), zero, range(len(sets)))
+    return walk((), None, roots)
+
+
+def _inclusion_graph(subsets) -> list:
+    """Neighbour bitmasks of the subsets under proper inclusion: the
+    cliques are the flags (chains) of subsets."""
+    bits = [sum(1 << (i - 1) for i in s) for s in subsets]
+    return [
+        sum(1 << k for k, b in enumerate(bits) if a != b and a & b in (a, b))
+        for a in bits
+    ]
 
 
 def bary_complex(g: Multigraph) -> LabeledComplex:
@@ -160,46 +171,19 @@ def bary_complex(g: Multigraph) -> LabeledComplex:
         _arrow(g, s, tuple(k for k in range(1, n + 1) if k not in s))
         for s in subsets
     )
-    return LabeledComplex(labels, tuple(f for f, _ in _flags(subsets, labels, n) if f))
-
-
-def _faces_below(labels, deg, roots, extend) -> tuple:
-    """Faces whose lcm label properly divides x^deg, as a sorted tuple.
-
-    Faces are walked as prefix extensions of the empty face in
-    lexicographic pre-order: ``roots`` are the vertices that start a face,
-    and ``extend(face, cand)`` gives the vertices, ascending and above the
-    last one of ``face``, that extend it, where ``cand`` are the ones that
-    extended its parent.  Every root and extension must have a label that
-    divides x^deg, so every lcm label on the walk divides it too; the label
-    only increases along the walk, so a branch ends where it reaches x^deg.
-    """
-    deg = tuple(deg)
-    out = []
-
-    def walk(face, label, cand):
-        for j in cand:
-            lab = lcm_exp(label, labels[j]) if face else labels[j]
-            if lab != deg:
-                nxt = face + (j,)
-                out.append(nxt)
-                walk(nxt, lab, extend(nxt, cand))
-
-    walk((), None, roots)
-    return tuple(out)
+    flags = _cliques(_inclusion_graph(subsets), labels, (1 << len(subsets)) - 1)
+    return LabeledComplex(labels, tuple(f for f, _ in flags))
 
 
 def sub_below(c: LabeledComplex, deg) -> LabeledComplex:
-    """Subcomplex of faces whose label properly divides x^deg."""
-    ext = c.extensions
+    """Subcomplex of faces whose label properly divides x^deg.
+
+    ``c`` must be a flag complex: its faces are the cliques of its edges.
+    """
+    deg = tuple(deg)
     labels = c.vertex_labels
-    below = {v for v, lab in enumerate(labels) if divides(lab, deg)}
-
-    def extend(face, _):
-        return [v for v in ext.get(face, ()) if v in below]
-
-    faces = _faces_below(labels, deg, extend((), None), extend)
-    return LabeledComplex(labels, faces)
+    roots = sum(1 << v for v, lab in enumerate(labels) if divides(lab, deg))
+    return LabeledComplex(labels, tuple(f for f, _ in _cliques(c.neighbours, labels, roots, deg)))
 
 
 def _subset_images(g: Multigraph) -> tuple:
@@ -211,9 +195,15 @@ def _subset_images(g: Multigraph) -> tuple:
     return subsets, [lam.mul_vec(tuple(int(i + 1 in s) for i in range(n))) for s in subsets]
 
 
-def _apartment_slices(g: Multigraph, degs):
-    """Yield ``apt_region(g, c)`` for each degree c of ``degs`` in turn, all
-    cut from one lattice box.
+def apt_region(g: Multigraph, degs, imgs=None):
+    """Yield the finite slice of the apartment complex below each degree c
+    of ``degs`` in turn, all cut from one lattice box.
+
+    A slice's vertices are the lattice classes v (normalized v_n = 0) with
+    Laplacian@v <= c componentwise, labeled by Laplacian@v and sorted by
+    label; its faces are the cliques of pairwise tropical distance <= 1
+    whose lcm label properly divides x^c.  ``imgs`` are the Laplacian images
+    of the e_I as ``_subset_images`` lists them, if the caller has them.
 
     Laplacian images sum to 0, so a lattice vector w <= c has
     w_i >= c_i - sum(c) >= top_i - sum(top), where ``top`` is the
@@ -246,43 +236,25 @@ def _apartment_slices(g: Multigraph, degs):
             mask &= cum[t] if t >= 0 else 0
         masks.append(mask)
 
-    # The later neighbours of each point in some slice.  Tropical distance 1
+    # The neighbours of each point in some slice.  Tropical distance 1
     # means v' - v = e_I modulo the all-ones vector for a proper non-empty
     # I, that is, w' - w is the image of e_I.
-    _, imgs = _subset_images(g)
+    if imgs is None:
+        imgs = _subset_images(g)[1]
     union = 0
     for mask in masks:
         union |= mask
-    above = {}
+    nbrs = {}
     for k in _bits(union):
-        above[k] = 0
-        for d in imgs:
-            j = index.get(vec_add(ws[k], d), -1)
-            if j > k:
-                above[k] |= 1 << j
+        nbrs[k] = sum(1 << j for j in (index.get(vec_add(ws[k], d)) for d in imgs) if j is not None)
 
     for c, mask in zip(degs, masks):
         idx = _bits(mask)
         pos = {k: a for a, k in enumerate(idx)}
-        up = [{pos[j] for j in _bits(above[k] & mask)} for k in idx]
+        local = [sum(1 << pos[j] for j in _bits(nbrs[k] & mask)) for k in idx]
         labels = tuple(ws[k] for k in idx)
-
-        def extend(face, cand):
-            nbrs = up[face[-1]]
-            return [k for k in cand if k in nbrs]
-
-        yield LabeledComplex(labels, _faces_below(labels, c, range(len(idx)), extend))
-
-
-def apt_region(g: Multigraph, deg) -> LabeledComplex:
-    """Finite slice of the apartment complex below a degree.
-
-    Vertices are the lattice classes v (normalized v_n = 0) with
-    Laplacian@v <= deg componentwise, labeled by Laplacian@v and sorted by
-    label; faces are cliques of pairwise tropical distance <= 1 whose lcm
-    label properly divides x^deg.
-    """
-    return next(_apartment_slices(g, [deg]))
+        faces = _cliques(local, labels, (1 << len(idx)) - 1, c)
+        yield LabeledComplex(labels, tuple(f for f, _ in faces))
 
 
 def homology_ranks(c: LabeledComplex, char: int = 0) -> dict:
@@ -321,39 +293,25 @@ def homology_ranks(c: LabeledComplex, char: int = 0) -> dict:
     return out
 
 
-def _parking_homology(g: Multigraph, char: int):
-    """Yield (c, reduced homology ranks of the barycentric subcomplex
-    strictly below c) for each distinct barycentric face label c, ascending."""
-    bary = bary_complex(g)
-    for c in sorted({bary.face_label(f) for f in bary.faces}):
-        yield c, homology_ranks(sub_below(bary, c), char)
-
-
-def _zero_incident_labels(g: Multigraph) -> dict:
+def _zero_incident_labels(g: Multigraph, images) -> dict:
     """The toppling class table: a map from each (degree, divisor class) of
     apartment face labels to one label of that class, in first-met order.
 
     Faces at the origin correspond to flags of proper non-empty subsets I of
     [n] (the neighbors are the classes of the indicator vectors e_I, labeled
     L e_I), the empty flag being the origin itself; every label orbit has
-    such a representative by translation.  Each class keeps the first label
-    met with the flags in lexicographic pre-order.
+    such a representative by translation.  ``images`` are the subsets and
+    their L e_I from ``_subset_images``.  Each class keeps the first label
+    met with the flags in lexicographic pre-order, the empty flag first.
     """
-    subsets, imgs = _subset_images(g)
+    subsets, imgs = images
     grp = divisor_class_group(g)
-    table = {}
-    for _, lab in _flags(subsets, imgs, g.n):
+    zero = (0,) * g.n
+    table = {(0, grp.class_of(zero)): zero}
+    labels = [lcm_exp(zero, d) for d in imgs]  # each flag's label includes the origin's
+    for _, lab in _cliques(_inclusion_graph(subsets), labels, (1 << len(subsets)) - 1):
         table.setdefault((sum(lab), grp.class_of(lab)), lab)
     return table
-
-
-def _toppling_homology(g: Multigraph, char: int):
-    """Yield (key, c, reduced homology ranks of the apartment slice below c)
-    for each (degree, class) key of the class table and its label c, in
-    ascending label order."""
-    rows = sorted(_zero_incident_labels(g).items(), key=lambda kc: kc[1])
-    for (key, c), region in zip(rows, _apartment_slices(g, [c for _, c in rows])):
-        yield key, c, homology_ranks(region, char)
 
 
 def _count_table(n: int, flags) -> dict:
@@ -380,7 +338,7 @@ def betti_toppling(g: Multigraph) -> dict:
     flag counts per divisor class of the degree, each class written as its
     label in the class table (``_zero_incident_labels``)."""
     grp = divisor_class_group(g)
-    rep = _zero_incident_labels(g)
+    rep = _zero_incident_labels(g, _subset_images(g))
     return _count_table(
         g.n, ((rep[sum(c), grp.class_of(c)], k - 1) for k, c in connected_flags(g))
     )
@@ -407,14 +365,24 @@ def conjecture_check(g: Multigraph, char: int = 0) -> dict:
     n = g.n
     grp = divisor_class_group(g)
 
+    # Parking side: the distinct barycentric face labels, as the walk over
+    # the barycentric graph yields them, and the homology below each.
+    bary = bary_complex(g)
+    every = (1 << len(bary.vertex_labels)) - 1
     by_key, bsums = {}, {}
-    for c, hr in _parking_homology(g, char):
+    for c in sorted({lab for _, lab in _cliques(bary.neighbours, bary.vertex_labels, every)}):
         k = (sum(c), grp.class_of(c))
         by_key.setdefault(k, []).append(c)
         bsum = bsums.setdefault(k, {})
-        for i, r in hr.items():
+        for i, r in homology_ranks(sub_below(bary, c), char).items():
             bsum[i] = bsum.get(i, 0) + r
-    apt = {k: (c, hr) for k, c, hr in _toppling_homology(g, char)}
+
+    # Toppling side: the apartment slice below each label of the class
+    # table, in ascending label order.
+    images = _subset_images(g)
+    rows = sorted(_zero_incident_labels(g, images).items(), key=lambda kc: kc[1])
+    slices = apt_region(g, [c for _, c in rows], images[1])
+    apt = {k: (c, homology_ranks(region, char)) for (k, c), region in zip(rows, slices)}
 
     mismatches = []
     detail = []

@@ -167,6 +167,8 @@ def construct_rr_ideal(K, seeds) -> RRProfile:
     soc = set()
     for s in seeds:
         s = tuple(s)
+        if len(s) != len(K):
+            raise ValueError(f"seed {s} must have {len(K)} exponents, as the canonical monomial has")
         if not divides(s, K) or any(e < 0 for e in s):
             raise ValueError(f"seed {s} does not divide the canonical monomial")
         if degree(s) != half:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from chipalg.chipfiring import _arrow
-from chipalg.monomials import MonomialIdeal, _minimize, require_artinian, vec_add, vec_sub
+from chipalg.monomials import MonomialIdeal, _minimize, lcm_exp, require_artinian, vec_add, vec_sub
 from chipalg.multigraph import Multigraph
 from chipalg.resolutions import LabeledComplex, OrderedPartition, cyc_partitions
 
@@ -100,6 +100,14 @@ def format_graph(g: Multigraph) -> str:
             if g.mult[i][j]:
                 lines.append(f"edge {i + 1} {j + 1} {g.mult[i][j]}")
     return "\n".join(lines) + "\n"
+
+
+def face_label(c: LabeledComplex, face) -> tuple:
+    """The lcm of the face's vertex labels."""
+    lab = c.vertex_labels[face[0]]
+    for v in face[1:]:
+        lab = lcm_exp(lab, c.vertex_labels[v])
+    return lab
 
 
 def face_counts(c: LabeledComplex) -> tuple:

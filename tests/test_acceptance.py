@@ -53,6 +53,7 @@ from conftest import (
     cyc_complex,
     cycle_family,
     face_counts,
+    face_label,
     flag_socle_oracle,
     k4,
     minimality_check,
@@ -164,9 +165,9 @@ def test_criterion_5_chain_graph_slices():
     deg = (2, 0, 3, 0)
     bary = sub_below(bary_complex(g), deg)
     ok &= len(bary.faces) == 2 and all(len(f) == 1 for f in bary.faces)
-    ok &= {bary.face_label(f) for f in bary.faces} == {(2, 0, 0, 0), (0, 0, 3, 0)}
+    ok &= {face_label(bary, f) for f in bary.faces} == {(2, 0, 0, 0), (0, 0, 3, 0)}
     ok &= homology_ranks(bary)[0] == 1
-    apt = apt_region(g, deg)
+    apt = next(apt_region(g, [deg]))
     ok &= face_counts(apt) == (16, 28, 12)
     hr = homology_ranks(apt)
     ok &= hr.get(1) == 1 and hr.get(0) == 0

@@ -264,7 +264,7 @@ def test_rrcheck_rejects_wrong_length_on_any_ideal(capsys, c4_parking_ideal):
     # an ideal that fails the preconditions still rejects it with exit 1
     code, out, _ = _run(capsys, "ideal", C4)
     gens = {tuple(m) for m in json.loads(out)["results"]["parking_generators"]}
-    text = open(c4_parking_ideal).read().splitlines()
+    text = Path(c4_parking_ideal).read_text().splitlines()
     assert gens == {tuple(int(e) for e in line.split()[1:]) for line in text[1:]}
     for bs in ("1,1", "1,1,0,7"):
         code, out, err = _run(capsys, "rrcheck", c4_parking_ideal, "--b", "1,0,0", "--b", bs)
@@ -394,6 +394,20 @@ def test_construct(capsys):
     rep = json.loads(out)
     assert code == 0
     assert len(rep["results"]["generators"]) == 7
+
+
+def test_construct_rejects_seed_of_wrong_length(capsys):
+    # a seed is checked against the canonical monomial's length before any
+    # divisibility test could cut it to that length
+    for canonical, seed, error in (
+        ("2,2", "1,1,0", "seed (1, 1, 0) must have 2 exponents, as the canonical monomial has"),
+        ("2,2,0", "1,1", "seed (1, 1) must have 3 exponents, as the canonical monomial has"),
+    ):
+        code, out, err = _run(capsys, "construct", "--canonical", canonical, "--seed", seed)
+        rep = json.loads(out)
+        assert code == 1 and "results" not in rep
+        assert rep["error"] == error
+        assert "error" in err
 
 
 def test_exit_code_1_on_malformed_input(capsys, tmp_path):

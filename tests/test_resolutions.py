@@ -2,6 +2,8 @@
 apartment subcomplexes, homology, and graded Betti numbers."""
 
 import random
+from functools import reduce
+from itertools import combinations
 from math import factorial
 
 import pytest
@@ -13,9 +15,8 @@ from chipalg.multigraph import laplacian
 from chipalg.resolutions import (
     LabeledComplex,
     OrderedPartition,
-    _apartment_slices,
-    _parking_homology,
-    _toppling_homology,
+    _cliques,
+    _subset_images,
     _zero_incident_labels,
     apt_region,
     bary_complex,
@@ -32,6 +33,7 @@ from conftest import (
     chain_graph,
     cyc_complex,
     face_counts,
+    face_label,
     k4,
     minimality_check,
     prism,
@@ -161,6 +163,17 @@ def _rp2() -> LabeledComplex:
     return LabeledComplex(tuple((i,) for i in range(6)), tuple(sorted(faces)))
 
 
+def _octahedron(rng) -> LabeledComplex:
+    """Boundary of the octahedron, a flag complex that is no barycentric
+    subdivision: vertices 2i and 2i + 1 are opposite, every other pair is
+    an edge, and every triple of pairwise neighbours a triangle.  Labels
+    are random exponent vectors over 3 variables."""
+    faces = [f for k in (1, 2, 3) for f in combinations(range(6), k)
+             if len({v // 2 for v in f}) == k]
+    labels = tuple(tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(6))
+    return LabeledComplex(labels, tuple(sorted(faces)))
+
+
 def _scan_below(labeled, deg):
     """Reference for sub_below: filter every face by its label, given as
     a sorted list of (face, label) pairs."""
@@ -170,22 +183,52 @@ def _scan_below(labeled, deg):
 
 def test_sub_below_matches_full_scan():
     rng = random.Random(23)
-    cases = [(_rp2(), [(k,) for k in range(-1, 8)])]
+    octahedron = _octahedron(rng)
+    degrees = sorted({face_label(octahedron, f) for f in octahedron.faces})
+    cases = [(octahedron, degrees + [tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(10)])]
     for n, saturated in ((3, False), (3, True), (4, False), (4, True), (5, False), (5, True), (6, False)):
         g = random_saturated(rng, n) if saturated else random_connected(rng, n, max_mult=3)
         bary = bary_complex(g)
-        degrees = sorted({bary.face_label(f) for f in bary.faces})
+        degrees = sorted({face_label(bary, f) for f in bary.faces})
         top = [max(c[i] for c in degrees) for i in range(n)]
         degrees += [tuple(rng.randint(0, t + 1) for t in top) for _ in range(10)]
         degrees.append((0,) * n)  # no vertex label divides it
         cases.append((bary, degrees))
     for c, degrees in cases:
-        labeled = [(f, c.face_label(f)) for f in sorted(c.faces)]
+        labeled = [(f, face_label(c, f)) for f in sorted(c.faces)]
         for deg in degrees:
             got = sub_below(c, deg)
             assert got.faces == _scan_below(labeled, deg)
             assert got.vertex_labels == c.vertex_labels
     assert sub_below(cases[1][0], cases[1][1][-1]).faces == ()
+
+
+def test_cliques_match_brute_force():
+    """The walk yields every clique within the roots whose label is not the
+    cut, each with its lcm label, in lexicographic order; the uncut walk
+    yields every non-empty clique."""
+    rng = random.Random(26)
+    walked = 0
+    for _ in range(40):
+        size, nvars = rng.randint(1, 8), rng.randint(1, 3)
+        labels = [tuple(rng.randint(0, 2) for _ in range(nvars)) for _ in range(size)]
+        edges = {e for e in combinations(range(size), 2) if rng.random() < 0.6}
+        nbrs = [sum(1 << u for u in range(size) if (min(u, v), max(u, v)) in edges) for v in range(size)]
+        cliques = [
+            (f, reduce(lcm_exp, (labels[v] for v in f)))
+            for k in range(1, size + 1)
+            for f in combinations(range(size), k)
+            if all(e in edges for e in combinations(f, 2))
+        ]
+        cliques.sort()
+        assert list(_cliques(nbrs, labels, (1 << size) - 1)) == cliques
+        for cut in sorted({lab for _, lab in cliques} | {tuple(rng.randint(0, 2) for _ in range(nvars))}):
+            roots = sum(1 << v for v in range(size) if divides(labels[v], cut))
+            want = [(f, lab) for f, lab in cliques if all(roots >> v & 1 for v in f) and lab != cut]
+            got = list(_cliques(nbrs, labels, roots, cut))
+            assert got == want
+            walked += len(got)
+    assert walked > 500
 
 
 def test_homology_of_simple_complexes():
@@ -260,8 +303,13 @@ def _betti_table(n: int, pairs, shift: int, entries: list) -> dict:
 def _homology_tables(g, char):
     """The parking and the toppling Betti tables from the homology of the
     barycentric subcomplexes and of the apartment slices."""
-    parking = _betti_table(g.n, _parking_homology(g, char), 2, [((0,) * g.n, 0, 1)])
-    toppling = _betti_table(g.n, ((c, hr) for _, c, hr in _toppling_homology(g, char)), 1, [])
+    bary = bary_complex(g)
+    degrees = sorted({face_label(bary, f) for f in bary.faces})
+    below = ((c, homology_ranks(sub_below(bary, c), char)) for c in degrees)
+    parking = _betti_table(g.n, below, 2, [((0,) * g.n, 0, 1)])
+    labels = sorted(_zero_incident_labels(g, _subset_images(g)).values())
+    slices = ((c, homology_ranks(region, char)) for c, region in zip(labels, apt_region(g, labels)))
+    toppling = _betti_table(g.n, slices, 1, [])
     return parking, toppling
 
 
@@ -314,14 +362,14 @@ def test_chain_graph_example():
     bary = sub_below(bary_complex(g), deg)
     verts = [f for f in bary.faces if len(f) == 1]
     assert len(verts) == 2 and len(bary.faces) == 2  # two isolated vertices
-    labels = {bary.face_label(f) for f in verts}
+    labels = {face_label(bary, f) for f in verts}
     assert labels == {(2, 0, 0, 0), (0, 0, 3, 0)}  # a^2 and c^3
     assert homology_ranks(bary)[0] == 1
 
 
 def test_chain_graph_apartment_slice():
     g = chain_graph()
-    apt = apt_region(g, (2, 0, 3, 0))
+    apt = next(apt_region(g, [(2, 0, 3, 0)]))
     assert face_counts(apt) == (16, 28, 12)
     hr = homology_ranks(apt)
     assert hr[0] == 0 and hr[1] == 1  # homology of a circle
@@ -370,9 +418,10 @@ def _apt_region_own_box(g, deg) -> LabeledComplex:
 
 
 def test_apartment_slices_match_own_boxes():
-    """Every slice cut from the one box over the join of the zero-incident
-    labels equals the slice from the label's own box, vertices and faces in
-    the same order; so does apt_region on degrees that are not labels."""
+    """Every slice that apt_region cuts from the one box over the join of
+    the zero-incident labels equals the slice from the label's own box,
+    vertices and faces in the same order; so does the one slice of a degree
+    that is not a label."""
     rng = random.Random(24)
     graphs = [k4(), c4(), chain_graph()]
     for n in range(1, 7):
@@ -381,8 +430,8 @@ def test_apartment_slices_match_own_boxes():
             graphs.append(random_saturated(rng, n, max_mult))
     nonempty = 0
     for g in graphs:
-        labels = sorted(_zero_incident_labels(g).values())
-        for c, got in zip(labels, _apartment_slices(g, labels), strict=True):
+        labels = sorted(_zero_incident_labels(g, _subset_images(g)).values())
+        for c, got in zip(labels, apt_region(g, labels), strict=True):
             want = _apt_region_own_box(g, c)
             assert got.vertex_labels == want.vertex_labels
             assert got.faces == want.faces
@@ -391,7 +440,8 @@ def test_apartment_slices_match_own_boxes():
             top = tuple(map(max, zip(*labels)))
             for _ in range(5):
                 deg = tuple(rng.randint(-2, t + 1) for t in top)
-                assert apt_region(g, deg) == _apt_region_own_box(g, deg)
+                (got,) = apt_region(g, [deg])
+                assert got == _apt_region_own_box(g, deg)
     assert nonempty > 1000
 
 
