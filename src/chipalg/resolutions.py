@@ -8,8 +8,8 @@ the (n-2)-simplex with monomial labels, and the apartment complex of
 lattice classes under the tropical metric.  A flag complex is given by one
 neighbour bitmask per vertex, and one walk (``_cliques``) lists the faces
 of both: every clique with its lcm label, cut where the label reaches a
-degree.  ``apt_region`` yields the apartment slices below several degrees,
-one at a time, from one lattice box.  ``cyc_partitions`` lists the
+degree.  ``apt_region`` builds one lattice box and hands out the apartment
+slices below several degrees one at a time.  ``cyc_partitions`` lists the
 cyclically ordered partitions of [n], which index the paper's free complex.
 """
 
@@ -195,22 +195,23 @@ def _subset_images(g: Multigraph) -> tuple:
     return subsets, [lam.mul_vec(tuple(int(i + 1 in s) for i in range(n))) for s in subsets]
 
 
-def apt_region(g: Multigraph, degs, imgs=None):
-    """Yield the finite slice of the apartment complex below each degree c
-    of ``degs`` in turn, all cut from one lattice box.
+def apt_region(g: Multigraph, degs, images):
+    """Slice the apartment complex below each degree c of ``degs`` from one
+    lattice box, and return an iterator over the slices in turn.
 
     A slice's vertices are the lattice classes v (normalized v_n = 0) with
     Laplacian@v <= c componentwise, labeled by Laplacian@v and sorted by
     label; its faces are the cliques of pairwise tropical distance <= 1
-    whose lcm label properly divides x^c.  ``imgs`` are the Laplacian images
-    of the e_I as ``_subset_images`` lists them, if the caller has them.
+    whose lcm label properly divides x^c.  ``images`` are the subsets and
+    their Laplacian images from ``_subset_images``.
 
     Laplacian images sum to 0, so a lattice vector w <= c has
     w_i >= c_i - sum(c) >= top_i - sum(top), where ``top`` is the
     componentwise max of the degrees: the box [top - sum(top), top] holds
     every slice.  Its points are sorted by w once, and bit k of a mask
     stands for the k-th of them.  A slice is the AND over i of the masks of
-    points with w_i <= c_i.
+    points with w_i <= c_i.  The box, the masks and the neighbours are built
+    here; each slice's cliques are walked as the iterator reaches it.
     """
     degs = [tuple(c) for c in degs]
     top = tuple(map(max, zip(*degs)))
@@ -239,8 +240,7 @@ def apt_region(g: Multigraph, degs, imgs=None):
     # The neighbours of each point in some slice.  Tropical distance 1
     # means v' - v = e_I modulo the all-ones vector for a proper non-empty
     # I, that is, w' - w is the image of e_I.
-    if imgs is None:
-        imgs = _subset_images(g)[1]
+    _, imgs = images
     union = 0
     for mask in masks:
         union |= mask
@@ -248,13 +248,15 @@ def apt_region(g: Multigraph, degs, imgs=None):
     for k in _bits(union):
         nbrs[k] = sum(1 << j for j in (index.get(vec_add(ws[k], d)) for d in imgs) if j is not None)
 
-    for c, mask in zip(degs, masks):
+    def cut(c, mask):
         idx = _bits(mask)
         pos = {k: a for a, k in enumerate(idx)}
         local = [sum(1 << pos[j] for j in _bits(nbrs[k] & mask)) for k in idx]
         labels = tuple(ws[k] for k in idx)
         faces = _cliques(local, labels, (1 << len(idx)) - 1, c)
-        yield LabeledComplex(labels, tuple(f for f, _ in faces))
+        return LabeledComplex(labels, tuple(f for f, _ in faces))
+
+    return map(cut, degs, masks)
 
 
 def homology_ranks(c: LabeledComplex, char: int = 0) -> dict:
@@ -381,7 +383,7 @@ def conjecture_check(g: Multigraph, char: int = 0) -> dict:
     # table, in ascending label order.
     images = _subset_images(g)
     rows = sorted(_zero_incident_labels(g, images).items(), key=lambda kc: kc[1])
-    slices = apt_region(g, [c for _, c in rows], images[1])
+    slices = apt_region(g, [c for _, c in rows], images)
     apt = {k: (c, homology_ranks(region, char)) for (k, c), region in zip(rows, slices)}
 
     mismatches = []

@@ -29,6 +29,7 @@ from chipalg.monomials import (
 )
 from chipalg.multigraph import connected_splits, tree_count
 from chipalg.resolutions import (
+    _subset_images,
     apt_region,
     bary_complex,
     betti_parking,
@@ -167,7 +168,7 @@ def test_criterion_5_chain_graph_slices():
     ok &= len(bary.faces) == 2 and all(len(f) == 1 for f in bary.faces)
     ok &= {face_label(bary, f) for f in bary.faces} == {(2, 0, 0, 0), (0, 0, 3, 0)}
     ok &= homology_ranks(bary)[0] == 1
-    apt = next(apt_region(g, [deg]))
+    apt = next(apt_region(g, [deg], _subset_images(g)))
     ok &= face_counts(apt) == (16, 28, 12)
     hr = homology_ranks(apt)
     ok &= hr.get(1) == 1 and hr.get(0) == 0

@@ -307,8 +307,10 @@ def _homology_tables(g, char):
     degrees = sorted({face_label(bary, f) for f in bary.faces})
     below = ((c, homology_ranks(sub_below(bary, c), char)) for c in degrees)
     parking = _betti_table(g.n, below, 2, [((0,) * g.n, 0, 1)])
-    labels = sorted(_zero_incident_labels(g, _subset_images(g)).values())
-    slices = ((c, homology_ranks(region, char)) for c, region in zip(labels, apt_region(g, labels)))
+    images = _subset_images(g)
+    labels = sorted(_zero_incident_labels(g, images).values())
+    slices = apt_region(g, labels, images)
+    slices = ((c, homology_ranks(region, char)) for c, region in zip(labels, slices))
     toppling = _betti_table(g.n, slices, 1, [])
     return parking, toppling
 
@@ -369,7 +371,7 @@ def test_chain_graph_example():
 
 def test_chain_graph_apartment_slice():
     g = chain_graph()
-    apt = next(apt_region(g, [(2, 0, 3, 0)]))
+    apt = next(apt_region(g, [(2, 0, 3, 0)], _subset_images(g)))
     assert face_counts(apt) == (16, 28, 12)
     hr = homology_ranks(apt)
     assert hr[0] == 0 and hr[1] == 1  # homology of a circle
@@ -430,8 +432,9 @@ def test_apartment_slices_match_own_boxes():
             graphs.append(random_saturated(rng, n, max_mult))
     nonempty = 0
     for g in graphs:
-        labels = sorted(_zero_incident_labels(g, _subset_images(g)).values())
-        for c, got in zip(labels, apt_region(g, labels), strict=True):
+        images = _subset_images(g)
+        labels = sorted(_zero_incident_labels(g, images).values())
+        for c, got in zip(labels, apt_region(g, labels, images), strict=True):
             want = _apt_region_own_box(g, c)
             assert got.vertex_labels == want.vertex_labels
             assert got.faces == want.faces
@@ -440,7 +443,7 @@ def test_apartment_slices_match_own_boxes():
             top = tuple(map(max, zip(*labels)))
             for _ in range(5):
                 deg = tuple(rng.randint(-2, t + 1) for t in top)
-                (got,) = apt_region(g, [deg])
+                (got,) = apt_region(g, [deg], images)
                 assert got == _apt_region_own_box(g, deg)
     assert nonempty > 1000
 
