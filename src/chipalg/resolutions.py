@@ -9,7 +9,9 @@ lattice classes under the tropical metric.  A flag complex is given by one
 neighbour bitmask per vertex, and one walk (``_cliques``) lists the faces
 of both: every clique with its lcm label, cut where the label reaches a
 degree.  ``apt_region`` builds one lattice box and hands out the apartment
-slices below several degrees one at a time.  ``cyc_partitions`` lists the
+slices below several degrees one at a time.  ``homology_ranks`` collapses
+the star of the vertex in the most faces, a cone, and ranks only the
+relative boundaries of the faces outside it.  ``cyc_partitions`` lists the
 cyclically ordered partitions of [n], which index the paper's free complex.
 """
 
@@ -18,7 +20,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 
 from .chipfiring import _arrow, _bits, connected_flags, lattice_points_in_box
 from .exactla import check_char
@@ -262,36 +264,59 @@ def apt_region(g: Multigraph, degs, images):
 def homology_ranks(c: LabeledComplex, char: int = 0) -> dict:
     """Reduced simplicial homology ranks over Q (char 0) or GF(char).
 
-    Returns a map from dimension i (starting at -1) to the rank of the
-    i-th reduced homology group; the empty complex has rank 1 in
-    dimension -1.
+    Returns a map from each dimension i, from -1 up to the top dimension of
+    the complex, to the rank of the i-th reduced homology group; the empty
+    complex has rank 1 in dimension -1.
+
+    One star collapse: the closed star of a vertex v is a cone, so the
+    reduced homology of a non-empty K is the homology of the pair
+    (K, star v).  Its cells are the non-empty faces s with s + v not a face
+    of K, and a cell's boundary drops the facets in the link of v.  The
+    empty face lies in the star, so vertices have zero boundary and
+    H_(-1) is 0.  v is the vertex in the most faces, the lowest on a tie,
+    so only the faces outside its star are ranked.  The faces must be
+    closed under taking faces: a facet of a cell that is neither a cell nor
+    in the link raises ``ValueError``.
     """
     check_char(char)
-    by_dim = {}
-    for f in c.faces:
-        by_dim.setdefault(len(f) - 1, []).append(f)
-    if not by_dim:
+    if not c.faces:
         return {-1: 1}
-    top = max(by_dim)
-    for d in by_dim:
-        by_dim[d].sort()
-    pos = {d: {f: i for i, f in enumerate(by_dim[d])} for d in by_dim}
+    counts = Counter(chain.from_iterable(c.faces))
+    v = min(counts, key=lambda u: (-counts[u], u))
+    link, rest = set(), []
+    for f in c.faces:
+        if v in f:
+            i = f.index(v)
+            link.add(f[:i] + f[i + 1 :])
+        else:
+            rest.append(f)
+    cells = [[] for _ in range(max(map(len, c.faces)))]
+    for f in rest:
+        if f not in link:
+            cells[len(f) - 1].append(f)
 
-    # ranks[d]: rank of the boundary from dimension d to d-1.  Every vertex
-    # maps to the empty face, so ranks[0] is 1; nothing lies above the top.
-    ranks = {0: 1, top + 1: 0}
-    for d in range(1, top + 1):
-        cols = []
-        for f in by_dim[d]:
-            col = {}
-            for i in range(len(f)):
-                sub = f[:i] + f[i + 1 :]
-                col[pos[d - 1][sub]] = -1 if i % 2 else 1
-            cols.append(col)
-        ranks[d] = sparse_rank(cols, char)
-    out = {-1: 1 - ranks[0]}
-    for d in range(top + 1):
-        out[d] = len(by_dim.get(d, ())) - ranks[d] - ranks[d + 1]
+    # ranks[d]: rank of the relative boundary from dimension d to d - 1;
+    # nothing lies below the vertices or above the top.
+    ranks = [0] * (len(cells) + 1)
+    below = {}
+    for d, fs in enumerate(cells):
+        if d and fs:
+            cols = []
+            for f in fs:
+                col = {}
+                for i in range(d + 1):
+                    sub = f[:i] + f[i + 1 :]
+                    j = below.get(sub)
+                    if j is not None:
+                        col[j] = -1 if i % 2 else 1
+                    elif sub not in link:
+                        raise ValueError(f"face {sub} of {f} is not in the complex")
+                cols.append(col)
+            ranks[d] = sparse_rank(cols, char)
+        below = {f: j for j, f in enumerate(fs)}
+    out = {-1: 0}
+    for d, fs in enumerate(cells):
+        out[d] = len(fs) - ranks[d] - ranks[d + 1]
     return out
 
 
@@ -304,14 +329,16 @@ def _zero_incident_labels(g: Multigraph, images) -> dict:
     L e_I), the empty flag being the origin itself; every label orbit has
     such a representative by translation.  ``images`` are the subsets and
     their L e_I from ``_subset_images``.  Each class keeps the first label
-    met with the flags in lexicographic pre-order, the empty flag first.
+    met with the flags in lexicographic pre-order, the empty flag first;
+    each distinct label is classified once, at its first flag.
     """
     subsets, imgs = images
     grp = divisor_class_group(g)
     zero = (0,) * g.n
     table = {(0, grp.class_of(zero)): zero}
     labels = [lcm_exp(zero, d) for d in imgs]  # each flag's label includes the origin's
-    for _, lab in _cliques(_inclusion_graph(subsets), labels, (1 << len(subsets)) - 1):
+    flags = _cliques(_inclusion_graph(subsets), labels, (1 << len(subsets)) - 1)
+    for lab in dict.fromkeys(lab for _, lab in flags):
         table.setdefault((sum(lab), grp.class_of(lab)), lab)
     return table
 

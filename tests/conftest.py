@@ -1,5 +1,6 @@
 """Shared fixtures: the named example graphs, random graph generators,
-graph oracles, and the cyclic-partition free complex."""
+graph oracles, the full-boundary homology oracle, and the cyclic-partition
+free complex."""
 
 import random
 from dataclasses import dataclass
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from chipalg.chipfiring import _arrow
+from chipalg.kernels import sparse_rank
 from chipalg.monomials import MonomialIdeal, _minimize, lcm_exp, require_artinian, vec_add, vec_sub
 from chipalg.multigraph import Multigraph
 from chipalg.resolutions import LabeledComplex, OrderedPartition, cyc_partitions
@@ -118,6 +120,33 @@ def face_counts(c: LabeledComplex) -> tuple:
     for f in c.faces:
         out[len(f) - 1] += 1
     return tuple(out)
+
+
+def homology_ranks_oracle(c: LabeledComplex, char: int = 0) -> dict:
+    """Reduced homology ranks from the full augmented chain complex: every
+    face is ranked, and each vertex maps to the empty face."""
+    by_dim = {}
+    for f in c.faces:
+        by_dim.setdefault(len(f) - 1, []).append(f)
+    if not by_dim:
+        return {-1: 1}
+    top = max(by_dim)
+    for d in by_dim:
+        by_dim[d].sort()
+    pos = {d: {f: i for i, f in enumerate(by_dim[d])} for d in by_dim}
+    ranks = {0: 1, top + 1: 0}
+    for d in range(1, top + 1):
+        cols = []
+        for f in by_dim[d]:
+            col = {}
+            for i in range(len(f)):
+                col[pos[d - 1][f[:i] + f[i + 1 :]]] = -1 if i % 2 else 1
+            cols.append(col)
+        ranks[d] = sparse_rank(cols, char)
+    out = {-1: 1 - ranks[0]}
+    for d in range(top + 1):
+        out[d] = len(by_dim.get(d, ())) - ranks[d] - ranks[d + 1]
+    return out
 
 
 def alexander_dual_box_generators(M: MonomialIdeal, K) -> list:

@@ -11,7 +11,7 @@ import pytest
 from chipalg.chipfiring import connected_flags, lattice_points_in_box, lattice_socle_base
 from chipalg.exactla import solve_integer
 from chipalg.monomials import divides, lcm_exp, vec_add
-from chipalg.multigraph import laplacian
+from chipalg.multigraph import laplacian, parse_graph
 from chipalg.resolutions import (
     LabeledComplex,
     OrderedPartition,
@@ -28,12 +28,14 @@ from chipalg.resolutions import (
     sub_below,
 )
 from conftest import (
+    DATA,
     acyclic_orientations_unique_sink,
     c4,
     chain_graph,
     cyc_complex,
     face_counts,
     face_label,
+    homology_ranks_oracle,
     k4,
     minimality_check,
     prism,
@@ -262,6 +264,90 @@ def test_projective_plane_homology_depends_on_char():
     c = _rp2()
     assert homology_ranks(c, 0) == {-1: 0, 0: 0, 1: 0, 2: 0}
     assert homology_ranks(c, 2) == {-1: 0, 0: 0, 1: 1, 2: 1}
+
+
+def _with_apexes(faces, *apexes) -> tuple:
+    """The faces of the join of ``faces`` with the discrete set ``apexes``,
+    each apex a vertex above all of theirs: one apex gives the cone, two
+    the suspension."""
+    return faces + tuple(f + (a,) for a in apexes for f in ((),) + faces)
+
+
+def _is_flag(faces, n) -> bool:
+    """Whether every vertex set of size >= 3 whose facets are all faces is
+    a face."""
+    for k in range(3, n + 1):
+        for s in combinations(range(n), k):
+            if s not in faces and all(s[:i] + s[i + 1 :] in faces for i in range(k)):
+                return False
+    return True
+
+
+def _random_complexes(rng, count) -> list:
+    """Seeded complexes on at most 8 vertices that are not flag complexes:
+    the downward closures of a few random facets."""
+    out = []
+    while len(out) < count:
+        n = rng.randint(3, 8)
+        facets = [rng.sample(range(n), rng.randint(1, min(n, 5))) for _ in range(rng.randint(1, 6))]
+        faces = {s for f in facets for k in range(1, len(f) + 1)
+                 for s in combinations(sorted(f), k)}
+        if not _is_flag(faces, n):
+            out.append(LabeledComplex(tuple((v,) for v in range(n)), tuple(sorted(faces))))
+    return out
+
+
+def _data_slices() -> list:
+    """Every ``sub_below`` and every ``apt_region`` slice that ``conjecture``
+    ranks on the data graphs c4, k4, chain, prism and sat5."""
+    out = []
+    for name in ("c4", "k4", "chain", "prism", "sat5"):
+        g = parse_graph((DATA / f"{name}.graph").read_text())
+        bary = bary_complex(g)
+        out += [sub_below(bary, c) for c in sorted({face_label(bary, f) for f in bary.faces})]
+        images = _subset_images(g)
+        out += apt_region(g, sorted(_zero_incident_labels(g, images).values()), images)
+    return out
+
+
+def test_star_collapse_matches_full_boundary():
+    """One star collapse gives the ranks of the full augmented chain
+    complex, in characteristics 0, 2 and 3, on the conjecture slices of the
+    data graphs and on random complexes that are not flag complexes."""
+    slices = _data_slices()
+    assert len(slices) > 1000
+    randoms = _random_complexes(random.Random(26), 200)
+    for char in (0, 2, 3):
+        for c in slices + randoms:
+            assert homology_ranks(c, char) == homology_ranks_oracle(c, char)
+
+
+def test_cone_and_suspension_homology():
+    """A cone is acyclic whichever vertex is collapsed; over RP^2 the apex
+    is the busiest vertex (32 faces against 22), and nothing lies outside
+    its star.  The suspension of RP^2 shifts its mod-2 torsion up one
+    dimension; there each RP^2 vertex lies in 33 faces and each apex in
+    32, so an RP^2 vertex is collapsed and its link is a 2-sphere."""
+    rp2 = _rp2().faces
+    labels = tuple((i,) for i in range(8))
+    cones = [LabeledComplex(labels, _with_apexes(rp2, 6))]
+    for c in _random_complexes(random.Random(27), 20):
+        cones.append(LabeledComplex(c.vertex_labels + ((8,),), _with_apexes(c.faces, 8)))
+    suspension = LabeledComplex(labels, _with_apexes(rp2, 6, 7))
+    for char in (0, 2, 3):
+        for c in cones:
+            assert set(homology_ranks(c, char).values()) == {0}
+        expect = {-1: 0, 0: 0, 1: 0, 2: int(char == 2), 3: int(char == 2)}
+        assert homology_ranks(suspension, char) == expect == homology_ranks_oracle(suspension, char)
+
+
+def test_homology_rejects_faces_not_closed():
+    """A triangle over a missing edge, away from the busiest vertex 3."""
+    faces = ((0,), (1,), (2,), (3,), (4,), (5,), (6,), (0, 2), (1, 2), (0, 1, 2),
+             (3, 4), (3, 5), (3, 6), (4, 5), (3, 4, 5))
+    c = LabeledComplex(tuple((v,) for v in range(7)), faces)
+    with pytest.raises(ValueError, match=r"\(0, 1\)"):
+        homology_ranks(c)
 
 
 def test_betti_tables_k4(k4_graph):
