@@ -7,25 +7,32 @@ subcomplexes of two labeled flag complexes: the barycentric subdivision of
 the (n-2)-simplex with monomial labels, and the apartment complex of
 lattice classes under the tropical metric.  A flag complex is given by one
 neighbour bitmask per vertex, and one walk (``_cliques``) lists the faces
-of both: every clique with its lcm label, cut where the label reaches a
-degree.  ``apt_region`` builds one lattice box and hands out the apartment
-slices below several degrees one at a time.  ``homology_ranks`` collapses
-the star of the vertex in the most faces, a cone, and ranks only the
-relative boundaries of the faces outside it.  ``cyc_partitions`` lists the
-cyclically ordered partitions of [n], which index the paper's free complex.
+of both, each clique with the join of its vertex labels: their lcm for a
+whole complex, and for an apartment slice the bitwise or of the
+coordinates each vertex hits, cut where every coordinate is hit.  Slices
+are cut by per-coordinate bitmasks (``_at_most``): ``bary_complex`` keeps
+each face's label from its walk, and ``sub_below`` ANDs the masks of the
+faces with label_i <= c_i and drops those labelled exactly c.
+``apt_region`` builds one lattice box and ANDs the masks of its points
+below each degree before walking the slice.  ``homology_ranks``
+collapses the star of the vertex in the most faces, a cone, and ranks only
+the relative boundaries of the faces outside it.  ``cyc_partitions`` lists
+the cyclically ordered partitions of [n], which index the paper's free
+complex.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, reduce
 from itertools import chain, combinations
+from operator import or_
 
 from .chipfiring import _arrow, _bits, connected_flags, lattice_points_in_box
 from .exactla import check_char
 from .kernels import sparse_rank
-from .monomials import divides, lcm_exp, vec_add
+from .monomials import lcm_exp, vec_add
 from .multigraph import Multigraph, divisor_class_group, laplacian
 
 __all__ = [
@@ -111,32 +118,65 @@ class LabeledComplex:
 
     ``faces`` contains every face as a sorted tuple of vertex indices
     (singletons included); a face's label is the lcm of its vertex labels.
+    ``face_labels``, in the order of ``faces``, may be passed by a builder
+    that already has them; otherwise they are derived from the faces when
+    ``sub_below`` first cuts the complex.
     """
 
     vertex_labels: tuple
     faces: tuple
+    face_labels: tuple | None = field(default=None, compare=False, repr=False)
 
     @cached_property
-    def neighbours(self) -> list:
-        """Bitmask of each vertex's neighbours along the edges."""
-        nbrs = [0] * len(self.vertex_labels)
-        for f in self.faces:
-            if len(f) == 2:
-                a, b = f
-                nbrs[a] |= 1 << b
-                nbrs[b] |= 1 << a
-        return nbrs
+    def _face_masks(self) -> list:
+        """The ``_at_most`` masks of the face labels, bit k for the k-th
+        face."""
+        labels = self.face_labels
+        if labels is None:
+            vl = self.vertex_labels
+            labels = [reduce(lcm_exp, (vl[v] for v in f)) for f in self.faces]
+        return _at_most(labels)
 
 
-def _cliques(nbrs, labels, roots, cut=None):
+def _at_most(points) -> list:
+    """For each coordinate i, ``(lo, cum)``: lo is the least p_i over the
+    points, and cum[t] the bitmask (bit k for the k-th point) of the points
+    with p_i <= lo + t, for t up to the largest p_i - lo."""
+    out = []
+    for vals in zip(*points):
+        lo = min(vals)
+        cum = [0] * (max(vals) - lo + 1)
+        for k, x in enumerate(vals):
+            cum[x - lo] |= 1 << k
+        for t in range(1, len(cum)):
+            cum[t] |= cum[t - 1]
+        out.append((lo, cum))
+    return out
+
+
+def _below(at_most, c, full) -> int:
+    """The bitmask of the points p <= c componentwise, from their
+    ``_at_most`` masks; ``full`` has a bit for every point."""
+    mask = full
+    for (lo, cum), x in zip(at_most, c):
+        t = x - lo
+        if t < 0:
+            return 0
+        mask &= cum[min(t, len(cum) - 1)]
+    return mask
+
+
+def _cliques(nbrs, labels, roots, cut=None, join=lcm_exp):
     """Yield ``(face, label)`` for each non-empty clique of the graph whose
     vertex k has the neighbour bitmask ``nbrs[k]``, within the vertex
     bitmask ``roots``: a face is a sorted tuple of vertices and its label
-    the lcm of their ``labels``.  Faces come in lexicographic pre-order.
+    the ``join`` of their ``labels``, by default their lcm.  Faces come in
+    lexicographic pre-order.
 
-    A face labelled ``cut`` is not yielded and ends its branch: when every
-    root label divides x^cut, the label only grows along a branch, so the
-    faces yielded are those whose label properly divides x^cut.
+    A face labelled ``cut`` is not yielded and ends its branch: when the
+    join only grows along a branch towards ``cut``, as the coordinate hits
+    of ``apt_region`` do under bitwise or, the faces yielded are those
+    whose label stays below it.
     """
 
     def walk(face, label, cand):
@@ -144,7 +184,7 @@ def _cliques(nbrs, labels, roots, cut=None):
             low = cand & -cand
             cand ^= low
             j = low.bit_length() - 1
-            lab = lcm_exp(label, labels[j]) if face else labels[j]
+            lab = join(label, labels[j]) if face else labels[j]
             if lab != cut:
                 nxt = face + (j,)
                 yield nxt, lab
@@ -166,26 +206,37 @@ def _inclusion_graph(subsets) -> list:
 def bary_complex(g: Multigraph) -> LabeledComplex:
     """Barycentric subdivision of the (n-2)-simplex: vertices are the
     non-empty subsets I of [n-1] labeled x^(I -> [n] minus I), faces are
-    chains of subsets."""
+    chains of subsets, each with the label the walk computed for it."""
     n = g.n
     subsets = [s for size in range(1, n) for s in combinations(range(1, n), size)]
     labels = tuple(
         _arrow(g, s, tuple(k for k in range(1, n + 1) if k not in s))
         for s in subsets
     )
-    flags = _cliques(_inclusion_graph(subsets), labels, (1 << len(subsets)) - 1)
-    return LabeledComplex(labels, tuple(f for f, _ in flags))
+    flags = list(_cliques(_inclusion_graph(subsets), labels, (1 << len(subsets)) - 1))
+    return LabeledComplex(labels, tuple(f for f, _ in flags), tuple(lab for _, lab in flags))
 
 
 def sub_below(c: LabeledComplex, deg) -> LabeledComplex:
-    """Subcomplex of faces whose label properly divides x^deg.
+    """Subcomplex of faces whose label properly divides x^deg, in the
+    order of ``c.faces``.
 
-    ``c`` must be a flag complex: its faces are the cliques of its edges.
+    The faces with label_i <= t make one bitmask per coordinate i and value
+    t, built once per complex (``_at_most``); the faces below deg are the
+    AND over i of the masks for t = deg_i.  Among those, a face is labelled
+    exactly deg when no label_i is <= deg_i - 1, and those are dropped.
     """
     deg = tuple(deg)
-    labels = c.vertex_labels
-    roots = sum(1 << v for v, lab in enumerate(labels) if divides(lab, deg))
-    return LabeledComplex(labels, tuple(f for f, _ in _cliques(c.neighbours, labels, roots, deg)))
+    at_most = c._face_masks
+    keep = _below(at_most, deg, (1 << len(c.faces)) - 1)
+    exact = keep
+    for (lo, cum), x in zip(at_most, deg):
+        t = x - lo
+        if t >= len(cum):
+            exact = 0
+        elif t > 0:
+            exact &= ~cum[t - 1]
+    return LabeledComplex(c.vertex_labels, tuple(c.faces[k] for k in _bits(keep ^ exact)))
 
 
 def _subset_images(g: Multigraph) -> tuple:
@@ -208,36 +259,24 @@ def apt_region(g: Multigraph, degs, images):
     their Laplacian images from ``_subset_images``.
 
     Laplacian images sum to 0, so a lattice vector w <= c has
-    w_i >= c_i - sum(c) >= top_i - sum(top), where ``top`` is the
-    componentwise max of the degrees: the box [top - sum(top), top] holds
-    every slice.  Its points are sorted by w once, and bit k of a mask
-    stands for the k-th of them.  A slice is the AND over i of the masks of
-    points with w_i <= c_i.  The box, the masks and the neighbours are built
-    here; each slice's cliques are walked as the iterator reaches it.
+    w_i = -sum_(j != i) w_j >= -sum_(j != i) c_j = c_i - sum(c).  The box
+    [lo, top], with lo_i the least c_i - sum(c) and ``top`` the
+    componentwise max over the degrees, holds every slice.  Its points are
+    sorted by w once, and bit k of a mask stands for the k-th of them.  A
+    slice is the AND over i of the masks of points with w_i <= c_i.  Each
+    vertex w of a slice has w <= c, so a face's label is c exactly when
+    every coordinate i is hit: some vertex of the face has w_i = c_i.  The
+    walk cuts there by or-ing per-vertex bitmasks of the coordinates hit.
+    The box, the masks and the neighbours are built here; each slice's
+    cliques are walked as the iterator reaches it.
     """
     degs = [tuple(c) for c in degs]
     top = tuple(map(max, zip(*degs)))
-    total = sum(top)
-    lo = tuple(t - total for t in top)
+    lo = tuple(map(min, zip(*([x - sum(c) for x in c] for c in degs))))
     ws = sorted(lattice_points_in_box(g, lo, top))
     index = {w: k for k, w in enumerate(ws)}
-
-    # at_most[i][t]: the points with w_i <= lo_i + t
-    at_most = []
-    for i in range(g.n):
-        cum = [0] * (total + 1)
-        for k, w in enumerate(ws):
-            cum[w[i] - lo[i]] |= 1 << k
-        for t in range(1, total + 1):
-            cum[t] |= cum[t - 1]
-        at_most.append(cum)
-    masks = []
-    for c in degs:
-        mask = (1 << len(ws)) - 1
-        for i, cum in enumerate(at_most):
-            t = c[i] - lo[i]
-            mask &= cum[t] if t >= 0 else 0
-        masks.append(mask)
+    at_most = _at_most(ws)
+    masks = [_below(at_most, c, (1 << len(ws)) - 1) for c in degs]
 
     # The neighbours of each point in some slice.  Tropical distance 1
     # means v' - v = e_I modulo the all-ones vector for a proper non-empty
@@ -255,7 +294,8 @@ def apt_region(g: Multigraph, degs, images):
         pos = {k: a for a, k in enumerate(idx)}
         local = [sum(1 << pos[j] for j in _bits(nbrs[k] & mask)) for k in idx]
         labels = tuple(ws[k] for k in idx)
-        faces = _cliques(local, labels, (1 << len(idx)) - 1, c)
+        hits = [sum(1 << i for i, (x, y) in enumerate(zip(w, c)) if x == y) for w in labels]
+        faces = _cliques(local, hits, (1 << len(idx)) - 1, (1 << len(c)) - 1, or_)
         return LabeledComplex(labels, tuple(f for f, _ in faces))
 
     return map(cut, degs, masks)
@@ -276,24 +316,41 @@ def homology_ranks(c: LabeledComplex, char: int = 0) -> dict:
     H_(-1) is 0.  v is the vertex in the most faces, the lowest on a tie,
     so only the faces outside its star are ranked.  The faces must be
     closed under taking faces: a facet of a cell that is neither a cell nor
-    in the link raises ``ValueError``.
+    in the link, a link face that is not a face, and a link face with a
+    facet outside the link raise ``ValueError``.
     """
     check_char(char)
     if not c.faces:
         return {-1: 1}
     counts = Counter(chain.from_iterable(c.faces))
     v = min(counts, key=lambda u: (-counts[u], u))
-    link, rest = set(), []
+    link, rest = {}, []
     for f in c.faces:
         if v in f:
             i = f.index(v)
-            link.add(f[:i] + f[i + 1 :])
+            link[f[:i] + f[i + 1 :]] = f
         else:
             rest.append(f)
     cells = [[] for _ in range(max(map(len, c.faces)))]
+    linked = 0
     for f in rest:
-        if f not in link:
+        if f in link:
+            linked += 1
+        else:
             cells[len(f) - 1].append(f)
+    # A face s + v of the star has the facets s and (s - u) + v, so every
+    # non-empty link face is a face outside the star, and the link is
+    # closed under taking facets.
+    if linked < len(link) - (() in link):
+        outside = set(rest)
+        s = next(s for s in link if s and s not in outside)
+        raise ValueError(f"face {s} of {link[s]} is not in the complex")
+    missing = set(chain.from_iterable(combinations(s, len(s) - 1) for s in link if s))
+    missing.difference_update(link)
+    if missing:
+        sub = min(missing)
+        s = next(s for s in link if len(s) == len(sub) + 1 and set(sub) < set(s))
+        raise ValueError(f"face {tuple(sorted(sub + (v,)))} of {link[s]} is not in the complex")
 
     # ranks[d]: rank of the relative boundary from dimension d to d - 1;
     # nothing lies below the vertices or above the top.
@@ -394,12 +451,11 @@ def conjecture_check(g: Multigraph, char: int = 0) -> dict:
     n = g.n
     grp = divisor_class_group(g)
 
-    # Parking side: the distinct barycentric face labels, as the walk over
-    # the barycentric graph yields them, and the homology below each.
+    # Parking side: the distinct barycentric face labels, kept from the one
+    # walk that built the complex, and the homology below each.
     bary = bary_complex(g)
-    every = (1 << len(bary.vertex_labels)) - 1
     by_key, bsums = {}, {}
-    for c in sorted({lab for _, lab in _cliques(bary.neighbours, bary.vertex_labels, every)}):
+    for c in sorted(set(bary.face_labels)):
         k = (sum(c), grp.class_of(c))
         by_key.setdefault(k, []).append(c)
         bsum = bsums.setdefault(k, {})

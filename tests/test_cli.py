@@ -298,6 +298,15 @@ def test_toppling_side_output_is_unchanged(capsys, graph, name, argv):
     assert code == 0 and out == expected
 
 
+@pytest.mark.parametrize("name, argv", [("conjecture", ()), ("conjecture_char2", ("--char", "2"))])
+def test_saturated_conjecture_report_is_unchanged(capsys, name, argv):
+    # rsat5 is conftest's random_saturated(Random(16), 5); both reports were
+    # recorded while sub_below still re-walked the barycentric graph per degree
+    expected = (DATA / f"rsat5.{name}.json").read_text()
+    code, out, _ = _run(capsys, "conjecture", str(DATA / "rsat5.graph"), *argv)
+    assert code == 0 and out == expected
+
+
 @pytest.mark.parametrize("graph", ["prism", "c4", "k4", "chain", "sat5"])
 def test_parking_side_output_is_unchanged(capsys, graph):
     # recorded from the homology of the barycentric subcomplexes, before the

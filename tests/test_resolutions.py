@@ -5,9 +5,11 @@ import random
 from functools import reduce
 from itertools import combinations
 from math import factorial
+from operator import or_
 
 import pytest
 
+from chipalg import resolutions
 from chipalg.chipfiring import connected_flags, lattice_points_in_box, lattice_socle_base
 from chipalg.exactla import solve_integer
 from chipalg.monomials import divides, lcm_exp, vec_add
@@ -205,10 +207,52 @@ def test_sub_below_matches_full_scan():
     assert sub_below(cases[1][0], cases[1][1][-1]).faces == ()
 
 
+def _edge_nbrs(c) -> list:
+    """Neighbour bitmask of each vertex along the edges of ``c``."""
+    nbrs = [0] * len(c.vertex_labels)
+    for f in c.faces:
+        if len(f) == 2:
+            a, b = f
+            nbrs[a] |= 1 << b
+            nbrs[b] |= 1 << a
+    return nbrs
+
+
+def _walk_below(c, deg) -> tuple:
+    """Reference for sub_below on a flag complex: the cut walk over the
+    edges of ``c``, rooted at the vertices whose label divides deg and cut
+    where the lcm label reaches deg."""
+    deg = tuple(deg)
+    roots = sum(1 << v for v, lab in enumerate(c.vertex_labels) if divides(lab, deg))
+    return tuple(f for f, _ in _cliques(_edge_nbrs(c), c.vertex_labels, roots, deg))
+
+
+def test_sub_below_matches_cut_walk():
+    """sub_below keeps the faces of the cut walk, in the same order, below
+    every distinct barycentric label of the data graphs and of seeded
+    random 5-node graphs, from the labels bary_complex kept and from labels
+    derived from the faces alike."""
+    rng = random.Random(16)
+    graphs = [parse_graph((DATA / f"{name}.graph").read_text()) for name in ("c4", "k4", "prism", "sat5")]
+    graphs += [random_connected(rng, 5, max_mult=3) for _ in range(3)]
+    graphs += [random_saturated(rng, 5) for _ in range(3)]
+    cut = 0
+    for g in graphs:
+        bary = bary_complex(g)
+        assert bary.face_labels == tuple(face_label(bary, f) for f in bary.faces)
+        bare = LabeledComplex(bary.vertex_labels, bary.faces)
+        for c in sorted(set(bary.face_labels)):
+            want = _walk_below(bary, c)
+            assert sub_below(bary, c).faces == want == sub_below(bare, c).faces
+            cut += 1
+    assert cut > 500
+
+
 def test_cliques_match_brute_force():
     """The walk yields every clique within the roots whose label is not the
     cut, each with its lcm label, in lexicographic order; the uncut walk
-    yields every non-empty clique."""
+    yields every non-empty clique.  Cutting on the coordinates that reach
+    the cut, joined by bitwise or, yields the same faces."""
     rng = random.Random(26)
     walked = 0
     for _ in range(40):
@@ -229,6 +273,10 @@ def test_cliques_match_brute_force():
             want = [(f, lab) for f, lab in cliques if all(roots >> v & 1 for v in f) and lab != cut]
             got = list(_cliques(nbrs, labels, roots, cut))
             assert got == want
+            # below the cut, a label is the cut when every coordinate is hit
+            hits = [sum(1 << i for i in range(nvars) if lab[i] == cut[i]) for lab in labels]
+            by_hits = _cliques(nbrs, hits, roots, (1 << nvars) - 1, or_)
+            assert [f for f, _ in by_hits] == [f for f, _ in want]
             walked += len(got)
     assert walked > 500
 
@@ -342,12 +390,20 @@ def test_cone_and_suspension_homology():
 
 
 def test_homology_rejects_faces_not_closed():
-    """A triangle over a missing edge, away from the busiest vertex 3."""
-    faces = ((0,), (1,), (2,), (3,), (4,), (5,), (6,), (0, 2), (1, 2), (0, 1, 2),
-             (3, 4), (3, 5), (3, 6), (4, 5), (3, 4, 5))
-    c = LabeledComplex(tuple((v,) for v in range(7)), faces)
-    with pytest.raises(ValueError, match=r"\(0, 1\)"):
-        homology_ranks(c)
+    """A triangle over a missing edge (0, 1): away from the busiest vertex
+    3; inside the star of the busiest vertex 2, where (0, 1) is a link face;
+    and inside the star of the busiest vertex 0, where (1,) is a link face
+    but (1, 2) has it as a facet."""
+    labels = tuple((v,) for v in range(7))
+    cases = [
+        ((0,), (1,), (2,), (3,), (4,), (5,), (6,), (0, 2), (1, 2), (0, 1, 2),
+         (3, 4), (3, 5), (3, 6), (4, 5), (3, 4, 5)),
+        ((0,), (1,), (2,), (0, 2), (1, 2), (0, 1, 2)),
+        ((0,), (1,), (2,), (3,), (0, 2), (0, 3), (1, 2), (1, 3), (0, 1, 2)),
+    ]
+    for faces in cases:
+        with pytest.raises(ValueError, match=r"face \(0, 1\) of \(0, 1, 2\)"):
+            homology_ranks(LabeledComplex(labels, faces))
 
 
 def test_betti_tables_k4(k4_graph):
@@ -532,6 +588,22 @@ def test_apartment_slices_match_own_boxes():
                 (got,) = apt_region(g, [deg], images)
                 assert got == _apt_region_own_box(g, deg)
     assert nonempty > 1000
+
+
+def test_conjecture_walks_barycentric_graph_once(monkeypatch):
+    """The parking side reads its labels off the complex that bary_complex
+    walked, and sub_below cuts without walking."""
+    g = prism()
+    bary_nbrs = _edge_nbrs(bary_complex(g))
+    walk, walked = resolutions._cliques, []
+
+    def counting(nbrs, *args):
+        walked.append(nbrs == bary_nbrs)
+        return walk(nbrs, *args)
+
+    monkeypatch.setattr(resolutions, "_cliques", counting)
+    assert conjecture_check(g)["pass"]
+    assert sum(walked) == 1 and len(walked) > 100
 
 
 def test_conjecture_check_small_graphs():
