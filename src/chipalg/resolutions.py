@@ -9,27 +9,32 @@ lattice classes under the tropical metric.  A flag complex is given by one
 neighbour bitmask per vertex, and one walk (``_cliques``) lists the faces
 of both, each clique with the join of its vertex labels: their lcm for a
 whole complex, and for an apartment slice the bitwise or of the
-coordinates each vertex hits, cut where every coordinate is hit.  Slices
-are cut by per-coordinate bitmasks (``_at_most``): ``bary_complex`` keeps
-each face's label from its walk, and ``sub_below`` ANDs the masks of the
-faces with label_i <= c_i and drops those labelled exactly c.
-``apt_region`` builds one lattice box and ANDs the masks of its points
-below each degree before walking the slice.  ``homology_ranks``
-collapses the star of the vertex in the most faces, a cone, and ranks only
-the relative boundaries of the faces outside it.  ``cyc_partitions`` lists
-the cyclically ordered partitions of [n], which index the paper's free
-complex.
+coordinates each vertex hits, cut where every coordinate is hit.  Both
+sides start from one origin table (``_subset_images``): the proper
+non-empty subsets I of [n], their L e_I and their inclusion graph.  Its
+labels lcm(0, L e_I) on the subsets that avoid n are the parking
+generators, so ``bary_complex`` walks the graph from those subsets and the
+toppling class table walks it from all of them.  Slices are cut by
+per-coordinate bitmasks (``_at_most``): ``bary_complex`` keeps each face's
+label from its walk, and ``sub_below`` ANDs the masks of the faces with
+label_i <= c_i and drops those labelled exactly c.  ``apt_region`` builds
+one lattice box, ANDs the masks of its points below each degree, and walks
+the slice on the box's neighbour masks, so its faces index the box.
+``homology_ranks`` collapses the star of the vertex in the most faces, a
+cone, and ranks only the relative boundaries of the faces outside it.
+``cyc_partitions`` lists the cyclically ordered partitions of [n], which
+index the paper's free complex.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import chain, combinations
 from operator import or_
 
-from .chipfiring import _arrow, _bits, connected_flags, lattice_points_in_box
+from .chipfiring import _bits, connected_flags, lattice_points_in_box
 from .exactla import check_char
 from .kernels import sparse_rank
 from .monomials import lcm_exp, vec_add
@@ -116,11 +121,12 @@ def cyc_partitions(n: int, k: int) -> list:
 class LabeledComplex:
     """Simplicial complex with exponent-vector labels on the vertices.
 
-    ``faces`` contains every face as a sorted tuple of vertex indices
-    (singletons included); a face's label is the lcm of its vertex labels.
-    ``face_labels``, in the order of ``faces``, may be passed by a builder
-    that already has them; otherwise they are derived from the faces when
-    ``sub_below`` first cuts the complex.
+    ``vertex_labels`` is the table the faces index into, and may hold
+    entries no face uses; ``faces`` contains every face as a sorted tuple of
+    vertex indices (singletons included), and a face's label is the lcm of
+    its vertex labels.  ``face_labels``, in the order of ``faces``, come
+    from the builder that walked the faces; ``sub_below`` cuts only a
+    complex that has them.
     """
 
     vertex_labels: tuple
@@ -131,11 +137,7 @@ class LabeledComplex:
     def _face_masks(self) -> list:
         """The ``_at_most`` masks of the face labels, bit k for the k-th
         face."""
-        labels = self.face_labels
-        if labels is None:
-            vl = self.vertex_labels
-            labels = [reduce(lcm_exp, (vl[v] for v in f)) for f in self.faces]
-        return _at_most(labels)
+        return _at_most(self.face_labels)
 
 
 def _at_most(points) -> list:
@@ -203,17 +205,34 @@ def _inclusion_graph(subsets) -> list:
     ]
 
 
-def bary_complex(g: Multigraph) -> LabeledComplex:
-    """Barycentric subdivision of the (n-2)-simplex: vertices are the
-    non-empty subsets I of [n-1] labeled x^(I -> [n] minus I), faces are
-    chains of subsets, each with the label the walk computed for it."""
+def _subset_images(g: Multigraph) -> tuple:
+    """The origin table: the proper non-empty subsets I of [n], by size and
+    then lexicographically, the Laplacian images L e_I of their indicator
+    vectors, and their ``_inclusion_graph``.  Both sides of ``conjecture``
+    read it: ``bary_complex`` walks the subsets that avoid n,
+    ``_zero_incident_labels`` walks them all, and ``apt_region`` steps by
+    the images."""
     n = g.n
-    subsets = [s for size in range(1, n) for s in combinations(range(1, n), size)]
-    labels = tuple(
-        _arrow(g, s, tuple(k for k in range(1, n + 1) if k not in s))
-        for s in subsets
-    )
-    flags = list(_cliques(_inclusion_graph(subsets), labels, (1 << len(subsets)) - 1))
+    lam = laplacian(g)
+    subsets = [s for size in range(1, n) for s in combinations(range(1, n + 1), size)]
+    imgs = [lam.mul_vec(tuple(int(i + 1 in s) for i in range(n))) for s in subsets]
+    return subsets, imgs, _inclusion_graph(subsets)
+
+
+def bary_complex(g: Multigraph, images) -> LabeledComplex:
+    """Barycentric subdivision of the (n-2)-simplex: vertices are the
+    non-empty subsets I of [n-1], faces are chains of subsets, each with the
+    label the walk computed for it.
+
+    ``images`` is the origin table from ``_subset_images``, and the faces
+    index it.  Vertex I is labelled lcm(0, L e_I): entry i of L e_I counts
+    the edges from i to [n] minus I when i lies in I and is <= 0 otherwise,
+    so the label is the parking generator x^(I -> [n] minus I).
+    """
+    subsets, imgs, nbrs = images
+    labels = tuple(lcm_exp((0,) * g.n, d) for d in imgs)
+    roots = sum(1 << k for k, s in enumerate(subsets) if g.n not in s)
+    flags = list(_cliques(nbrs, labels, roots))
     return LabeledComplex(labels, tuple(f for f, _ in flags), tuple(lab for _, lab in flags))
 
 
@@ -239,24 +258,16 @@ def sub_below(c: LabeledComplex, deg) -> LabeledComplex:
     return LabeledComplex(c.vertex_labels, tuple(c.faces[k] for k in _bits(keep ^ exact)))
 
 
-def _subset_images(g: Multigraph) -> tuple:
-    """The proper non-empty subsets I of [n], by size, and the Laplacian
-    images of their indicator vectors e_I."""
-    n = g.n
-    lam = laplacian(g)
-    subsets = [s for size in range(1, n) for s in combinations(range(1, n + 1), size)]
-    return subsets, [lam.mul_vec(tuple(int(i + 1 in s) for i in range(n))) for s in subsets]
-
-
 def apt_region(g: Multigraph, degs, images):
     """Slice the apartment complex below each degree c of ``degs`` from one
     lattice box, and return an iterator over the slices in turn.
 
     A slice's vertices are the lattice classes v (normalized v_n = 0) with
-    Laplacian@v <= c componentwise, labeled by Laplacian@v and sorted by
-    label; its faces are the cliques of pairwise tropical distance <= 1
-    whose lcm label properly divides x^c.  ``images`` are the subsets and
-    their Laplacian images from ``_subset_images``.
+    Laplacian@v <= c componentwise, labeled by Laplacian@v; its faces are
+    the cliques of pairwise tropical distance <= 1 whose lcm label properly
+    divides x^c.  Every slice's ``vertex_labels`` is the whole box, sorted,
+    and its faces index it.  ``images`` is the origin table from
+    ``_subset_images``, whose Laplacian images are the steps of distance 1.
 
     Laplacian images sum to 0, so a lattice vector w <= c has
     w_i = -sum_(j != i) w_j >= -sum_(j != i) c_j = c_i - sum(c).  The box
@@ -268,12 +279,13 @@ def apt_region(g: Multigraph, degs, images):
     every coordinate i is hit: some vertex of the face has w_i = c_i.  The
     walk cuts there by or-ing per-vertex bitmasks of the coordinates hit.
     The box, the masks and the neighbours are built here; each slice's
-    cliques are walked as the iterator reaches it.
+    cliques are walked on the box's neighbour masks, rooted at the slice's
+    mask, as the iterator reaches it.
     """
     degs = [tuple(c) for c in degs]
     top = tuple(map(max, zip(*degs)))
     lo = tuple(map(min, zip(*([x - sum(c) for x in c] for c in degs))))
-    ws = sorted(lattice_points_in_box(g, lo, top))
+    ws = tuple(sorted(lattice_points_in_box(g, lo, top)))
     index = {w: k for k, w in enumerate(ws)}
     at_most = _at_most(ws)
     masks = [_below(at_most, c, (1 << len(ws)) - 1) for c in degs]
@@ -281,7 +293,7 @@ def apt_region(g: Multigraph, degs, images):
     # The neighbours of each point in some slice.  Tropical distance 1
     # means v' - v = e_I modulo the all-ones vector for a proper non-empty
     # I, that is, w' - w is the image of e_I.
-    _, imgs = images
+    _, imgs, _ = images
     union = 0
     for mask in masks:
         union |= mask
@@ -290,13 +302,9 @@ def apt_region(g: Multigraph, degs, images):
         nbrs[k] = sum(1 << j for j in (index.get(vec_add(ws[k], d)) for d in imgs) if j is not None)
 
     def cut(c, mask):
-        idx = _bits(mask)
-        pos = {k: a for a, k in enumerate(idx)}
-        local = [sum(1 << pos[j] for j in _bits(nbrs[k] & mask)) for k in idx]
-        labels = tuple(ws[k] for k in idx)
-        hits = [sum(1 << i for i, (x, y) in enumerate(zip(w, c)) if x == y) for w in labels]
-        faces = _cliques(local, hits, (1 << len(idx)) - 1, (1 << len(c)) - 1, or_)
-        return LabeledComplex(labels, tuple(f for f, _ in faces))
+        hits = {k: sum(1 << i for i, (x, y) in enumerate(zip(ws[k], c)) if x == y) for k in _bits(mask)}
+        faces = _cliques(nbrs, hits, mask, (1 << len(c)) - 1, or_)
+        return LabeledComplex(ws, tuple(f for f, _ in faces))
 
     return map(cut, degs, masks)
 
@@ -384,17 +392,18 @@ def _zero_incident_labels(g: Multigraph, images) -> dict:
     Faces at the origin correspond to flags of proper non-empty subsets I of
     [n] (the neighbors are the classes of the indicator vectors e_I, labeled
     L e_I), the empty flag being the origin itself; every label orbit has
-    such a representative by translation.  ``images`` are the subsets and
-    their L e_I from ``_subset_images``.  Each class keeps the first label
-    met with the flags in lexicographic pre-order, the empty flag first;
-    each distinct label is classified once, at its first flag.
+    such a representative by translation.  ``images`` is the origin table
+    from ``_subset_images``, whose inclusion graph is walked from every
+    subset.  Each class keeps the first label met with the flags in
+    lexicographic pre-order, the empty flag first; each distinct label is
+    classified once, at its first flag.
     """
-    subsets, imgs = images
+    subsets, imgs, nbrs = images
     grp = divisor_class_group(g)
     zero = (0,) * g.n
     table = {(0, grp.class_of(zero)): zero}
     labels = [lcm_exp(zero, d) for d in imgs]  # each flag's label includes the origin's
-    flags = _cliques(_inclusion_graph(subsets), labels, (1 << len(subsets)) - 1)
+    flags = _cliques(nbrs, labels, (1 << len(subsets)) - 1)
     for lab in dict.fromkeys(lab for _, lab in flags):
         table.setdefault((sum(lab), grp.class_of(lab)), lab)
     return table
@@ -453,7 +462,8 @@ def conjecture_check(g: Multigraph, char: int = 0) -> dict:
 
     # Parking side: the distinct barycentric face labels, kept from the one
     # walk that built the complex, and the homology below each.
-    bary = bary_complex(g)
+    images = _subset_images(g)
+    bary = bary_complex(g, images)
     by_key, bsums = {}, {}
     for c in sorted(set(bary.face_labels)):
         k = (sum(c), grp.class_of(c))
@@ -464,7 +474,6 @@ def conjecture_check(g: Multigraph, char: int = 0) -> dict:
 
     # Toppling side: the apartment slice below each label of the class
     # table, in ascending label order.
-    images = _subset_images(g)
     rows = sorted(_zero_incident_labels(g, images).items(), key=lambda kc: kc[1])
     slices = apt_region(g, [c for _, c in rows], images)
     apt = {k: (c, homology_ranks(region, char)) for (k, c), region in zip(rows, slices)}

@@ -164,7 +164,7 @@ def test_criterion_5_chain_graph_slices():
     ok = gens == {("x1^2", "x2^2"), ("x2", "x3"), ("x3^3", "x4^3")}
     ok &= set(parking_ideal(g).generators) == {(2, 0, 0), (0, 1, 0), (0, 0, 3)}
     deg = (2, 0, 3, 0)
-    bary = sub_below(bary_complex(g), deg)
+    bary = sub_below(bary_complex(g, _subset_images(g)), deg)
     ok &= len(bary.faces) == 2 and all(len(f) == 1 for f in bary.faces)
     ok &= {face_label(bary, f) for f in bary.faces} == {(2, 0, 0, 0), (0, 0, 3, 0)}
     ok &= homology_ranks(bary)[0] == 1

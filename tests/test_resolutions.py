@@ -10,7 +10,7 @@ from operator import or_
 import pytest
 
 from chipalg import resolutions
-from chipalg.chipfiring import connected_flags, lattice_points_in_box, lattice_socle_base
+from chipalg.chipfiring import _arrow, connected_flags, lattice_points_in_box, lattice_socle_base
 from chipalg.exactla import solve_integer
 from chipalg.monomials import divides, lcm_exp, vec_add
 from chipalg.multigraph import laplacian, parse_graph
@@ -18,6 +18,7 @@ from chipalg.resolutions import (
     LabeledComplex,
     OrderedPartition,
     _cliques,
+    _inclusion_graph,
     _subset_images,
     _zero_incident_labels,
     apt_region,
@@ -142,10 +143,51 @@ def test_graded_consistency_of_boundaries(k4_graph):
 
 
 def test_bary_complex_shape(k4_graph):
-    bary = bary_complex(k4_graph)
-    assert len(bary.vertex_labels) == 2 ** 3 - 1
+    bary = bary_complex(k4_graph, _subset_images(k4_graph))
+    # the origin table holds the 14 proper non-empty subsets of [4]; the 7
+    # that avoid 4 are the vertices
+    assert len(bary.vertex_labels) == 2 ** 4 - 2
+    assert len({v for f in bary.faces for v in f}) == 2 ** 3 - 1
     # barycentric subdivision of the 2-simplex: 7 vertices, 12 edges, 6 triangles
     assert face_counts(bary) == (7, 12, 6)
+
+
+def _old_bary_complex(g) -> tuple:
+    """Reference for bary_complex: the non-empty subsets of [n-1] by size
+    and then lexicographically, labelled x^(I -> [n] minus I) by ``_arrow``,
+    and the flags of their own inclusion graph with their lcm labels."""
+    n = g.n
+    subsets = [s for size in range(1, n) for s in combinations(range(1, n), size)]
+    labels = [_arrow(g, s, tuple(k for k in range(1, n + 1) if k not in s)) for s in subsets]
+    flags = list(_cliques(_inclusion_graph(subsets), labels, (1 << len(subsets)) - 1))
+    return subsets, labels, flags
+
+
+def test_bary_complex_matches_own_subsets():
+    """bary_complex, walked over the origin table from the subsets that
+    avoid n, equals the barycentric complex built over the subsets of
+    [n-1] alone, face for face as flags of subsets and in the same order,
+    with the same face labels; and lcm(0, L e_I) is x^(I -> [n] minus I)
+    for every non-empty I avoiding n."""
+    rng = random.Random(27)
+    graphs = [parse_graph((DATA / f"{name}.graph").read_text()) for name in ("c4", "k4", "chain", "prism", "sat5")]
+    for n in range(1, 7):
+        graphs.append(random_connected(rng, n, max_mult=3 if n < 6 else 1))
+        if n > 1:
+            graphs.append(random_saturated(rng, n))
+    faces = 0
+    for g in graphs:
+        images = _subset_images(g)
+        table, imgs, _ = images
+        bary = bary_complex(g, images)
+        subsets, labels, flags = _old_bary_complex(g)
+        for s, lab in zip(subsets, labels, strict=True):
+            k = table.index(s)
+            assert lcm_exp((0,) * g.n, imgs[k]) == bary.vertex_labels[k] == lab
+        assert [tuple(table[k] for k in f) for f in bary.faces] == [tuple(subsets[k] for k in f) for f, _ in flags]
+        assert bary.face_labels == tuple(lab for _, lab in flags)
+        faces += len(flags)
+    assert faces > 1000
 
 
 def _rp2() -> LabeledComplex:
@@ -175,7 +217,8 @@ def _octahedron(rng) -> LabeledComplex:
     faces = [f for k in (1, 2, 3) for f in combinations(range(6), k)
              if len({v // 2 for v in f}) == k]
     labels = tuple(tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(6))
-    return LabeledComplex(labels, tuple(sorted(faces)))
+    faces = tuple(sorted(faces))
+    return LabeledComplex(labels, faces, tuple(reduce(lcm_exp, (labels[v] for v in f)) for f in faces))
 
 
 def _scan_below(labeled, deg):
@@ -192,7 +235,7 @@ def test_sub_below_matches_full_scan():
     cases = [(octahedron, degrees + [tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(10)])]
     for n, saturated in ((3, False), (3, True), (4, False), (4, True), (5, False), (5, True), (6, False)):
         g = random_saturated(rng, n) if saturated else random_connected(rng, n, max_mult=3)
-        bary = bary_complex(g)
+        bary = bary_complex(g, _subset_images(g))
         degrees = sorted({face_label(bary, f) for f in bary.faces})
         top = [max(c[i] for c in degrees) for i in range(n)]
         degrees += [tuple(rng.randint(0, t + 1) for t in top) for _ in range(10)]
@@ -220,30 +263,28 @@ def _edge_nbrs(c) -> list:
 
 def _walk_below(c, deg) -> tuple:
     """Reference for sub_below on a flag complex: the cut walk over the
-    edges of ``c``, rooted at the vertices whose label divides deg and cut
-    where the lcm label reaches deg."""
+    edges of ``c``, rooted at the vertices of ``c`` whose label divides deg
+    and cut where the lcm label reaches deg."""
     deg = tuple(deg)
-    roots = sum(1 << v for v, lab in enumerate(c.vertex_labels) if divides(lab, deg))
+    verts = {v for f in c.faces for v in f}
+    roots = sum(1 << v for v in verts if divides(c.vertex_labels[v], deg))
     return tuple(f for f, _ in _cliques(_edge_nbrs(c), c.vertex_labels, roots, deg))
 
 
 def test_sub_below_matches_cut_walk():
     """sub_below keeps the faces of the cut walk, in the same order, below
     every distinct barycentric label of the data graphs and of seeded
-    random 5-node graphs, from the labels bary_complex kept and from labels
-    derived from the faces alike."""
+    random 5-node graphs, from the labels bary_complex kept."""
     rng = random.Random(16)
     graphs = [parse_graph((DATA / f"{name}.graph").read_text()) for name in ("c4", "k4", "prism", "sat5")]
     graphs += [random_connected(rng, 5, max_mult=3) for _ in range(3)]
     graphs += [random_saturated(rng, 5) for _ in range(3)]
     cut = 0
     for g in graphs:
-        bary = bary_complex(g)
+        bary = bary_complex(g, _subset_images(g))
         assert bary.face_labels == tuple(face_label(bary, f) for f in bary.faces)
-        bare = LabeledComplex(bary.vertex_labels, bary.faces)
         for c in sorted(set(bary.face_labels)):
-            want = _walk_below(bary, c)
-            assert sub_below(bary, c).faces == want == sub_below(bare, c).faces
+            assert sub_below(bary, c).faces == _walk_below(bary, c)
             cut += 1
     assert cut > 500
 
@@ -351,9 +392,9 @@ def _data_slices() -> list:
     out = []
     for name in ("c4", "k4", "chain", "prism", "sat5"):
         g = parse_graph((DATA / f"{name}.graph").read_text())
-        bary = bary_complex(g)
-        out += [sub_below(bary, c) for c in sorted({face_label(bary, f) for f in bary.faces})]
         images = _subset_images(g)
+        bary = bary_complex(g, images)
+        out += [sub_below(bary, c) for c in sorted({face_label(bary, f) for f in bary.faces})]
         out += apt_region(g, sorted(_zero_incident_labels(g, images).values()), images)
     return out
 
@@ -445,11 +486,11 @@ def _betti_table(n: int, pairs, shift: int, entries: list) -> dict:
 def _homology_tables(g, char):
     """The parking and the toppling Betti tables from the homology of the
     barycentric subcomplexes and of the apartment slices."""
-    bary = bary_complex(g)
+    images = _subset_images(g)
+    bary = bary_complex(g, images)
     degrees = sorted({face_label(bary, f) for f in bary.faces})
     below = ((c, homology_ranks(sub_below(bary, c), char)) for c in degrees)
     parking = _betti_table(g.n, below, 2, [((0,) * g.n, 0, 1)])
-    images = _subset_images(g)
     labels = sorted(_zero_incident_labels(g, images).values())
     slices = apt_region(g, labels, images)
     slices = ((c, homology_ranks(region, char)) for c, region in zip(labels, slices))
@@ -503,7 +544,7 @@ def test_chain_graph_example():
     assert set(parking_ideal(g).generators) == {(2, 0, 0), (0, 1, 0), (0, 0, 3)}
     # one minimal first syzygy in degree (2,0,3,0)
     deg = (2, 0, 3, 0)
-    bary = sub_below(bary_complex(g), deg)
+    bary = sub_below(bary_complex(g, _subset_images(g)), deg)
     verts = [f for f in bary.faces if len(f) == 1]
     assert len(verts) == 2 and len(bary.faces) == 2  # two isolated vertices
     labels = {face_label(bary, f) for f in verts}
@@ -561,11 +602,16 @@ def _apt_region_own_box(g, deg) -> LabeledComplex:
     return LabeledComplex(labels, tuple(faces))
 
 
+def _points(c) -> tuple:
+    """The faces of ``c``, each as its tuple of vertex labels."""
+    return tuple(tuple(c.vertex_labels[v] for v in f) for f in c.faces)
+
+
 def test_apartment_slices_match_own_boxes():
     """Every slice that apt_region cuts from the one box over the join of
     the zero-incident labels equals the slice from the label's own box,
-    vertices and faces in the same order; so does the one slice of a degree
-    that is not a label."""
+    each face as its tuple of lattice points and in the same order; so does
+    the one slice of a degree that is not a label."""
     rng = random.Random(24)
     graphs = [k4(), c4(), chain_graph()]
     for n in range(1, 7):
@@ -577,33 +623,54 @@ def test_apartment_slices_match_own_boxes():
         images = _subset_images(g)
         labels = sorted(_zero_incident_labels(g, images).values())
         for c, got in zip(labels, apt_region(g, labels, images), strict=True):
-            want = _apt_region_own_box(g, c)
-            assert got.vertex_labels == want.vertex_labels
-            assert got.faces == want.faces
+            assert _points(got) == _points(_apt_region_own_box(g, c))
             nonempty += bool(got.faces)
         if g.n < 6:
             top = tuple(map(max, zip(*labels)))
             for _ in range(5):
                 deg = tuple(rng.randint(-2, t + 1) for t in top)
                 (got,) = apt_region(g, [deg], images)
-                assert got == _apt_region_own_box(g, deg)
+                assert _points(got) == _points(_apt_region_own_box(g, deg))
     assert nonempty > 1000
 
 
-def test_conjecture_walks_barycentric_graph_once(monkeypatch):
-    """The parking side reads its labels off the complex that bary_complex
-    walked, and sub_below cuts without walking."""
+def test_conjecture_builds_one_inclusion_graph(monkeypatch):
+    """One conjecture_check builds one inclusion graph and walks it twice:
+    from the subsets that avoid n for the barycentric complex, and from
+    every subset for the class table; sub_below cuts without walking.
+    betti_toppling builds one inclusion graph too."""
     g = prism()
-    bary_nbrs = _edge_nbrs(bary_complex(g))
-    walk, walked = resolutions._cliques, []
+    subsets = _subset_images(g)[0]
+    avoid_n = sum(1 << k for k, s in enumerate(subsets) if g.n not in s)
+    build, walk, cut = resolutions._inclusion_graph, resolutions._cliques, resolutions.sub_below
+    built, walked, cutting = [], [], []
 
-    def counting(nbrs, *args):
-        walked.append(nbrs == bary_nbrs)
-        return walk(nbrs, *args)
+    def counting_build(subsets):
+        built.append(build(subsets))
+        return built[-1]
 
-    monkeypatch.setattr(resolutions, "_cliques", counting)
+    def counting_walk(nbrs, labels, roots, *args):
+        assert not cutting
+        if nbrs is built[0]:
+            walked.append(roots)
+        return walk(nbrs, labels, roots, *args)
+
+    def flagged_cut(*args):
+        cutting.append(True)
+        try:
+            return cut(*args)
+        finally:
+            cutting.pop()
+
+    monkeypatch.setattr(resolutions, "_inclusion_graph", counting_build)
+    monkeypatch.setattr(resolutions, "_cliques", counting_walk)
+    monkeypatch.setattr(resolutions, "sub_below", flagged_cut)
     assert conjecture_check(g)["pass"]
-    assert sum(walked) == 1 and len(walked) > 100
+    assert len(built) == 1
+    assert walked == [avoid_n, (1 << len(subsets)) - 1]
+    built.clear()
+    betti_toppling(g)
+    assert len(built) == 1
 
 
 def test_conjecture_check_small_graphs():
