@@ -3,6 +3,8 @@ and divisor rank on a multigraph.
 
 Node n is the distinguished node: lead monomials avoid x_n, parking
 functions live on x_1..x_{n-1}, and divisor reduction is taken at n.
+Each toppling binomial is the Laplacian move L e_I of a connected split
+(``multigraph.connected_splits``) cut into its positive and negative parts.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from functools import lru_cache
 from itertools import permutations
 
 from .monomials import MonomialIdeal, degree_plus, standard_monomials, vec_sub
-from .multigraph import GRAPH_CACHE_SIZE, Multigraph, Split, connected_splits, laplacian, tree_count
+from .multigraph import GRAPH_CACHE_SIZE, Multigraph, connected_splits, laplacian, tree_count
 
 __all__ = [
     "SplitBinomial",
@@ -33,10 +35,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SplitBinomial:
-    """The binomial x^(I->J) - x^(J->I) attached to a split; n lies in J,
-    so the lead side is the x_n-free one."""
+    """The binomial x^(I->J) - x^(J->I) of a split (I, J) with n in J, so
+    the lead side is the x_n-free one."""
 
-    split: Split
+    I: tuple
     lead: tuple  # exponents over [n]
     trail: tuple
 
@@ -45,26 +47,14 @@ class SplitBinomial:
             raise ValueError("split binomial must be homogeneous")
 
 
-def _arrow(g: Multigraph, I, J) -> tuple:
-    """Exponent vector over [n] of x^(I->J) = prod_{i in I} x_i^(sum_{k in J} u_ik)."""
-    out = [0] * g.n
-    for i in I:
-        out[i - 1] = sum(g.u(i, k) for k in J)
-    return tuple(out)
-
-
 def toppling_generators(g: Multigraph) -> list:
     """Minimal generating binomials of the toppling ideal: one per connected
-    split (I, J), each checked to be the Laplacian move L e_I."""
-    lam = laplacian(g)
-    out = []
-    for s in connected_splits(g):
-        b = SplitBinomial(s, _arrow(g, s.I, s.J), _arrow(g, s.J, s.I))
-        e_I = tuple(1 if i + 1 in s.I else 0 for i in range(g.n))
-        if vec_sub(b.lead, b.trail) != lam.mul_vec(e_I):
-            raise AssertionError("split binomial does not represent the Laplacian move")
-        out.append(b)
-    return out
+    split (I, J), whose L e_I has positive part x^(I->J) and negative part
+    x^(J->I)."""
+    return [
+        SplitBinomial(I, tuple(max(x, 0) for x in d), tuple(max(-x, 0) for x in d))
+        for I, d in connected_splits(g)
+    ]
 
 
 def parking_ideal(g: Multigraph) -> MonomialIdeal:

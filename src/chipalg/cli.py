@@ -57,7 +57,7 @@ def _csv_ints(s):
 
 def _binomial_json(b):
     return {
-        "split_I": b.split.I,
+        "split_I": b.I,
         "lead": b.lead,
         "trail": b.trail,
         "text": f"{monomial_str(b.lead)} - {monomial_str(b.trail)}",

@@ -1,7 +1,9 @@
-"""Multigraphs, Laplacians, splits, and the divisor class group.
+"""Multigraphs, Laplacians, the subset table, and the divisor class group.
 
 Nodes are named 1..n; node n is the distinguished node (the sink) by
-convention throughout the package.
+convention throughout the package.  The subset table (``subset_images``)
+holds each proper non-empty subset I of [n] with its Laplacian move L e_I:
+the splits, the toppling binomials and the origin table are read off it.
 """
 
 from __future__ import annotations
@@ -17,11 +19,10 @@ GRAPH_CACHE_SIZE = 64
 
 __all__ = [
     "Multigraph",
-    "Split",
     "DivisorClassGroup",
     "laplacian",
     "tree_count",
-    "splits",
+    "subset_images",
     "connected_splits",
     "divisor_class_group",
     "div_class",
@@ -62,10 +63,6 @@ class Multigraph:
             m[j - 1][i - 1] += w
         return cls(n, tuple(tuple(r) for r in m))
 
-    def u(self, i: int, j: int) -> int:
-        """Edge multiplicity between nodes i and j (1-based)."""
-        return self.mult[i - 1][j - 1]
-
     def degree(self, i: int) -> int:
         return sum(self.mult[i - 1])
 
@@ -90,23 +87,6 @@ class Multigraph:
         perm[i - 1], perm[n - 1] = perm[n - 1], perm[i - 1]
         m = tuple(tuple(self.mult[perm[a]][perm[b]] for b in range(n)) for a in range(n))
         return Multigraph(n, m)
-
-
-@dataclass(frozen=True)
-class Split:
-    """A split (I, J) of [n]; the canonical side I avoids node n."""
-
-    I: tuple
-    J: tuple
-
-    def __post_init__(self):
-        if not self.I or not self.J or set(self.I) & set(self.J):
-            raise ValueError("split sides must be non-empty and disjoint")
-        n = max(self.J)
-        if set(self.I) | set(self.J) != set(range(1, n + 1)):
-            raise ValueError("split sides must cover [n]")
-        if n in self.I:
-            raise ValueError("canonical split has n on side J")
 
 
 def _connected(mult, nodes) -> bool:
@@ -140,26 +120,30 @@ def tree_count(g: Multigraph) -> int:
     return determinant(laplacian(g).delete_row_col(g.n - 1, g.n - 1))
 
 
-def splits(n: int):
-    """All 2**(n-1) - 1 canonical splits of [n], ordered by |I| then
-    lexicographically; a one-node graph has none."""
-    out = []
-    for size in range(1, n):
-        for I in combinations(range(1, n), size):
-            J = tuple(sorted(set(range(1, n + 1)) - set(I)))
-            out.append(Split(I, J))
-    return out
+def subset_images(g: Multigraph) -> list:
+    """The pairs (I, L e_I) over the proper non-empty subsets I of [n], by
+    |I| and then lexicographically.  Entry i of L e_I is the number of edges
+    from i to [n] minus I for i in I, and minus the number from i to I
+    otherwise.  A one-node graph has none."""
+    rows = laplacian(g).to_rows()
+    return [
+        (I, tuple(sum(row[i - 1] for i in I) for row in rows))
+        for size in range(1, g.n)
+        for I in combinations(range(1, g.n + 1), size)
+    ]
 
 
-def connected_splits(g: Multigraph):
-    """Splits whose both induced subgraphs are connected."""
-    out = []
-    for s in splits(g.n):
-        if _connected(g.mult, [i - 1 for i in s.I]) and _connected(
-            g.mult, [j - 1 for j in s.J]
-        ):
-            out.append(s)
-    return out
+def connected_splits(g: Multigraph) -> list:
+    """The pairs (I, L e_I) of ``subset_images`` with n not in I and both I
+    and [n] minus I inducing connected subgraphs, in the table's order."""
+    n = g.n
+    return [
+        (I, d)
+        for I, d in subset_images(g)
+        if n not in I
+        and _connected(g.mult, [i - 1 for i in I])
+        and _connected(g.mult, [j for j in range(n) if j + 1 not in I])
+    ]
 
 
 @dataclass(frozen=True)

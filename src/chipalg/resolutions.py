@@ -10,9 +10,9 @@ neighbour bitmask per vertex, and one walk (``_cliques``) lists the faces
 of both, each clique with the join of its vertex labels: their lcm for a
 whole complex, and for an apartment slice the bitwise or of the
 coordinates each vertex hits, cut where every coordinate is hit.  Both
-sides start from one origin table (``_subset_images``): the proper
-non-empty subsets I of [n], their L e_I and their inclusion graph.  Its
-labels lcm(0, L e_I) on the subsets that avoid n are the parking
+sides start from one origin table (``_subset_images``): the subsets I and
+their L e_I from ``multigraph.subset_images``, and their inclusion graph.
+Its labels lcm(0, L e_I) on the subsets that avoid n are the parking
 generators, so ``bary_complex`` walks the graph from those subsets and the
 toppling class table walks it from all of them.  Slices are cut by
 per-coordinate bitmasks (``_at_most``): ``bary_complex`` keeps each face's
@@ -38,7 +38,7 @@ from .chipfiring import _bits, connected_flags, lattice_points_in_box
 from .exactla import check_char
 from .kernels import sparse_rank
 from .monomials import lcm_exp, vec_add
-from .multigraph import Multigraph, divisor_class_group, laplacian
+from .multigraph import Multigraph, divisor_class_group, subset_images
 
 __all__ = [
     "OrderedPartition",
@@ -206,17 +206,13 @@ def _inclusion_graph(subsets) -> list:
 
 
 def _subset_images(g: Multigraph) -> tuple:
-    """The origin table: the proper non-empty subsets I of [n], by size and
-    then lexicographically, the Laplacian images L e_I of their indicator
-    vectors, and their ``_inclusion_graph``.  Both sides of ``conjecture``
-    read it: ``bary_complex`` walks the subsets that avoid n,
-    ``_zero_incident_labels`` walks them all, and ``apt_region`` steps by
-    the images."""
-    n = g.n
-    lam = laplacian(g)
-    subsets = [s for size in range(1, n) for s in combinations(range(1, n + 1), size)]
-    imgs = [lam.mul_vec(tuple(int(i + 1 in s) for i in range(n))) for s in subsets]
-    return subsets, imgs, _inclusion_graph(subsets)
+    """The origin table: the subsets I and images L e_I of ``subset_images``
+    and their ``_inclusion_graph``.  ``bary_complex`` walks the subsets that
+    avoid n, ``_zero_incident_labels`` walks them all, and ``apt_region``
+    steps by the images."""
+    table = subset_images(g)
+    subsets = [I for I, _ in table]
+    return subsets, [d for _, d in table], _inclusion_graph(subsets)
 
 
 def bary_complex(g: Multigraph, images) -> LabeledComplex:
@@ -225,9 +221,8 @@ def bary_complex(g: Multigraph, images) -> LabeledComplex:
     label the walk computed for it.
 
     ``images`` is the origin table from ``_subset_images``, and the faces
-    index it.  Vertex I is labelled lcm(0, L e_I): entry i of L e_I counts
-    the edges from i to [n] minus I when i lies in I and is <= 0 otherwise,
-    so the label is the parking generator x^(I -> [n] minus I).
+    index it.  Vertex I is labelled lcm(0, L e_I), the positive part of
+    L e_I, which is the parking generator x^(I -> [n] minus I).
     """
     subsets, imgs, nbrs = images
     labels = tuple(lcm_exp((0,) * g.n, d) for d in imgs)
@@ -244,7 +239,10 @@ def sub_below(c: LabeledComplex, deg) -> LabeledComplex:
     t, built once per complex (``_at_most``); the faces below deg are the
     AND over i of the masks for t = deg_i.  Among those, a face is labelled
     exactly deg when no label_i is <= deg_i - 1, and those are dropped.
+    A complex without ``face_labels`` raises ``ValueError``.
     """
+    if c.face_labels is None:
+        raise ValueError("sub_below needs the complex's face_labels, and this complex has none")
     deg = tuple(deg)
     at_most = c._face_masks
     keep = _below(at_most, deg, (1 << len(c.faces)) - 1)

@@ -1,6 +1,6 @@
 """Shared fixtures: the named example graphs, random graph generators,
-graph oracles, the full-boundary homology oracle, and the cyclic-partition
-free complex."""
+graph oracles (the edge-sum monomials x^(I->J) among them), the
+full-boundary homology oracle, and the cyclic-partition free complex."""
 
 import random
 from dataclasses import dataclass
@@ -9,10 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from chipalg.chipfiring import _arrow
 from chipalg.kernels import sparse_rank
 from chipalg.monomials import MonomialIdeal, _minimize, lcm_exp, require_artinian, vec_add, vec_sub
-from chipalg.multigraph import Multigraph
+from chipalg.multigraph import Multigraph, parse_graph
 from chipalg.resolutions import LabeledComplex, OrderedPartition, cyc_partitions
 
 DATA = Path(__file__).parent / "data"
@@ -79,6 +78,18 @@ def random_connected(rng: random.Random, n: int, max_mult: int = 2) -> Multigrap
     return Multigraph.from_edges(n, edges)
 
 
+def data_and_seeded_graphs(seed: int) -> list:
+    """The data graphs c4, k4, chain, prism and sat5, then for n = 1-6 a
+    seeded connected graph and, for n > 1, a seeded saturated one."""
+    rng = random.Random(seed)
+    graphs = [parse_graph((DATA / f"{name}.graph").read_text()) for name in ("c4", "k4", "chain", "prism", "sat5")]
+    for n in range(1, 7):
+        graphs.append(random_connected(rng, n, max_mult=3 if n < 6 else 1))
+        if n > 1:
+            graphs.append(random_saturated(rng, n))
+    return graphs
+
+
 def all_connected_graphs(n: int, max_mult: int):
     """Every connected multigraph on n labeled nodes with bounded multiplicities."""
     from itertools import product
@@ -102,6 +113,28 @@ def format_graph(g: Multigraph) -> str:
             if g.mult[i][j]:
                 lines.append(f"edge {i + 1} {j + 1} {g.mult[i][j]}")
     return "\n".join(lines) + "\n"
+
+
+def _arrow(g: Multigraph, I, J) -> tuple:
+    """Exponent vector over [n] of x^(I->J) = prod_{i in I} x_i^(sum_{k in J} u_ik),
+    summed edge by edge."""
+    out = [0] * g.n
+    for i in I:
+        out[i - 1] = sum(g.mult[i - 1][k - 1] for k in J)
+    return tuple(out)
+
+
+def induces_connected(g: Multigraph, nodes) -> bool:
+    """Whether the non-empty node set (1-based) induces a connected
+    subgraph, by a search over its edges."""
+    nodes = set(nodes)
+    seen, stack = set(), [min(nodes)]
+    while stack:
+        v = stack.pop()
+        if v not in seen:
+            seen.add(v)
+            stack += [w for w in nodes if g.mult[v - 1][w - 1]]
+    return seen == nodes
 
 
 def face_label(c: LabeledComplex, face) -> tuple:
@@ -208,7 +241,7 @@ def flag_socle_oracle(g: Multigraph) -> dict:
             members.add(v)
             outside = [k for k in range(1, n + 1) if k not in members]
             for j in members:
-                exps[j - 1] = max(exps[j - 1], sum(g.u(j, k) for k in outside))
+                exps[j - 1] = max(exps[j - 1], sum(g.mult[j - 1][k - 1] for k in outside))
         out[perm] = tuple(e - 1 for e in exps)
     return out
 

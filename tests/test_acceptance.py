@@ -136,7 +136,7 @@ def test_criterion_3_saturated_parking_ideals_are_riemann_roch():
         prof = rr_profile(M)
         ok &= M.is_artinian() and prof.level
         ok &= prof.genus == g.num_edges - n + 2
-        K = tuple(g.degree(i) + g.u(i, n) - 2 for i in range(1, n))
+        K = tuple(g.degree(i) + g.mult[i - 1][n - 1] - 2 for i in range(1, n))
         ok &= prof.reflection_invariant and K in prof.canonical_candidates
         # reversing a flag complements its socle monomial relative to K
         flags = flag_socle_oracle(g)

@@ -3,7 +3,7 @@
 import random
 import sys
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -23,19 +23,21 @@ from chipalg.chipfiring import (
     toppling_generators,
 )
 from chipalg.exactla import solve_integer
-from chipalg.monomials import MonomialIdeal, degree_plus, monomial_str, socle, vec_sub
+from chipalg.monomials import MonomialIdeal, _minimize, degree_plus, monomial_str, socle, vec_sub
 from chipalg.multigraph import (
     Multigraph,
-    Split,
     divisor_class_group,
     laplacian,
     tree_count,
 )
 from conftest import (
+    _arrow,
     acyclic_orientations_unique_sink,
     c4,
     chain_graph,
+    data_and_seeded_graphs,
     flag_socle_oracle,
+    induces_connected,
     k4,
     random_connected,
     random_saturated,
@@ -59,15 +61,45 @@ def test_k4_toppling_generators(k4_graph):
     assert got == K4_BINOMIALS
 
 
-def test_split_binomial_is_laplacian_move():
-    rng = random.Random(1)
-    for _ in range(10):
-        g = random_connected(rng, rng.randint(2, 5), max_mult=3)
+def _nonempty_subsets_avoiding_n(n: int) -> list:
+    return [I for size in range(1, n) for I in combinations(range(1, n), size)]
+
+
+def test_split_binomials_match_edge_sums():
+    """Each toppling binomial, cut from L e_I, is x^(I->J) - x^(J->I) by
+    edge sums with an x_n-free lead; the splits kept are exactly the
+    non-empty I in [n-1] whose sides both induce connected subgraphs, in
+    order, on the data graphs and seeded graphs with n = 1-6."""
+    kept = 0
+    for g in data_and_seeded_graphs(1):
+        n = g.n
+        gens = toppling_generators(g)
+        for b in gens:
+            J = tuple(k for k in range(1, n + 1) if k not in b.I)
+            assert b.lead == _arrow(g, b.I, J)
+            assert b.trail == _arrow(g, J, b.I)
+            assert b.lead[n - 1] == 0
+        connected = [
+            I
+            for I in _nonempty_subsets_avoiding_n(n)
+            if induces_connected(g, I) and induces_connected(g, set(range(1, n + 1)) - set(I))
+        ]
+        assert [b.I for b in gens] == connected
+        kept += len(gens)
+    assert kept > 100
+
+
+def test_parking_generators_are_minimized_laplacian_moves():
+    """The parking ideal is minimally generated by the positive parts of
+    L e_I, with x_n dropped, over all 2^(n-1) - 1 non-empty I in [n-1]:
+    the labels of the barycentric vertices."""
+    for g in data_and_seeded_graphs(2):
+        n = g.n
         lam = laplacian(g)
-        for b in toppling_generators(g):
-            e_I = tuple(1 if i + 1 in b.split.I else 0 for i in range(g.n))
-            assert vec_sub(b.lead, b.trail) == lam.mul_vec(e_I)
-            assert b.lead[g.n - 1] == 0  # lead side avoids x_n
+        moves = [lam.mul_vec(tuple(int(i + 1 in I) for i in range(n))) for I in _nonempty_subsets_avoiding_n(n)]
+        assert len(moves) == 2 ** (n - 1) - 1
+        lifts = [tuple(max(x, 0) for x in d[: n - 1]) for d in moves]
+        assert parking_ideal(g).generators == _minimize(lifts)
 
 
 def test_parking_ideal_k4(k4_graph):
@@ -221,7 +253,7 @@ def test_q_reduced_properties():
             for S in _subsets(range(1, n), size):
                 fired = list(r)
                 for i in S:
-                    fired[i - 1] -= sum(g.u(i, k) for k in range(1, n + 1) if k not in S)
+                    fired[i - 1] -= sum(g.mult[i - 1][k - 1] for k in range(1, n + 1) if k not in S)
                 assert any(fired[i - 1] < 0 for i in S)
 
 

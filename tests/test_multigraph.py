@@ -1,6 +1,7 @@
-"""Graphs, Laplacians, spanning trees, splits, and divisor class groups."""
+"""Graphs, Laplacians, spanning trees, the subset table, and divisor class groups."""
 
 import random
+from itertools import combinations
 from math import prod
 
 import pytest
@@ -8,16 +9,23 @@ import pytest
 from chipalg.exactla import determinant
 from chipalg.multigraph import (
     Multigraph,
-    Split,
     connected_splits,
     div_class,
     divisor_class_group,
     laplacian,
     parse_graph,
-    splits,
+    subset_images,
     tree_count,
 )
-from conftest import acyclic_orientations_unique_sink, c4, format_graph, k4, prism, random_connected
+from conftest import (
+    acyclic_orientations_unique_sink,
+    c4,
+    data_and_seeded_graphs,
+    format_graph,
+    k4,
+    prism,
+    random_connected,
+)
 
 
 def test_validation():
@@ -68,18 +76,26 @@ def test_tree_count_independent_of_deleted_node():
 
 
 def test_splits_counts():
-    # 2^(n-1) - 1 splits of [n]
+    # 2^n - 2 proper non-empty subsets of [n], 2^(n-1) - 1 of them avoiding n
     for n in range(2, 6):
-        assert len(list(splits(n))) == 2 ** (n - 1) - 1
+        g = random_connected(random.Random(n), n)
+        table = subset_images(g)
+        assert len(table) == 2**n - 2
+        assert sum(n not in I for I, _ in table) == 2 ** (n - 1) - 1
+    assert subset_images(parse_graph("nodes 1")) == []
     assert len(connected_splits(k4())) == 7
     assert len(connected_splits(prism())) == 22
 
 
-def test_split_validation():
-    with pytest.raises(ValueError):
-        Split((1, 4), (2, 3))  # n on side I
-    with pytest.raises(ValueError):
-        Split((1,), (3,))  # does not cover
+def test_subset_images_are_laplacian_moves():
+    """Each entry of the table is L e_I, in order of |I| and then
+    lexicographically, on the data graphs and seeded graphs with n = 1-6."""
+    for g in data_and_seeded_graphs(4):
+        lam = laplacian(g)
+        table = subset_images(g)
+        assert [I for I, _ in table] == [I for k in range(1, g.n) for I in combinations(range(1, g.n + 1), k)]
+        for I, d in table:
+            assert d == lam.mul_vec(tuple(int(i + 1 in I) for i in range(g.n)))
 
 
 def test_divisor_class_group_order_is_tree_count():

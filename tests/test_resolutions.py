@@ -10,7 +10,7 @@ from operator import or_
 import pytest
 
 from chipalg import resolutions
-from chipalg.chipfiring import _arrow, connected_flags, lattice_points_in_box, lattice_socle_base
+from chipalg.chipfiring import connected_flags, lattice_points_in_box, lattice_socle_base
 from chipalg.exactla import solve_integer
 from chipalg.monomials import divides, lcm_exp, vec_add
 from chipalg.multigraph import laplacian, parse_graph
@@ -32,10 +32,12 @@ from chipalg.resolutions import (
 )
 from conftest import (
     DATA,
+    _arrow,
     acyclic_orientations_unique_sink,
     c4,
     chain_graph,
     cyc_complex,
+    data_and_seeded_graphs,
     face_counts,
     face_label,
     homology_ranks_oracle,
@@ -169,14 +171,8 @@ def test_bary_complex_matches_own_subsets():
     [n-1] alone, face for face as flags of subsets and in the same order,
     with the same face labels; and lcm(0, L e_I) is x^(I -> [n] minus I)
     for every non-empty I avoiding n."""
-    rng = random.Random(27)
-    graphs = [parse_graph((DATA / f"{name}.graph").read_text()) for name in ("c4", "k4", "chain", "prism", "sat5")]
-    for n in range(1, 7):
-        graphs.append(random_connected(rng, n, max_mult=3 if n < 6 else 1))
-        if n > 1:
-            graphs.append(random_saturated(rng, n))
     faces = 0
-    for g in graphs:
+    for g in data_and_seeded_graphs(27):
         images = _subset_images(g)
         table, imgs, _ = images
         bary = bary_complex(g, images)
@@ -248,6 +244,15 @@ def test_sub_below_matches_full_scan():
             assert got.faces == _scan_below(labeled, deg)
             assert got.vertex_labels == c.vertex_labels
     assert sub_below(cases[1][0], cases[1][1][-1]).faces == ()
+
+
+def test_sub_below_needs_face_labels(k4_graph):
+    """A complex without face labels, such as the result of ``sub_below``,
+    is refused with a message that names them."""
+    bary = bary_complex(k4_graph, _subset_images(k4_graph))
+    c = max(bary.face_labels)
+    with pytest.raises(ValueError, match="face_labels"):
+        sub_below(sub_below(bary, c), c)
 
 
 def _edge_nbrs(c) -> list:
