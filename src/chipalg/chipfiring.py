@@ -241,9 +241,8 @@ def canonical_divisor(g: Multigraph) -> tuple:
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def _reduced_laplacian_inverse(g: Multigraph) -> tuple:
-    """The inverse of the Laplacian with row/column n deleted, as integers
-    (adj, det, rows): inverse = adj / det with det = tree count, and rows
-    are the n rows of the Laplacian with column n deleted.
+    """The inverse of the Laplacian L with row and column n deleted, as
+    integers (adj, det, L): inverse = adj / det with det = tree count.
 
     Fraction-free Gauss-Jordan (Bareiss) on [L' | I] keeps every entry a
     minor, so each division is exact, and ends at [det*I | adj].  L' is
@@ -251,7 +250,7 @@ def _reduced_laplacian_inverse(g: Multigraph) -> tuple:
     """
     m = g.n - 1
     lam = laplacian(g)
-    a = [[lam.at(i, j) for j in range(m)] + [int(i == j) for j in range(m)] for i in range(m)]
+    a = [list(lam[i][:m]) + [int(i == j) for j in range(m)] for i in range(m)]
     prev = 1
     for k in range(m):
         ak = a[k]
@@ -266,13 +265,12 @@ def _reduced_laplacian_inverse(g: Multigraph) -> tuple:
     det = prev
     # A wrong inverse would silently drop lattice points: check it once.
     if det != tree_count(g) or any(
-        sum(adj[i][k] * lam.at(k, j) for k in range(m)) != det * (i == j)
+        sum(adj[i][k] * lam[k][j] for k in range(m)) != det * (i == j)
         for i in range(m)
         for j in range(m)
     ):
         raise AssertionError("reduced Laplacian adjugate check failed")
-    rows = tuple(tuple(lam.at(i, j) for j in range(m)) for i in range(g.n))
-    return adj, det, rows
+    return adj, det, lam
 
 
 def lattice_points_in_box(g: Multigraph, lo, hi) -> list:

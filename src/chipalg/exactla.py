@@ -1,8 +1,8 @@
-"""Exact integer/rational linear algebra: determinants, Smith normal form,
-integer linear solving, and the check on a field characteristic.
-
-Everything is exact; no floating point is used anywhere in the package.
-The elimination work is delegated to :mod:`chipalg.kernels`.
+"""Exact integer linear algebra on matrices given as rows of equal length:
+determinants, Smith normal form, integer linear solving, and the check on a
+field characteristic.  Results are tuples of row tuples.  Everything is
+exact; no floating point is used anywhere in the package.  The elimination
+work is delegated to :mod:`chipalg.kernels`.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from .kernels import bareiss_det
 
 __all__ = [
-    "IntMatrix",
     "SmithForm",
     "check_char",
     "determinant",
@@ -21,57 +20,7 @@ __all__ = [
     "solve_integer",
 ]
 
-
-@dataclass(frozen=True)
-class IntMatrix:
-    """Immutable integer matrix, entries stored row-major."""
-
-    rows: int
-    cols: int
-    entries: tuple
-
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("negative dimensions")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match dimensions")
-
-    @classmethod
-    def from_rows(cls, rows) -> "IntMatrix":
-        rows = [list(r) for r in rows]
-        n = len(rows)
-        m = len(rows[0]) if rows else 0
-        if any(len(r) != m for r in rows):
-            raise ValueError("ragged rows")
-        return cls(n, m, tuple(v for r in rows for v in r))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def to_rows(self) -> list:
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def mul_vec(self, v) -> tuple:
-        if len(v) != self.cols:
-            raise ValueError("vector length does not match column count")
-        return tuple(
-            sum(self.at(i, j) * v[j] for j in range(self.cols)) for i in range(self.rows)
-        )
-
-    def delete_row_col(self, i: int, j: int) -> "IntMatrix":
-        rows = [
-            [self.at(r, c) for c in range(self.cols) if c != j]
-            for r in range(self.rows)
-            if r != i
-        ]
-        return IntMatrix.from_rows(rows)
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 @dataclass(frozen=True)
@@ -83,66 +32,90 @@ class SmithForm:
     """
 
     diagonal: tuple
-    left: IntMatrix
-    right: IntMatrix
+    left: tuple
+    right: tuple
 
 
-def determinant(m: IntMatrix) -> int:
+def _rows(m) -> list:
+    """The rows of ``m`` as fresh lists; ragged rows are rejected."""
+    a = [list(row) for row in m]
+    if any(len(row) != len(a[0]) for row in a):
+        raise ValueError("ragged rows")
+    return a
+
+
+def _mat_vec(m, v) -> tuple:
+    """The product ``m @ v``; v must have one entry per column."""
+    return tuple(sum(x * y for x, y in zip(row, v, strict=True)) for row in m)
+
+
+def determinant(m) -> int:
     """Exact determinant via fraction-free (Bareiss) elimination."""
-    if m.rows != m.cols:
+    a = _rows(m)
+    if a and len(a[0]) != len(a):
         raise ValueError("determinant requires a square matrix")
-    return bareiss_det(m.to_rows())
+    return bareiss_det(a)
 
 
 def is_prime(p: int) -> bool:
+    """Whether p is prime, by Miller-Rabin to the first twelve prime bases:
+    exact below 318665857834031151167461, the least strong pseudoprime to
+    all of them (Sorenson and Webster, 2015)."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for q in _WITNESSES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    # p - 1 = d 2^s with d odd; a proves p composite if a^d != 1 and
+    # a^(d 2^k) != -1 for every k < s
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x != 1 and all(pow(x, 1 << k, p) != p - 1 for k in range(s)):
             return False
-        d += 1
     return True
 
 
 def check_char(char: int) -> None:
-    """Reject a characteristic that is neither 0 nor a prime."""
+    """Reject a characteristic that is neither 0 nor a prime below 2^64,
+    the range where ``is_prime`` is exact."""
+    if char >= 2**64:
+        raise ValueError(f"characteristic must be below 2^64, got {char}")
     if char != 0 and not is_prime(char):
         raise ValueError(f"characteristic must be 0 or a prime, got {char}")
 
 
-def smith_normal_form(m: IntMatrix) -> SmithForm:
+def smith_normal_form(m) -> SmithForm:
     """Smith normal form with explicit unimodular transforms."""
-    n, c = m.rows, m.cols
-    a = m.to_rows()
-    left = IntMatrix.identity(n).to_rows()
-    right = IntMatrix.identity(c).to_rows()
+    a = _rows(m)
+    n, c = len(a), len(a[0]) if a else 0
+    # Work on [[m, I_n], [I_c, 0]]: the row operations on its first n rows
+    # build ``left`` past column c, and the column operations on its first
+    # c columns build ``right`` past row n.
+    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    a += [[int(i == j) for j in range(c)] for i in range(c)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        left[i], left[j] = left[j], left[i]
 
     def swap_cols(i, j):
         for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in right:
             row[i], row[j] = row[j], row[i]
 
     def addmul_row(i, j, q):
         # row i += q * row j
         a[i] = [x + q * y for x, y in zip(a[i], a[j])]
-        left[i] = [x + q * y for x, y in zip(left[i], left[j])]
 
     def addmul_col(i, j, q):
         # col i += q * col j
         for row in a:
             row[i] += q * row[j]
-        for row in right:
-            row[i] += q * row[j]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
-        left[i] = [-x for x in left[i]]
 
     def clear(t):
         # Reduce so that row t and column t vanish except at (t, t).
@@ -222,29 +195,28 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
             negate_row(t)
 
     diag = tuple(a[t][t] for t in range(r))
-    return SmithForm(diag, IntMatrix.from_rows(left), IntMatrix.from_rows(right))
+    return SmithForm(diag, tuple(tuple(row[c:]) for row in a[:n]), tuple(map(tuple, a[n:])))
 
 
-def solve_integer(m: IntMatrix, b):
+def solve_integer(m, b):
     """Some integer solution of ``m @ x = b``, or None if there is none."""
-    if len(b) != m.rows:
+    a = _rows(m)
+    if len(b) != len(a):
         raise ValueError("right-hand side length does not match row count")
-    snf = smith_normal_form(m)
-    ub = snf.left.mul_vec(tuple(b))
-    y = [0] * m.cols
+    snf = smith_normal_form(a)
+    ub = _mat_vec(snf.left, b)
+    y = [0] * len(snf.right)
     r = len(snf.diagonal)
-    for i in range(m.rows):
-        d = snf.diagonal[i] if i < r else 0
+    for i, u in enumerate(ub):
+        d = snf.diagonal[i] if i < r else 0  # r <= len(y), so y[i] exists where d != 0
         if d == 0:
-            if ub[i] != 0:
+            if u:
                 return None
+        elif u % d:
+            return None
         else:
-            if ub[i] % d:
-                return None
-            if i < m.cols:
-                y[i] = ub[i] // d
-    x = snf.right.mul_vec(tuple(y))
-    check = m.mul_vec(x)
-    if tuple(check) != tuple(b):
+            y[i] = u // d
+    x = _mat_vec(snf.right, y)
+    if _mat_vec(a, x) != tuple(b):
         return None
     return x

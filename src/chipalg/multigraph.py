@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .exactla import IntMatrix, determinant, smith_normal_form
+from .exactla import determinant, smith_normal_form
 
 #: Entries kept by each cache keyed on a ``Multigraph``.
 GRAPH_CACHE_SIZE = 64
@@ -105,19 +105,19 @@ def _connected(mult, nodes) -> bool:
     return seen == inside
 
 
-def laplacian(g: Multigraph) -> IntMatrix:
-    """Graph Laplacian: node degrees on the diagonal, -u_ij off it."""
+def laplacian(g: Multigraph) -> tuple:
+    """Graph Laplacian as a tuple of rows: node degrees on the diagonal,
+    -u_ij off it."""
     n = g.n
-    rows = [
-        [g.degree(i + 1) if i == j else -g.mult[i][j] for j in range(n)]
+    return tuple(
+        tuple(g.degree(i + 1) if i == j else -g.mult[i][j] for j in range(n))
         for i in range(n)
-    ]
-    return IntMatrix.from_rows(rows)
+    )
 
 
 def tree_count(g: Multigraph) -> int:
     """Number of spanning trees, by the Matrix-Tree theorem."""
-    return determinant(laplacian(g).delete_row_col(g.n - 1, g.n - 1))
+    return determinant([row[:-1] for row in laplacian(g)[:-1]])
 
 
 def subset_images(g: Multigraph) -> list:
@@ -125,7 +125,7 @@ def subset_images(g: Multigraph) -> list:
     |I| and then lexicographically.  Entry i of L e_I is the number of edges
     from i to [n] minus I for i in I, and minus the number from i to I
     otherwise.  A one-node graph has none."""
-    rows = laplacian(g).to_rows()
+    rows = laplacian(g)
     return [
         (I, tuple(sum(row[i - 1] for i in I) for row in rows))
         for size in range(1, g.n)
@@ -167,14 +167,13 @@ class DivisorClassGroup:
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def divisor_class_group(g: Multigraph) -> DivisorClassGroup:
     """Invariant factors and projection for Div_0(G), via Smith normal form."""
-    lam = laplacian(g)
-    snf = smith_normal_form(lam)
+    snf = smith_normal_form(laplacian(g))
     factors = []
     rows = []
     for i, d in enumerate(snf.diagonal):
         if d > 1:
             factors.append(d)
-            rows.append(snf.left.row(i))
+            rows.append(snf.left[i])
     return DivisorClassGroup(tuple(factors), tuple(rows))
 
 

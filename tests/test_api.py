@@ -27,22 +27,27 @@ def _traced_names() -> set:
 UNUSED_ALLOWED = {"cli.main", "kernels.BACKEND"} | _traced_names()
 
 
+def _attribute_loads(node) -> Counter:
+    """Attribute names loaded anywhere under ``node``."""
+    return Counter(
+        sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    )
+
+
 def _loads(node) -> Counter:
     """Names and attribute names loaded anywhere under ``node``; strings,
     docstrings and import lists hold none."""
-    out = Counter()
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-            out[sub.id] += 1
-        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
-            out[sub.attr] += 1
-    return out
+    names = Counter(sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load))
+    return names + _attribute_loads(node)
 
 
 def _public_definitions(module: str, tree):
-    """(qualified name, short name, definition node) for each name in the
-    module's ``__all__`` and each public method of a class listed there.
-    A method counts as used where any attribute of its name is loaded."""
+    """(qualified name, short name, definition node, counting function) for
+    each name in the module's ``__all__`` and each public method of a class
+    listed there.  A method counts as used only where an attribute of its
+    name is loaded, so a local variable of the same name does not hide it;
+    an attribute of that name on another type still does (``set.add``
+    counts for ``GradedPolynomial.add``)."""
     exported = next(
         set(ast.literal_eval(node.value))
         for node in tree.body
@@ -54,23 +59,23 @@ def _public_definitions(module: str, tree):
         names = {getattr(t, "name", getattr(t, "id", None)) for t in targets}
         for name in names & exported:
             defined.add(name)
-            yield f"{module}.{name}", name, node
+            yield f"{module}.{name}", name, node, _loads
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                        yield f"{module}.{name}.{item.name}", item.name, item
+                        yield f"{module}.{name}.{item.name}", item.name, item, _attribute_loads
     assert defined == exported, f"{module}.__all__ names undefined: {exported - defined}"
 
 
 def test_public_names_are_used_in_src():
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
-    total = sum((_loads(t) for t in trees.values()), Counter())
+    totals = {loads: sum(map(loads, trees.values()), Counter()) for loads in (_loads, _attribute_loads)}
     unused = []
     for module, tree in trees.items():
         if module == "__init__":
             continue
-        for qualified, name, node in _public_definitions(module, tree):
-            if total[name] == _loads(node)[name] and qualified not in UNUSED_ALLOWED:
+        for qualified, name, node, loads in _public_definitions(module, tree):
+            if totals[loads][name] == loads(node)[name] and qualified not in UNUSED_ALLOWED:
                 unused.append(qualified)
     assert unused == []
 

@@ -224,7 +224,9 @@ def test_sink_zero_is_out_of_range(capsys):
 
 
 @pytest.mark.parametrize("command", ["betti", "conjecture"])
-@pytest.mark.parametrize("char", ["1", "4", "-2"])
+# 2^64 is past the bound where the primality test is exact, and the last
+# is the least strong pseudoprime to the twelve bases it uses.
+@pytest.mark.parametrize("char", ["1", "4", "-2", str(2**64), "318665857834031151167461"])
 def test_non_prime_char_exits_1(capsys, command, char):
     code, out, _ = _run(capsys, command, K4, f"--char={char}")
     assert code == 1 and "characteristic" in json.loads(out)["error"]

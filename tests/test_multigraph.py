@@ -6,7 +6,7 @@ from math import prod
 
 import pytest
 
-from chipalg.exactla import determinant
+from chipalg.exactla import _mat_vec, determinant
 from chipalg.multigraph import (
     Multigraph,
     connected_splits,
@@ -48,8 +48,8 @@ def test_basic_invariants(k4_graph, c4_graph, prism_graph):
 def test_laplacian_rows_sum_to_zero(prism_graph):
     lam = laplacian(prism_graph)
     for i in range(prism_graph.n):
-        assert sum(lam.row(i)) == 0
-        assert lam.at(i, i) == prism_graph.degree(i + 1)
+        assert sum(lam[i]) == 0
+        assert lam[i][i] == prism_graph.degree(i + 1)
 
 
 def test_tree_counts():
@@ -70,7 +70,8 @@ def test_tree_count_independent_of_deleted_node():
         g = random_connected(rng, rng.randint(2, 6))
         lam = laplacian(g)
         dets = {
-            determinant(lam.delete_row_col(i, i)) for i in range(g.n)
+            determinant([row[:i] + row[i + 1 :] for row in lam[:i] + lam[i + 1 :]])
+            for i in range(g.n)
         }
         assert dets == {tree_count(g)}
 
@@ -95,7 +96,7 @@ def test_subset_images_are_laplacian_moves():
         table = subset_images(g)
         assert [I for I, _ in table] == [I for k in range(1, g.n) for I in combinations(range(1, g.n + 1), k)]
         for I, d in table:
-            assert d == lam.mul_vec(tuple(int(i + 1 in I) for i in range(g.n)))
+            assert d == _mat_vec(lam, tuple(int(i + 1 in I) for i in range(g.n)))
 
 
 def test_divisor_class_group_order_is_tree_count():
@@ -119,7 +120,7 @@ def test_laplacian_columns_have_trivial_class():
     lam = laplacian(g)
     zero = grp.class_of((0,) * g.n)
     for j in range(g.n):
-        col = tuple(lam.at(i, j) for i in range(g.n))
+        col = tuple(row[j] for row in lam)
         assert grp.class_of(col) == zero
     assert div_class(g, (1, 0, 0, 0, 0)) != zero  # x_1 is not a lattice element
 
