@@ -3,6 +3,13 @@
 JSON reports go to stdout (deterministic: sorted keys, fixed orderings);
 a one-line human summary goes to stderr.  Exit codes: 0 success, 1
 malformed input, 2 a mathematical check failed.
+
+Each command is one entry of ``COMMANDS``: its handler and its options.
+``run`` builds the subparser of the command that argv names and no
+other; ``-h``, a missing command or an unknown one build them all.  A
+usage error that argparse rejects (``--char x``, no ``--divisor``) also
+exits 2 for now, though 2 is meant for a failed check: the benchmark
+harness's tests expect it.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ from .riemann_roch import (
     rr_verify,
 )
 
-__all__ = ["main", "run"]
+__all__ = ["COMMANDS", "main", "run"]
 
 
 def _load_graph(args):
@@ -219,53 +226,46 @@ def _cmd_construct(args):
     }, [("profile_valid", tuple(K) in prof.canonical_candidates, {"genus": prof.genus_min})]
 
 
-def _parser():
-    p = argparse.ArgumentParser(prog="chipalg", description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True)
+_GRAPH = {"graph": {}, "--sink": dict(type=int, default=None, help="treat node i as the distinguished node")}
+_CHAR = {"--char": dict(type=int, default=0)}
 
-    def graph_cmd(name, fn, **extra):
+# name: (handler, {flag: add_argument keywords}), in help order
+COMMANDS = {
+    "info": (_cmd_info, _GRAPH),
+    "ideal": (_cmd_ideal, _GRAPH),
+    "socle": (_cmd_socle, _GRAPH),
+    "betti": (_cmd_betti, {**_GRAPH, "--ideal": dict(choices=["parking", "toppling"], default="parking"), **_CHAR}),
+    "conjecture": (_cmd_conjecture, {**_GRAPH, **_CHAR}),
+    "hilbert": (_cmd_hilbert, _GRAPH),
+    "rank": (_cmd_rank, {**_GRAPH, "--divisor": dict(required=True)}),
+    "mrank": (_cmd_mrank, {"ideal_file": {}, "--monomial": dict(required=True)}),
+    "rrcheck": (_cmd_rrcheck, {"ideal_file": {}, "--b": dict(action="append")}),
+    "construct": (_cmd_construct, {"--canonical": dict(required=True), "--seed": dict(action="append", required=True)}),
+}
+
+
+def _parser(argv):
+    """The grammar of the command ``argv[0]`` names, or of every command."""
+    names = argv[:1] if argv and argv[0] in COMMANDS else list(COMMANDS)
+    # the first two docstring paragraphs are the help text
+    p = argparse.ArgumentParser(prog="chipalg", description="\n\n".join(__doc__.split("\n\n")[:2]))
+    # with one command built, a top-level usage line still lists them all;
+    # with all built, no metavar keeps "command" in a missing-command error
+    metavar = "{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None
+    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
         sp = sub.add_parser(name)
-        sp.add_argument("graph")
-        sp.add_argument("--sink", type=int, default=None, help="treat node i as the distinguished node")
-        for flag, kw in extra.items():
+        for flag, kw in COMMANDS[name][1].items():
             sp.add_argument(flag, **kw)
-        sp.set_defaults(fn=fn)
-        return sp
-
-    graph_cmd("info", _cmd_info)
-    graph_cmd("ideal", _cmd_ideal)
-    graph_cmd("socle", _cmd_socle)
-    graph_cmd(
-        "betti",
-        _cmd_betti,
-        **{"--ideal": dict(choices=["parking", "toppling"], default="parking"), "--char": dict(type=int, default=0)},
-    )
-    graph_cmd("conjecture", _cmd_conjecture, **{"--char": dict(type=int, default=0)})
-    graph_cmd("hilbert", _cmd_hilbert)
-    graph_cmd("rank", _cmd_rank, **{"--divisor": dict(required=True)})
-
-    sp = sub.add_parser("mrank")
-    sp.add_argument("ideal_file")
-    sp.add_argument("--monomial", required=True)
-    sp.set_defaults(fn=_cmd_mrank)
-
-    sp = sub.add_parser("rrcheck")
-    sp.add_argument("ideal_file")
-    sp.add_argument("--b", action="append")
-    sp.set_defaults(fn=_cmd_rrcheck)
-
-    sp = sub.add_parser("construct")
-    sp.add_argument("--canonical", required=True)
-    sp.add_argument("--seed", action="append", required=True)
-    sp.set_defaults(fn=_cmd_construct)
     return p
 
 
 def run(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parser(argv).parse_args(argv)
     try:
         check_char(getattr(args, "char", 0))
-        results, checks = args.fn(args)
+        results, checks = COMMANDS[args.command][0](args)
     except (OSError, ValueError) as exc:
         report = {"command": args.command, "error": str(exc)}
         print(json.dumps(report, sort_keys=True, indent=2))

@@ -1,11 +1,16 @@
 """Command-line interface: JSON output, exit codes, determinism."""
 
+import argparse
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import chipalg
 from chipalg.chipfiring import flag_socles, parking_ideal
 from chipalg.cli import run
 from chipalg.monomials import socle
@@ -447,3 +452,58 @@ def test_output_is_deterministic(capsys):
     _, out3, _ = _run(capsys, "conjecture", C4)
     _, out4, _ = _run(capsys, "conjecture", C4)
     assert out3 == out4
+
+
+# argv cases whose exit code, stdout and stderr are pinned in
+# cli_usage.json; "k4.graph" stands for the k4 fixture's path
+USAGE = json.loads((DATA / "cli_usage.json").read_text())
+
+
+@pytest.mark.parametrize("case", USAGE, ids=[" ".join(c["argv"]) or "no-arguments" for c in USAGE])
+def test_usage_and_help_text_is_unchanged(capsys, monkeypatch, case):
+    # help, usage errors and one abbreviated option, at a fixed terminal
+    # width; recorded while every call still built the whole grammar
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = run([K4 if a == "k4.graph" else a for a in case["argv"]])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == case["exit"]
+    assert out.replace(K4, "k4.graph") == case["stdout"]
+    assert err.replace(K4, "k4.graph") == case["stderr"]
+
+
+def test_named_command_builds_only_its_grammar(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(["info", K4]) == 0
+    assert built == ["chipalg", "chipalg info"]
+    built.clear()
+    with pytest.raises(SystemExit):
+        run(["conj", K4])
+    assert len(built) == 11  # the top-level parser and all ten commands
+    capsys.readouterr()
+
+
+def test_run_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["chipalg", "info", K4])
+    assert run() == 0
+    assert capsys.readouterr().out == (DATA / "k4.info.json").read_text()
+
+
+def test_module_entry_point():
+    src = str(Path(chipalg.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "chipalg.cli", "info", K4], capture_output=True, text=True, env=env, check=False
+    )
+    assert proc.returncode == 0
+    assert proc.stdout == (DATA / "k4.info.json").read_text()
+    assert proc.stderr == "chipalg info: ok\n"
