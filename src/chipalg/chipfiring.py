@@ -5,6 +5,14 @@ Node n is the distinguished node: lead monomials avoid x_n, parking
 functions live on x_1..x_{n-1}, and divisor reduction is taken at n.
 Each toppling binomial is the Laplacian move L e_I of a connected split
 (``multigraph.connected_splits``) cut into its positive and negative parts.
+
+The rank oracle q-reduces its divisor once, then takes each chip by
+borrowing: a vertex off q in debt gains its degree and each neighbour loses
+its multiplicity.  Borrowing is toppling in the recurrent dual c ->
+(deg - 1) - c of the superstables (Holroyd-Levine-Meszaros-Peres-Propp-
+Wilson, 2008), and a recurrent configuration plus one chip stabilizes to
+the recurrent one of its class (Dhar, PRL 1990), so each step ends at the
+q-reduced divisor exactly.
 """
 
 from __future__ import annotations
@@ -221,9 +229,12 @@ def connected_flags(g: Multigraph) -> list:
     return _layerings(g, singletons=False)
 
 
-def lattice_socle_base(g: Multigraph) -> list:
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
+def lattice_socle_base(g: Multigraph) -> tuple:
     """Distinct base socle monomials s / x_n of the lattice module, as
     exponent vectors over [n] (last coordinate -1), in lexicographic order.
+    Cached per graph (``baker_norine_verify`` ranks u and K - u), so the
+    result is a tuple.
 
     The socle of the parking ideal is the set of maximal superstables,
     which are c(v) = indeg_O(v) - 1 over the acyclic orientations O with
@@ -231,7 +242,7 @@ def lattice_socle_base(g: Multigraph) -> list:
     n the unique sink, so these are the connected flags with singleton
     blocks, with one subtracted from each degree.
     """
-    return sorted(tuple(d - 1 for d in c) for _, c in _layerings(g, singletons=True))
+    return tuple(sorted(tuple(d - 1 for d in c) for _, c in _layerings(g, singletons=True)))
 
 
 def canonical_divisor(g: Multigraph) -> tuple:
@@ -392,12 +403,14 @@ def divisor_rank(g: Multigraph, u) -> int:
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def _q_layers(g: Multigraph) -> tuple:
-    """The set-up of ``q_reduced``: per-vertex neighbour lists (w, mult), and
-    the BFS layers t >= 1 from q = node n, deepest first, each with its
-    edges (v, w, mult) from layer t to layer t - 1."""
+    """The set-up of ``q_reduced`` and ``_take_chip``: per-vertex neighbour
+    lists (w, mult), vertex degrees, and the BFS layers t >= 1 from q =
+    node n, deepest first, each with its edges (v, w, mult) from layer t to
+    layer t - 1."""
     n = g.n
     q = n - 1
     nbrs = tuple(tuple((w, m) for w, m in enumerate(row) if m) for row in g.mult)
+    degs = tuple(sum(row) for row in g.mult)
     dist = [-1] * n
     dist[q] = 0
     order = [q]
@@ -411,7 +424,7 @@ def _q_layers(g: Multigraph) -> tuple:
         layer = tuple(v for v in order if dist[v] == t)
         edges = tuple((v, w, m) for v in layer for w, m in nbrs[v] if dist[w] == t - 1)
         layers.append((layer, edges))
-    return nbrs, tuple(layers)
+    return nbrs, degs, tuple(layers)
 
 
 def q_reduced(g: Multigraph, d) -> tuple:
@@ -426,7 +439,7 @@ def q_reduced(g: Multigraph, d) -> tuple:
         raise ValueError("divisor length must equal the node count")
     q = n - 1
     d = list(d)
-    nbrs, layers = _q_layers(g)
+    nbrs, _, layers = _q_layers(g)
 
     # Unfire U_t = {v : dist[v] >= t} from the deepest layer inward; a layer
     # never loses chips after its own pass.  BFS edges leaving U_t all join
@@ -466,17 +479,52 @@ def q_reduced(g: Multigraph, d) -> tuple:
                         d[w] += m
 
 
+def _take_chip(g: Multigraph, d: tuple, v: int) -> tuple:
+    """``q_reduced(g, d - e_v)`` for a q-reduced d with d[v] = 0, v != q.
+
+    While some vertex w != q is in debt, w borrows ceil(-d[w] / deg w)
+    times: each borrow adds deg w chips to w and takes m(w, x) from each
+    neighbour x, q included.  This is sandpile duality: c -> (deg - 1) - c
+    maps the superstables off q onto the recurrent configurations
+    (Holroyd-Levine-Meszaros-Peres-Propp-Wilson, 2008), a borrow is a
+    toppling of the dual, and adding a chip to a recurrent configuration
+    and stabilizing gives the recurrent configuration of its class (Dhar,
+    PRL 1990).  So the result is superstable off q and equivalent to
+    d - e_v: the q-reduced divisor.  A vertex joins the stack when it goes
+    into debt, so each one in debt is on it once.
+    """
+    q = g.n - 1
+    nbrs, degs, _ = _q_layers(g)
+    d = list(d)
+    d[v] = -1
+    stack = [v]
+    while stack:
+        w = stack.pop()
+        k = -(d[w] // degs[w])  # ceil(-d[w] / deg w)
+        d[w] += k * degs[w]
+        for x, m in nbrs[w]:
+            had = d[x]
+            d[x] = had - k * m
+            if had >= 0 > d[x] and x != q:
+                stack.append(x)
+    return tuple(d)
+
+
 def divisor_rank_oracle(g: Multigraph, u) -> int:
     """Independent divisor rank: largest r such that subtracting any
     effective divisor of degree r leaves an effective class, decided by
     q-reduction.
 
     A depth-first walk over the effective e as non-decreasing vertex
-    sequences carries the q-reduced divisor d equivalent to u - e.  Taking a
-    chip from a vertex that has one keeps d q-reduced; only a vertex without
-    chips calls ``q_reduced``.  Effectiveness is monotone in e, so branches
-    at or beyond the least degree of a failing e found so far are cut, and
-    the rank is that degree minus one.  Node q comes last in the order and
+    sequences carries the q-reduced divisor d equivalent to u - e; only u
+    itself goes through ``q_reduced``.  Taking a chip from a vertex that
+    has one keeps d q-reduced.  A vertex without chips goes into debt, and
+    ``_take_chip`` settles it by borrowing: that is toppling in the
+    recurrent dual (Holroyd-Levine-Meszaros-Peres-Propp-Wilson, 2008),
+    whose stabilization is the recurrent configuration of the class (Dhar,
+    PRL 1990), so the result is the q-reduced divisor.  Effectiveness is
+    monotone in e, so branches at or beyond the least degree of a failing e
+    found so far are cut, and the rank is that degree minus one.  Node q comes last in the order and
     d is q-reduced, so e plus j copies of q stays effective exactly for
     j <= d_q: those chains bound the failing degree without being walked.
     The walk uses an explicit stack, as its depth reaches deg(u).
@@ -500,9 +548,10 @@ def divisor_rank_oracle(g: Multigraph, u) -> int:
         if k + 1 >= fail:
             continue
         for v in range(first, q):
-            child = d[:v] + (d[v] - 1,) + d[v + 1 :]
-            if d[v] == 0:
-                child = q_reduced(g, child)
+            if d[v]:
+                child = d[:v] + (d[v] - 1,) + d[v + 1 :]
+            else:
+                child = _take_chip(g, d, v)
                 if child[q] < 0:
                     fail = k + 1
                     break

@@ -10,6 +10,7 @@ import pytest
 from chipalg import chipfiring
 from chipalg.chipfiring import (
     _reduced_laplacian_inverse,
+    _take_chip,
     baker_norine_verify,
     canonical_divisor,
     divisor_rank,
@@ -165,7 +166,7 @@ def _random_graphs(seed, count):
 def test_lattice_socle_base_matches_box_socle():
     for g in _random_graphs(11, 40):
         base = lattice_socle_base(g)
-        assert base == [m + (-1,) for m in sorted(set(socle(parking_ideal(g))))]
+        assert list(base) == [m + (-1,) for m in sorted(set(socle(parking_ideal(g))))]
         assert len(base) == acyclic_orientations_unique_sink(g, g.n)
 
 
@@ -203,7 +204,7 @@ def test_reduced_laplacian_adjugate_matches_fraction_inverse():
 
 
 def test_graph_caches_are_bounded():
-    for cached in (divisor_class_group, _reduced_laplacian_inverse):
+    for cached in (divisor_class_group, _reduced_laplacian_inverse, lattice_socle_base):
         assert cached.cache_info().maxsize is not None
 
 
@@ -265,6 +266,36 @@ def test_q_reduced_is_superstable_and_equivalent():
         assert all(x >= 0 for x in red[:-1])
         assert not parking_ideal(g).contains(red[:-1])
         assert solve_integer(laplacian(g), vec_sub(d, red)) is not None
+
+
+def test_take_chip_matches_q_reduced():
+    # q-reduced d with a chip taken where d has none, by borrowing; the
+    # chain graph has BFS depth 3
+    rng = random.Random(14)
+    steps = 0
+    for g in data_and_seeded_graphs(15):
+        for _ in range(20):
+            d = q_reduced(g, tuple(rng.randint(-6, 10) for _ in range(g.n)))
+            for v in range(g.n - 1):
+                if d[v] == 0:
+                    less = d[:v] + (-1,) + d[v + 1 :]
+                    assert _take_chip(g, d, v) == q_reduced(g, less), (g, d, v)
+                    steps += 1
+    assert steps >= 300
+
+
+def test_divisor_rank_oracle_reduces_once(monkeypatch):
+    # every later chip is taken by borrowing, so only u itself is q-reduced
+    g = random_saturated(random.Random(8), 6)
+    calls = []
+
+    def counted(g, d):
+        calls.append(d)
+        return q_reduced(g, d)
+
+    monkeypatch.setattr(chipfiring, "q_reduced", counted)
+    assert divisor_rank_oracle(g, canonical_divisor(g)) == g.genus - 1
+    assert calls == [canonical_divisor(g)]
 
 
 def _subsets(items, size):

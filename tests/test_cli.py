@@ -381,18 +381,22 @@ def test_betti_sink_is_relabelled_graph(capsys, tmp_path, ideal, graph, sink):
 
 
 RANK_DIVISORS = {
-    # a negative divisor, one of degree near the genus, and K
+    # a negative divisor, one of degree near the genus, and K; rsat6 is
+    # conftest's random_saturated(Random(8), 6), genus 19, whose oracle
+    # walks reach depth 18 at K
     "k4": ("-2,0,1,0", "3,0,-1,1", "1,1,1,1"),
     "c4": ("-1,0,0,0", "2,-1,0,0", "0,0,0,0"),
     "prism": ("-1,0,1,-1,0,0", "2,0,-1,1,0,2", "1,1,1,1,1,1"),
     "chain": ("0,-2,1,0", "0,2,-1,2", "0,1,2,1"),
+    "rsat6": ("6,-3,9,-2,8,4", "5,5,8,7,6,5"),
 }
 
 
 @pytest.mark.parametrize("graph", sorted(RANK_DIVISORS))
 def test_rank_output_is_unchanged(capsys, graph):
-    # the three reports, concatenated; recorded from the round-based socle
-    # search and the compositions oracle
+    # the reports, concatenated; recorded from the round-based socle search
+    # and the compositions oracle (rsat6: while the oracle re-reduced each
+    # divisor it took a chip from)
     expected = (DATA / f"{graph}.rank.json").read_text()
     out = ""
     for d in RANK_DIVISORS[graph]:
