@@ -6,13 +6,8 @@ functions live on x_1..x_{n-1}, and divisor reduction is taken at n.
 Each toppling binomial is the Laplacian move L e_I of a connected split
 (``multigraph.connected_splits``) cut into its positive and negative parts.
 
-The rank oracle q-reduces its divisor once, then takes each chip by
-borrowing: a vertex off q in debt gains its degree and each neighbour loses
-its multiplicity.  Borrowing is toppling in the recurrent dual c ->
-(deg - 1) - c of the superstables (Holroyd-Levine-Meszaros-Peres-Propp-
-Wilson, 2008), and a recurrent configuration plus one chip stabilizes to
-the recurrent one of its class (Dhar, PRL 1990), so each step ends at the
-q-reduced divisor exactly.
+Debt off the sink is cleared in one place, ``_borrow``: ``q_reduced``
+borrows and then burns, and the rank oracle borrows for each chip it takes.
 """
 
 from __future__ import annotations
@@ -291,8 +286,10 @@ def lattice_points_in_box(g: Multigraph, lo, hi) -> list:
         raise ValueError("box bounds must have one entry per node")
     if any(l > h for l, h in zip(lo, hi)):
         return []
-    adj, det, lap = _reduced_laplacian_inverse(g)
     m = n - 1
+    if m == 0:  # the walk below checks no row when it fixes no coordinate
+        return [(0,)] if lo[0] <= 0 <= hi[0] else []
+    adj, det, lap = _reduced_laplacian_inverse(g)
     # v' = adj @ w' / det over the box w' in prod [lo_i, hi_i], i < n
     vlo, vhi = [], []
     for row in adj:
@@ -402,55 +399,55 @@ def divisor_rank(g: Multigraph, u) -> int:
 
 
 @lru_cache(maxsize=GRAPH_CACHE_SIZE)
-def _q_layers(g: Multigraph) -> tuple:
-    """The set-up of ``q_reduced`` and ``_take_chip``: per-vertex neighbour
-    lists (w, mult), vertex degrees, and the BFS layers t >= 1 from q =
-    node n, deepest first, each with its edges (v, w, mult) from layer t to
-    layer t - 1."""
-    n = g.n
-    q = n - 1
+def _neighbours(g: Multigraph) -> tuple:
+    """Per-vertex neighbour lists (w, mult) and vertex degrees."""
     nbrs = tuple(tuple((w, m) for w, m in enumerate(row) if m) for row in g.mult)
     degs = tuple(sum(row) for row in g.mult)
-    dist = [-1] * n
-    dist[q] = 0
-    order = [q]
-    for v in order:
-        for w, _ in nbrs[v]:
-            if dist[w] < 0:
-                dist[w] = dist[v] + 1
-                order.append(w)
-    layers = []
-    for t in range(dist[order[-1]], 0, -1):
-        layer = tuple(v for v in order if dist[v] == t)
-        edges = tuple((v, w, m) for v in layer for w, m in nbrs[v] if dist[w] == t - 1)
-        layers.append((layer, edges))
-    return nbrs, degs, tuple(layers)
+    return nbrs, degs
+
+
+def _borrow(nbrs, degs, d: list, debt: list) -> None:
+    """Clear, in place, the debt of the divisor list d off q, its last
+    vertex; ``debt`` lists each vertex v != q with d[v] < 0, once.
+
+    While some vertex w != q is in debt, w borrows ceil(-d[w] / deg w)
+    times: each borrow adds deg w chips to w and takes m(w, x) from each
+    neighbour x, q included.  Under c -> (deg - 1) - c a borrow is a
+    toppling with sink q, so this is sandpile stabilization: it ends, with
+    d >= 0 off q.  A vertex joins ``debt`` when it goes into debt.
+
+    The map takes the superstables off q onto the recurrent configurations
+    (Holroyd-Levine-Meszaros-Peres-Propp-Wilson, 2008), and a recurrent
+    configuration plus one chip stabilizes to the recurrent configuration
+    of its class (Dhar, PRL 1990).  So a q-reduced divisor minus one chip
+    borrows straight to its q-reduced form.
+    """
+    q = len(d) - 1
+    while debt:
+        w = debt.pop()
+        k = -(d[w] // degs[w])  # ceil(-d[w] / deg w)
+        d[w] += k * degs[w]
+        for x, m in nbrs[w]:
+            had = d[x]
+            d[x] = had - k * m
+            if had >= 0 > d[x] and x != q:
+                debt.append(x)
 
 
 def q_reduced(g: Multigraph, d) -> tuple:
     """The q-reduced (superstable off the sink) representative of the
     divisor class of d, with q = node n.
 
-    Stage 1 clears debt off q by unfiring the outer BFS layers; stage 2 is
-    Dhar's burning algorithm.
+    ``_borrow`` clears the debt off q; Dhar's burning algorithm then makes
+    d superstable.
     """
     n = g.n
     if len(d) != n:
         raise ValueError("divisor length must equal the node count")
     q = n - 1
     d = list(d)
-    nbrs, _, layers = _q_layers(g)
-
-    # Unfire U_t = {v : dist[v] >= t} from the deepest layer inward; a layer
-    # never loses chips after its own pass.  BFS edges leaving U_t all join
-    # layer t to layer t - 1, and each layer-t vertex has at least one.
-    for layer, edges in layers:
-        need = max(0, max(-d[v] for v in layer))
-        if need == 0:
-            continue
-        for v, w, m in edges:
-            d[v] += need * m
-            d[w] -= need * m
+    nbrs, degs = _neighbours(g)
+    _borrow(nbrs, degs, d, [v for v in range(q) if d[v] < 0])
 
     # Dhar burning: the fire spreads from q to every vertex with fewer chips
     # than burnt edges; if some vertices stay unburnt, they fire together.
@@ -479,37 +476,6 @@ def q_reduced(g: Multigraph, d) -> tuple:
                         d[w] += m
 
 
-def _take_chip(g: Multigraph, d: tuple, v: int) -> tuple:
-    """``q_reduced(g, d - e_v)`` for a q-reduced d with d[v] = 0, v != q.
-
-    While some vertex w != q is in debt, w borrows ceil(-d[w] / deg w)
-    times: each borrow adds deg w chips to w and takes m(w, x) from each
-    neighbour x, q included.  This is sandpile duality: c -> (deg - 1) - c
-    maps the superstables off q onto the recurrent configurations
-    (Holroyd-Levine-Meszaros-Peres-Propp-Wilson, 2008), a borrow is a
-    toppling of the dual, and adding a chip to a recurrent configuration
-    and stabilizing gives the recurrent configuration of its class (Dhar,
-    PRL 1990).  So the result is superstable off q and equivalent to
-    d - e_v: the q-reduced divisor.  A vertex joins the stack when it goes
-    into debt, so each one in debt is on it once.
-    """
-    q = g.n - 1
-    nbrs, degs, _ = _q_layers(g)
-    d = list(d)
-    d[v] = -1
-    stack = [v]
-    while stack:
-        w = stack.pop()
-        k = -(d[w] // degs[w])  # ceil(-d[w] / deg w)
-        d[w] += k * degs[w]
-        for x, m in nbrs[w]:
-            had = d[x]
-            d[x] = had - k * m
-            if had >= 0 > d[x] and x != q:
-                stack.append(x)
-    return tuple(d)
-
-
 def divisor_rank_oracle(g: Multigraph, u) -> int:
     """Independent divisor rank: largest r such that subtracting any
     effective divisor of degree r leaves an effective class, decided by
@@ -518,16 +484,13 @@ def divisor_rank_oracle(g: Multigraph, u) -> int:
     A depth-first walk over the effective e as non-decreasing vertex
     sequences carries the q-reduced divisor d equivalent to u - e; only u
     itself goes through ``q_reduced``.  Taking a chip from a vertex that
-    has one keeps d q-reduced.  A vertex without chips goes into debt, and
-    ``_take_chip`` settles it by borrowing: that is toppling in the
-    recurrent dual (Holroyd-Levine-Meszaros-Peres-Propp-Wilson, 2008),
-    whose stabilization is the recurrent configuration of the class (Dhar,
-    PRL 1990), so the result is the q-reduced divisor.  Effectiveness is
-    monotone in e, so branches at or beyond the least degree of a failing e
-    found so far are cut, and the rank is that degree minus one.  Node q comes last in the order and
-    d is q-reduced, so e plus j copies of q stays effective exactly for
-    j <= d_q: those chains bound the failing degree without being walked.
-    The walk uses an explicit stack, as its depth reaches deg(u).
+    has one keeps d q-reduced; a vertex without chips goes into debt, and
+    ``_borrow`` settles it.  Effectiveness is monotone in e, so branches at
+    or beyond the least degree of a failing e found so far are cut, and the
+    rank is that degree minus one.  Node q comes last in the order and d is
+    q-reduced, so e plus j copies of q stays effective exactly for j <= d_q:
+    those chains bound the failing degree without being walked.  The walk
+    uses an explicit stack, as its depth reaches deg(u).
     """
     if len(u) != g.n:
         raise ValueError("divisor length must equal the node count")
@@ -539,6 +502,7 @@ def divisor_rank_oracle(g: Multigraph, u) -> int:
     d = q_reduced(g, u)
     if d[q] < 0:
         return -1
+    nbrs, degs = _neighbours(g)
     fail = deg + 1  # every e of degree deg(u) + 1 fails
     # (q-reduced divisor equivalent to u - e, deg e, least vertex e may still take)
     stack = [(d, 0, 0)]
@@ -551,7 +515,10 @@ def divisor_rank_oracle(g: Multigraph, u) -> int:
             if d[v]:
                 child = d[:v] + (d[v] - 1,) + d[v + 1 :]
             else:
-                child = _take_chip(g, d, v)
+                child = list(d)
+                child[v] = -1
+                _borrow(nbrs, degs, child, [v])
+                child = tuple(child)
                 if child[q] < 0:
                     fail = k + 1
                     break

@@ -1,5 +1,7 @@
 """Toppling ideals, parking functions, lattice geometry, and divisor ranks."""
 
+import importlib
+import pkgutil
 import random
 import sys
 from fractions import Fraction
@@ -7,10 +9,12 @@ from itertools import combinations, product
 
 import pytest
 
+import chipalg
 from chipalg import chipfiring
 from chipalg.chipfiring import (
+    _borrow,
+    _neighbours,
     _reduced_laplacian_inverse,
-    _take_chip,
     baker_norine_verify,
     canonical_divisor,
     divisor_rank,
@@ -25,12 +29,7 @@ from chipalg.chipfiring import (
 )
 from chipalg.exactla import _mat_vec, solve_integer
 from chipalg.monomials import MonomialIdeal, _minimize, degree_plus, monomial_str, socle, vec_sub
-from chipalg.multigraph import (
-    Multigraph,
-    divisor_class_group,
-    laplacian,
-    tree_count,
-)
+from chipalg.multigraph import Multigraph, laplacian, tree_count
 from conftest import (
     _arrow,
     acyclic_orientations_unique_sink,
@@ -204,8 +203,17 @@ def test_reduced_laplacian_adjugate_matches_fraction_inverse():
 
 
 def test_graph_caches_are_bounded():
-    for cached in (divisor_class_group, _reduced_laplacian_inverse, lattice_socle_base):
-        assert cached.cache_info().maxsize is not None
+    # every lru_cache in the package, found the way chipbench/harness.py finds them
+    caches = {}
+    for info in pkgutil.iter_modules(chipalg.__path__):
+        module = importlib.import_module(f"chipalg.{info.name}")
+        for value in vars(module).values():
+            if hasattr(value, "cache_info"):
+                caches[value.__name__] = value
+    expected = {"divisor_class_group", "_reduced_laplacian_inverse", "lattice_socle_base", "_neighbours"}
+    assert expected <= set(caches)
+    for cached in caches.values():
+        assert cached.cache_info().maxsize is not None, cached.__name__
 
 
 def test_lattice_points_in_box_vs_bruteforce():
@@ -213,10 +221,16 @@ def test_lattice_points_in_box_vs_bruteforce():
     graphs = [random_connected(rng, rng.randint(2, 4), max_mult=2) for _ in range(10)]
     graphs += [random_saturated(rng, rng.randint(3, 4), max_mult=3) for _ in range(4)]
     assert sum(tree_count(g) > 1 for g in graphs) >= 8
+    cases = []
     for g in graphs:
-        lam = laplacian(g)
         lo = tuple(rng.randint(-6, 0) for _ in range(g.n))
         hi = tuple(l + rng.randint(0, 5) for l in lo)
+        cases.append((g, lo, hi))
+    # one node: the lattice is {0}, which the box may miss
+    point = Multigraph(1, ((0,),))
+    cases += [(point, (1,), (2,)), (point, (-2,), (-1,)), (point, (-1,), (0,))]
+    for g, lo, hi in cases:
+        lam = laplacian(g)
         got = set(lattice_points_in_box(g, lo, hi))
         # brute force (v_n = 0 normalization) over a window that holds every
         # v' = inverse @ w' with w' in the box
@@ -238,48 +252,67 @@ def test_lattice_points_in_box_rejects_wrong_length():
             lattice_points_in_box(g, lo, hi)
 
 
+def _assert_q_reduced(g, d, r):
+    """r is equivalent to d and superstable off the sink, by brute force over
+    the subsets that could fire and by the parking ideal."""
+    assert solve_integer(laplacian(g), vec_sub(d, r)) is not None
+    assert all(x >= 0 for x in r[:-1])
+    assert not parking_ideal(g).contains(r[:-1])
+    # no non-empty subset off the sink can fire without going negative
+    n = g.n
+    for size in range(1, n):
+        for S in _subsets(range(1, n), size):
+            fired = list(r)
+            for i in S:
+                fired[i - 1] -= sum(g.mult[i - 1][k - 1] for k in range(1, n + 1) if k not in S)
+            assert any(fired[i - 1] < 0 for i in S)
+
+
 def test_q_reduced_properties():
     rng = random.Random(4)
     for _ in range(25):
         g = random_connected(rng, rng.randint(2, 5), max_mult=3)
         d = tuple(rng.randint(-4, 6) for _ in range(g.n))
-        r = q_reduced(g, d)
-        # same divisor class and degree
-        assert solve_integer(laplacian(g), vec_sub(d, r)) is not None
-        # off-sink coordinates are non-negative and superstable:
-        # no non-empty subset off the sink can fire without going negative
-        assert all(x >= 0 for x in r[:-1])
-        n = g.n
-        for size in range(1, n):
-            for S in _subsets(range(1, n), size):
-                fired = list(r)
-                for i in S:
-                    fired[i - 1] -= sum(g.mult[i - 1][k - 1] for k in range(1, n + 1) if k not in S)
-                assert any(fired[i - 1] < 0 for i in S)
+        _assert_q_reduced(g, d, q_reduced(g, d))
 
 
 def test_q_reduced_is_superstable_and_equivalent():
     rng = random.Random(12)
     for g in _random_graphs(13, 40):
         d = tuple(rng.randint(-8, 8) for _ in range(g.n))
-        red = q_reduced(g, d)
-        assert all(x >= 0 for x in red[:-1])
-        assert not parking_ideal(g).contains(red[:-1])
-        assert solve_integer(laplacian(g), vec_sub(d, red)) is not None
+        _assert_q_reduced(g, d, q_reduced(g, d))
 
 
-def test_take_chip_matches_q_reduced():
+def test_q_reduced_clears_large_debts():
+    # debts many times any degree, and paths of 7 and 8 nodes with q at one
+    # end, so debt far from q is passed along the whole path
+    rng = random.Random(16)
+    graphs = [
+        Multigraph.from_edges(8, {(i, i + 1): 1 for i in range(1, 8)}),
+        Multigraph.from_edges(7, {(i, i + 1): rng.randint(1, 3) for i in range(1, 7)}),
+    ]
+    graphs += _random_graphs(17, 10)
+    for g in graphs:
+        for _ in range(10):
+            d = tuple(rng.randint(-200, 200) for _ in range(g.n))
+            _assert_q_reduced(g, d, q_reduced(g, d))
+
+
+def test_borrow_matches_q_reduced():
     # q-reduced d with a chip taken where d has none, by borrowing; the
-    # chain graph has BFS depth 3
+    # chain graph has diameter 3
     rng = random.Random(14)
     steps = 0
     for g in data_and_seeded_graphs(15):
+        nbrs, degs = _neighbours(g)
         for _ in range(20):
             d = q_reduced(g, tuple(rng.randint(-6, 10) for _ in range(g.n)))
             for v in range(g.n - 1):
                 if d[v] == 0:
                     less = d[:v] + (-1,) + d[v + 1 :]
-                    assert _take_chip(g, d, v) == q_reduced(g, less), (g, d, v)
+                    got = list(less)
+                    _borrow(nbrs, degs, got, [v])
+                    assert tuple(got) == q_reduced(g, less), (g, d, v)
                     steps += 1
     assert steps >= 300
 
