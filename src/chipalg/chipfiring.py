@@ -7,7 +7,8 @@ Each toppling binomial is the Laplacian move L e_I of a connected split
 (``multigraph.connected_splits``) cut into its positive and negative parts.
 
 Debt off the sink is cleared in one place, ``_borrow``: ``q_reduced``
-borrows and then burns, and the rank oracle borrows for each chip it takes.
+borrows off its debt and then runs Dhar's rounds as "q fires, the debts
+are borrowed back", and the rank oracle borrows for each chip it takes.
 """
 
 from __future__ import annotations
@@ -235,7 +236,8 @@ def lattice_socle_base(g: Multigraph) -> tuple:
     which are c(v) = indeg_O(v) - 1 over the acyclic orientations O with
     node n as unique source (Benson-Chakrabarty-Tetali).  Reversing O makes
     n the unique sink, so these are the connected flags with singleton
-    blocks, with one subtracted from each degree.
+    blocks, with one subtracted from each degree.  They are distinct, as an
+    acyclic orientation is determined by its indegree vector.
     """
     return tuple(sorted(tuple(d - 1 for d in c) for _, c in _layerings(g, singletons=True)))
 
@@ -414,13 +416,15 @@ def _borrow(nbrs, degs, d: list, debt: list) -> None:
     times: each borrow adds deg w chips to w and takes m(w, x) from each
     neighbour x, q included.  Under c -> (deg - 1) - c a borrow is a
     toppling with sink q, so this is sandpile stabilization: it ends, with
-    d >= 0 off q.  A vertex joins ``debt`` when it goes into debt.
+    d >= 0 off q, and which vertices borrow does not depend on the order.
+    A vertex joins ``debt`` when it goes into debt.
 
     The map takes the superstables off q onto the recurrent configurations
     (Holroyd-Levine-Meszaros-Peres-Propp-Wilson, 2008), and a recurrent
     configuration plus one chip stabilizes to the recurrent configuration
     of its class (Dhar, PRL 1990).  So a q-reduced divisor minus one chip
-    borrows straight to its q-reduced form.
+    borrows straight to its q-reduced form.  In the same dual, q firing
+    adds Dhar's burning configuration; ``q_reduced`` builds on that.
     """
     q = len(d) - 1
     while debt:
@@ -438,8 +442,14 @@ def q_reduced(g: Multigraph, d) -> tuple:
     """The q-reduced (superstable off the sink) representative of the
     divisor class of d, with q = node n.
 
-    ``_borrow`` clears the debt off q; Dhar's burning algorithm then makes
-    d superstable.
+    ``_borrow`` clears the debt off q.  Then, until a round gives d back,
+    q fires once (each neighbour w loses m(w, q) chips to q) and ``_borrow``
+    settles the neighbours in debt.  A round is one round of Dhar burning:
+    with d >= 0 off q a vertex loses at most its degree, so it borrows at
+    most once, and it borrows iff it has fewer chips than its edges to q
+    and to the vertices that borrowed, i.e. iff Dhar burns it.  The others
+    lose one chip per edge to the burnt set: Dhar fires the unburnt set.
+    That changes d unless every vertex burns, which is superstability.
     """
     n = g.n
     if len(d) != n:
@@ -448,32 +458,14 @@ def q_reduced(g: Multigraph, d) -> tuple:
     d = list(d)
     nbrs, degs = _neighbours(g)
     _borrow(nbrs, degs, d, [v for v in range(q) if d[v] < 0])
-
-    # Dhar burning: the fire spreads from q to every vertex with fewer chips
-    # than burnt edges; if some vertices stay unburnt, they fire together.
     while True:
-        burnt = [False] * n
-        burnt[q] = True
-        incoming = [0] * n
-        stack = [q]
-        nburnt = 1
-        while stack:
-            v = stack.pop()
-            for w, m in nbrs[v]:
-                if not burnt[w]:
-                    incoming[w] += m
-                    if d[w] < incoming[w]:
-                        burnt[w] = True
-                        nburnt += 1
-                        stack.append(w)
-        if nburnt == n:
-            return tuple(d)
-        for v in range(n):
-            if not burnt[v]:
-                for w, m in nbrs[v]:
-                    if burnt[w]:
-                        d[v] -= m
-                        d[w] += m
+        before = tuple(d)
+        d[q] += degs[q]
+        for w, m in nbrs[q]:
+            d[w] -= m
+        _borrow(nbrs, degs, d, [w for w, _ in nbrs[q] if d[w] < 0])
+        if tuple(d) == before:
+            return before
 
 
 def divisor_rank_oracle(g: Multigraph, u) -> int:

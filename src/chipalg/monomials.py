@@ -210,6 +210,8 @@ def parse_ideal(text: str) -> MonomialIdeal:
         g = tuple(int(x) for x in parts[1:])
         if any(e < 0 for e in g):
             raise ValueError(f"line {lineno}: exponents must be non-negative")
+        if not any(g):
+            raise ValueError(f"line {lineno}: generator 1 makes the ideal the whole ring")
         gens.append(g)
     if m is None:
         raise ValueError("missing 'vars <m>' line")

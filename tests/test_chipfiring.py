@@ -285,13 +285,20 @@ def test_q_reduced_is_superstable_and_equivalent():
 
 def test_q_reduced_clears_large_debts():
     # debts many times any degree, and paths of 7 and 8 nodes with q at one
-    # end, so debt far from q is passed along the whole path
+    # end, so debt far from q is passed along the whole path; then the
+    # one-node graph, where q has no neighbours, a triple edge, and a star
+    # centred at q, where Dhar's fire reaches every vertex in its first step
     rng = random.Random(16)
     graphs = [
         Multigraph.from_edges(8, {(i, i + 1): 1 for i in range(1, 8)}),
         Multigraph.from_edges(7, {(i, i + 1): rng.randint(1, 3) for i in range(1, 7)}),
     ]
     graphs += _random_graphs(17, 10)
+    graphs += [
+        Multigraph(1, ((0,),)),
+        Multigraph.from_edges(2, {(1, 2): 3}),
+        Multigraph.from_edges(6, {(i, 6): i for i in range(1, 6)}),
+    ]
     for g in graphs:
         for _ in range(10):
             d = tuple(rng.randint(-200, 200) for _ in range(g.n))

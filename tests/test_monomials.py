@@ -252,6 +252,8 @@ def test_parse_format_roundtrip():
         parse_ideal("gen 1 2")
     with pytest.raises(ValueError):
         parse_ideal("vars 2\ngen 1 -1")
+    with pytest.raises(ValueError, match="line 2: .*whole ring"):
+        parse_ideal("vars 2\ngen 0 0")
 
 
 def test_monomial_str():
