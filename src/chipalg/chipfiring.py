@@ -282,7 +282,8 @@ def _reduced_laplacian_inverse(g: Multigraph) -> tuple:
 
 
 def lattice_points_in_box(g: Multigraph, lo, hi) -> list:
-    """All Laplacian-lattice vectors w with lo <= w <= hi componentwise."""
+    """All Laplacian-lattice vectors w with lo <= w <= hi componentwise:
+    the boxes that ``divisor_rank`` searches."""
     n = g.n
     if len(lo) != n or len(hi) != n:
         raise ValueError("box bounds must have one entry per node")

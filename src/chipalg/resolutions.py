@@ -17,9 +17,11 @@ generators, so ``bary_complex`` walks the graph from those subsets and the
 toppling class table walks it from all of them.  Slices are cut by
 per-coordinate bitmasks (``_at_most``): ``bary_complex`` keeps each face's
 label from its walk, and ``sub_below`` ANDs the masks of the faces with
-label_i <= c_i and drops those labelled exactly c.  ``apt_region`` builds
-one lattice box, ANDs the masks of its points below each degree, and walks
-the slice on the box's neighbour masks, so its faces index the box.
+label_i <= c_i and drops those labelled exactly c.  ``apt_region`` walks
+the lattice points below the degrees on the steps L e_I, from one seed per
+slice (a complete linear system is connected under those steps), keeps
+the points below some degree, and walks each slice on the neighbour masks
+of that union, so its faces index the sorted union.
 ``homology_ranks`` collapses the star of the vertex in the most faces, a
 cone, and ranks only the relative boundaries of the faces outside it.
 ``cyc_partitions`` lists the cyclically ordered partitions of [n], which
@@ -31,13 +33,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations
-from operator import or_
+from itertools import chain, combinations, compress
+from operator import add, eq, neg, or_
 
-from .chipfiring import _bits, connected_flags, lattice_points_in_box
+from .chipfiring import _bits, connected_flags, q_reduced
 from .exactla import check_char
 from .kernels import sparse_rank
-from .monomials import lcm_exp, vec_add
+from .monomials import lcm_exp, vec_sub
 from .multigraph import Multigraph, divisor_class_group, subset_images
 
 __all__ = [
@@ -164,7 +166,8 @@ def _below(at_most, c, full) -> int:
         t = x - lo
         if t < 0:
             return 0
-        mask &= cum[min(t, len(cum) - 1)]
+        if t < len(cum):  # the last mask holds every point
+            mask &= cum[t]
     return mask
 
 
@@ -258,50 +261,101 @@ def sub_below(c: LabeledComplex, deg) -> LabeledComplex:
 
 def apt_region(g: Multigraph, degs, images):
     """Slice the apartment complex below each degree c of ``degs`` from one
-    lattice box, and return an iterator over the slices in turn.
+    walk, and return an iterator over the slices in turn.
 
     A slice's vertices are the lattice classes v (normalized v_n = 0) with
-    Laplacian@v <= c componentwise, labeled by Laplacian@v; its faces are
-    the cliques of pairwise tropical distance <= 1 whose lcm label properly
-    divides x^c.  Every slice's ``vertex_labels`` is the whole box, sorted,
-    and its faces index it.  ``images`` is the origin table from
-    ``_subset_images``, whose Laplacian images are the steps of distance 1.
+    Laplacian@v <= c componentwise, labeled by w = Laplacian@v; its faces
+    are the cliques of pairwise tropical distance <= 1 whose lcm label
+    properly divides x^c.  Tropical distance 1 means v' - v = e_I modulo the
+    all-ones vector for a proper non-empty I, that is, w' - w is an image
+    L e_I of the origin table ``images`` (``_subset_images``).  Every
+    slice's ``vertex_labels`` is the union of the slices, sorted, and its
+    faces index it.
 
-    Laplacian images sum to 0, so a lattice vector w <= c has
-    w_i = -sum_(j != i) w_j >= -sum_(j != i) c_j = c_i - sum(c).  The box
-    [lo, top], with lo_i the least c_i - sum(c) and ``top`` the
-    componentwise max over the degrees, holds every slice.  Its points are
-    sorted by w once, and bit k of a mask stands for the k-th of them.  A
-    slice is the AND over i of the masks of points with w_i <= c_i.  Each
-    vertex w of a slice has w <= c, so a face's label is c exactly when
-    every coordinate i is hit: some vertex of the face has w_i = c_i.  The
-    walk cuts there by or-ing per-vertex bitmasks of the coordinates hit.
-    The box, the masks and the neighbours are built here; each slice's
-    cliques are walked on the box's neighbour masks, rooted at the slice's
-    mask, as the iterator reaches it.
+    The points w <= c are the complete linear system |c| shifted by c, and
+    they are connected under the steps L e_I: linear systems are tropically
+    convex (Haase-Musiker-Yu, Math. Z. 2012).  Directly, take w0 <= c and
+    w = w0 + L v <= c with v >= 0 and min v = 0.  For t = 0, ..., max v the
+    point w0 + L u with u = max(v - t, 0) is <= c: at a vertex x with
+    v_x <= t, u_x = 0 and the entry is w0_x - sum_y m(x, y) u_y <= c_x; at
+    one with v_x > t, u_x - u_y <= v_x - v_y for every y, so the entry is at
+    most w_x.  Consecutive points differ by L e_I with I = {x : v_x >= t},
+    a proper non-empty subset.  So one breadth-first walk from a point of
+    each slice, stepping by every image and keeping a probe only if it lies
+    below some degree, meets exactly the union of the slices.  A degree
+    c >= 0 is seeded at the origin and a degree of negative sum has an
+    empty slice; any other is seeded at c - q_reduced(c) when that form is
+    effective, and its slice is empty otherwise (Baker-Norine).
+
+    A probe lies below some degree when the AND over i of the bitmasks of
+    the degrees with c_i >= w_i is not 0.  Those are the ``_at_most`` masks
+    of the negated degrees, read by ``_below`` at -w, so the walk runs on
+    -w; the images are closed under negation (L e_I = -L e_J for the
+    complement J), so they step it too.  The walk gives each point's
+    neighbours.  The points are then sorted by w, bit k of a mask standing
+    for the k-th of them, which keeps the relative order of a lattice box
+    over the degrees; a slice is the AND over i of the masks of the points
+    with w_i <= c_i.  Each vertex w of a slice has w <= c, so a face's
+    label is c exactly when every coordinate i is hit: some vertex of the
+    face has w_i = c_i.  The walk cuts there by or-ing per-vertex bitmasks
+    of the coordinates hit.  Each slice's cliques are walked as the
+    iterator reaches it.  A degree whose length is not the node count
+    raises ``ValueError``.
     """
+    n = g.n
     degs = [tuple(c) for c in degs]
-    top = tuple(map(max, zip(*degs)))
-    lo = tuple(map(min, zip(*([x - sum(c) for x in c] for c in degs))))
-    ws = tuple(sorted(lattice_points_in_box(g, lo, top)))
-    index = {w: k for k, w in enumerate(ws)}
+    for c in degs:
+        if len(c) != n:
+            raise ValueError(f"degree {c} must have one entry per node, {n}")
+    _, imgs, _ = images
+    at_least = _at_most([tuple(map(neg, c)) for c in degs])
+    full = (1 << len(degs)) - 1
+
+    # The seeds, negated as the walk runs: -(c - q_reduced(c)) = q_reduced(c) - c.
+    seeds = {}
+    for c in degs:
+        if min(c) >= 0:
+            seeds[(0,) * n] = None
+        elif sum(c) >= 0:
+            d = q_reduced(g, c)
+            if d[-1] >= 0:
+                seeds[vec_sub(d, c)] = None
+    # The points and the indices of their neighbours; a probe below no
+    # degree is indexed -1.
+    pts = list(seeds)
+    index = {u: k for k, u in enumerate(pts)}
+    near = []
+    for u in pts:
+        adj = []
+        for d in imgs:
+            x = tuple(map(add, u, d))
+            j = index.get(x)
+            if j is None:
+                if not _below(at_least, x, full):
+                    index[x] = -1
+                    continue
+                j = index[x] = len(pts)
+                pts.append(x)
+            elif j < 0:
+                continue
+            adj.append(j)
+        near.append(adj)
+
+    # Sorting by w is sorting by -w in reverse.
+    order = sorted(range(len(pts)), key=pts.__getitem__, reverse=True)
+    rank = [0] * len(pts)
+    for k, j in enumerate(order):
+        rank[j] = k
+    ws = tuple(tuple(-x for x in pts[j]) for j in order)
+    nbrs = [sum(1 << rank[i] for i in near[j]) for j in order]
     at_most = _at_most(ws)
     masks = [_below(at_most, c, (1 << len(ws)) - 1) for c in degs]
 
-    # The neighbours of each point in some slice.  Tropical distance 1
-    # means v' - v = e_I modulo the all-ones vector for a proper non-empty
-    # I, that is, w' - w is the image of e_I.
-    _, imgs, _ = images
-    union = 0
-    for mask in masks:
-        union |= mask
-    nbrs = {}
-    for k in _bits(union):
-        nbrs[k] = sum(1 << j for j in (index.get(vec_add(ws[k], d)) for d in imgs) if j is not None)
+    bits = [1 << i for i in range(n)]
 
     def cut(c, mask):
-        hits = {k: sum(1 << i for i, (x, y) in enumerate(zip(ws[k], c)) if x == y) for k in _bits(mask)}
-        faces = _cliques(nbrs, hits, mask, (1 << len(c)) - 1, or_)
+        hits = {k: sum(compress(bits, map(eq, ws[k], c))) for k in _bits(mask)}
+        faces = _cliques(nbrs, hits, mask, (1 << n) - 1, or_)
         return LabeledComplex(ws, tuple(f for f, _ in faces))
 
     return map(cut, degs, masks)

@@ -314,6 +314,16 @@ def test_saturated_conjecture_report_is_unchanged(capsys, name, argv):
     assert code == 0 and out == expected
 
 
+def test_skewed_conjecture_report_is_unchanged(capsys):
+    # g13 is graph 13 of conftest's random_connected(Random(99), 6, 2), genus
+    # 10 with 664 spanning trees, whose lattice box over the class labels
+    # held 528 points for the 197 below some label; recorded while
+    # apt_region still enumerated that box
+    expected = (DATA / "g13.conjecture.json").read_text()
+    code, out, _ = _run(capsys, "conjecture", str(DATA / "g13.graph"))
+    assert code == 0 and out == expected
+
+
 @pytest.mark.parametrize("graph", ["prism", "c4", "k4", "chain", "sat5"])
 def test_parking_side_output_is_unchanged(capsys, graph):
     # recorded from the homology of the barycentric subcomplexes, before the

@@ -2,6 +2,7 @@
 apartment subcomplexes, homology, and graded Betti numbers."""
 
 import random
+from collections import Counter
 from functools import reduce
 from itertools import combinations
 from math import factorial
@@ -9,11 +10,11 @@ from operator import or_
 
 import pytest
 
-from chipalg import resolutions
-from chipalg.chipfiring import connected_flags, lattice_points_in_box, lattice_socle_base
+from chipalg import chipfiring, resolutions
+from chipalg.chipfiring import connected_flags, lattice_points_in_box, lattice_socle_base, q_reduced
 from chipalg.exactla import solve_integer
 from chipalg.monomials import divides, lcm_exp, vec_add
-from chipalg.multigraph import laplacian, parse_graph
+from chipalg.multigraph import laplacian, parse_graph, subset_images, tree_count
 from chipalg.resolutions import (
     LabeledComplex,
     OrderedPartition,
@@ -612,11 +613,22 @@ def _points(c) -> tuple:
     return tuple(tuple(c.vertex_labels[v] for v in f) for f in c.faces)
 
 
+def _seed_branch(g, deg) -> str:
+    """Where ``apt_region`` seeds the slice below deg: at the origin, at
+    deg minus its q-reduced form, or nowhere."""
+    if min(deg) >= 0:
+        return "origin"
+    if sum(deg) < 0:
+        return "negative degree"
+    return "effective" if q_reduced(g, deg)[-1] >= 0 else "not effective"
+
+
 def test_apartment_slices_match_own_boxes():
-    """Every slice that apt_region cuts from the one box over the join of
-    the zero-incident labels equals the slice from the label's own box,
-    each face as its tuple of lattice points and in the same order; so does
-    the one slice of a degree that is not a label."""
+    """Every slice that apt_region cuts from the one walk over the union of
+    the slices equals the slice from the degree's own box, each face as its
+    tuple of lattice points and in the same order: below the zero-incident
+    labels, and below random degrees, alone and together with the labels.
+    The random degrees reach every seed of the walk."""
     rng = random.Random(24)
     graphs = [k4(), c4(), chain_graph()]
     for n in range(1, 7):
@@ -624,19 +636,84 @@ def test_apartment_slices_match_own_boxes():
             graphs.append(random_connected(rng, n, max_mult))
             graphs.append(random_saturated(rng, n, max_mult))
     nonempty = 0
+    branches = Counter()
     for g in graphs:
         images = _subset_images(g)
         labels = sorted(_zero_incident_labels(g, images).values())
-        for c, got in zip(labels, apt_region(g, labels, images), strict=True):
-            assert _points(got) == _points(_apt_region_own_box(g, c))
-            nonempty += bool(got.faces)
+        degs = []
         if g.n < 6:
             top = tuple(map(max, zip(*labels)))
-            for _ in range(5):
-                deg = tuple(rng.randint(-2, t + 1) for t in top)
-                (got,) = apt_region(g, [deg], images)
-                assert _points(got) == _points(_apt_region_own_box(g, deg))
+            degs = [tuple(rng.randint(-2, t + 1) for t in top) for _ in range(5)]
+        want = [_points(_apt_region_own_box(g, c)) for c in labels + degs]
+        got = [_points(s) for s in apt_region(g, labels + degs, images)]
+        assert got == want
+        nonempty += sum(map(bool, want[: len(labels)]))
+        for deg, points in zip(degs, want[len(labels) :]):
+            (one,) = apt_region(g, [deg], images)
+            assert _points(one) == points
+            branches[_seed_branch(g, deg)] += 1
     assert nonempty > 1000
+    assert branches == {"origin": 53, "effective": 48, "not effective": 14, "negative degree": 50}
+
+
+def test_apartment_slices_reject_bad_degrees():
+    """A degree whose length is not the node count is named in the error,
+    and no degrees give no slices."""
+    g = k4()
+    images = _subset_images(g)
+    with pytest.raises(ValueError, match=r"degree \(1, 2, 0\) must have one entry per node, 4"):
+        apt_region(g, [(1, 1, 0, 0), (1, 2, 0)], images)
+    with pytest.raises(ValueError, match=r"degree \(0, 0, 0, 0, 0\)"):
+        apt_region(g, [(0, 0, 0, 0, 0)], images)
+    assert list(apt_region(g, [], images)) == []
+
+
+def test_linear_systems_are_connected():
+    """The lattice points w <= c, found in the box [c - sum(c), c], are
+    connected under the steps L e_I inside {w <= c}: the lemma that lets
+    apt_region find the slices by a walk from one seed each."""
+    rng = random.Random(31)
+    graphs = data_and_seeded_graphs(32)
+    nontrivial = 0
+    for g in graphs:
+        steps = [d for _, d in subset_images(g)]
+        labels = sorted(_zero_incident_labels(g, _subset_images(g)).values())
+        top = tuple(map(max, zip(*labels)))
+        for _ in range(20 if g.n < 6 else 4):
+            deg = tuple(rng.randint(-2, t + 1) for t in top)
+            points = set(lattice_points_in_box(g, tuple(x - sum(deg) for x in deg), deg))
+            if not points:
+                continue
+            seen = {min(points)}
+            todo = list(seen)
+            while todo:
+                w = todo.pop()
+                for d in steps:
+                    x = vec_add(w, d)
+                    if x in points and x not in seen:
+                        seen.add(x)
+                        todo.append(x)
+            assert seen == points, (g, deg)
+            # several points below a degree that is not >= 0
+            nontrivial += len(points) > 1 and min(deg) < 0
+    assert nontrivial >= 80
+
+
+def test_conjecture_makes_no_lattice_box(monkeypatch):
+    """conjecture_check finds the apartment slices without enumerating a
+    lattice box: on the prism, and on graph 13 of
+    random_connected(Random(99), 6, 2), whose box held 528 points for the
+    197 below some degree."""
+
+    def no_box(*args):
+        raise AssertionError("lattice_points_in_box called")
+
+    monkeypatch.setattr(chipfiring, "lattice_points_in_box", no_box)
+    assert "lattice_points_in_box" not in vars(resolutions)
+    g13 = parse_graph((DATA / "g13.graph").read_text())
+    assert (g13.genus, tree_count(g13)) == (10, 664)
+    for g in (prism(), g13):
+        assert conjecture_check(g)["pass"]
 
 
 def test_conjecture_builds_one_inclusion_graph(monkeypatch):
