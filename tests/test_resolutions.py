@@ -10,11 +10,11 @@ from operator import or_
 
 import pytest
 
-from chipalg import chipfiring, resolutions
+from chipalg import resolutions
 from chipalg.chipfiring import connected_flags, lattice_points_in_box, lattice_socle_base, q_reduced
 from chipalg.exactla import solve_integer
 from chipalg.monomials import divides, lcm_exp, vec_add
-from chipalg.multigraph import laplacian, parse_graph, subset_images, tree_count
+from chipalg.multigraph import laplacian, parse_graph, subset_images
 from chipalg.resolutions import (
     LabeledComplex,
     OrderedPartition,
@@ -627,8 +627,8 @@ def test_apartment_slices_match_own_boxes():
     """Every slice that apt_region cuts from the one walk over the union of
     the slices equals the slice from the degree's own box, each face as its
     tuple of lattice points and in the same order: below the zero-incident
-    labels, and below random degrees, alone and together with the labels.
-    The random degrees reach every seed of the walk."""
+    labels alone, and below random degrees, alone and together with the
+    labels. The random degrees reach every seed of the walk."""
     rng = random.Random(24)
     graphs = [k4(), c4(), chain_graph()]
     for n in range(1, 7):
@@ -645,8 +645,10 @@ def test_apartment_slices_match_own_boxes():
             top = tuple(map(max, zip(*labels)))
             degs = [tuple(rng.randint(-2, t + 1) for t in top) for _ in range(5)]
         want = [_points(_apt_region_own_box(g, c)) for c in labels + degs]
-        got = [_points(s) for s in apt_region(g, labels + degs, images)]
-        assert got == want
+        # the labels alone are what conjecture_check asks for; the random
+        # degrees add points to the walk that could join a label's slice
+        assert [_points(s) for s in apt_region(g, labels, images)] == want[: len(labels)]
+        assert [_points(s) for s in apt_region(g, labels + degs, images)] == want
         nonempty += sum(map(bool, want[: len(labels)]))
         for deg, points in zip(degs, want[len(labels) :]):
             (one,) = apt_region(g, [deg], images)
@@ -697,23 +699,6 @@ def test_linear_systems_are_connected():
             # several points below a degree that is not >= 0
             nontrivial += len(points) > 1 and min(deg) < 0
     assert nontrivial >= 80
-
-
-def test_conjecture_makes_no_lattice_box(monkeypatch):
-    """conjecture_check finds the apartment slices without enumerating a
-    lattice box: on the prism, and on graph 13 of
-    random_connected(Random(99), 6, 2), whose box held 528 points for the
-    197 below some degree."""
-
-    def no_box(*args):
-        raise AssertionError("lattice_points_in_box called")
-
-    monkeypatch.setattr(chipfiring, "lattice_points_in_box", no_box)
-    assert "lattice_points_in_box" not in vars(resolutions)
-    g13 = parse_graph((DATA / "g13.graph").read_text())
-    assert (g13.genus, tree_count(g13)) == (10, 664)
-    for g in (prism(), g13):
-        assert conjecture_check(g)["pass"]
 
 
 def test_conjecture_builds_one_inclusion_graph(monkeypatch):
