@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
+from operator import mul
 
 from .monomials import MonomialIdeal, degree_plus, standard_monomials, vec_sub
 from .multigraph import GRAPH_CACHE_SIZE, Multigraph, connected_splits, laplacian, tree_count
@@ -293,19 +294,11 @@ def lattice_points_in_box(g: Multigraph, lo, hi) -> list:
     if m == 0:  # the walk below checks no row when it fixes no coordinate
         return [(0,)] if lo[0] <= 0 <= hi[0] else []
     adj, det, lap = _reduced_laplacian_inverse(g)
-    # v' = adj @ w' / det over the box w' in prod [lo_i, hi_i], i < n
-    vlo, vhi = [], []
-    for row in adj:
-        a = b = 0
-        for cij, l, h in zip(row, lo, hi):
-            if cij >= 0:
-                a += cij * l
-                b += cij * h
-            else:
-                a += cij * h
-                b += cij * l
-        vlo.append(-(-a // det))  # ceil
-        vhi.append(b // det)  # floor
+    # v' = adj @ w' / det over the box w' in prod [lo_i, hi_i], i < n.  L' is
+    # a Stieltjes matrix, so adj = det * L'^-1 >= 0 (Berman-Plemmons) and
+    # the corners lo and hi bound v'.
+    vlo = [-(-sum(map(mul, row, lo)) // det) for row in adj]  # ceil
+    vhi = [sum(map(mul, row, hi)) // det for row in adj]  # floor
 
     # Suffix interval of each linear form w_i over the unfixed coordinates.
     sufmin = [[0] * n for _ in range(m + 1)]

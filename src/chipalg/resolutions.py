@@ -18,8 +18,8 @@ toppling class table walks it from all of them.  Slices are cut by
 per-coordinate bitmasks (``_at_most``): ``bary_complex`` keeps each face's
 label from its walk, and ``sub_below`` ANDs the masks of the faces with
 label_i <= c_i and drops those labelled exactly c.  ``apt_region`` walks
-the lattice points below the degrees on the steps L e_I, from one seed per
-slice (a complete linear system is connected under those steps), keeps
+the lattice points below the degrees >= 0 on the steps L e_I from the
+origin (a complete linear system is connected under those steps), keeps
 the points below some degree, and walks each slice on the neighbour masks
 of that union, so its faces index the sorted union.
 ``homology_ranks`` collapses the star of the vertex in the most faces, a
@@ -36,10 +36,10 @@ from functools import cached_property
 from itertools import chain, combinations, compress
 from operator import add, eq, neg, or_
 
-from .chipfiring import _bits, connected_flags, q_reduced
+from .chipfiring import _bits, connected_flags
 from .exactla import check_char
 from .kernels import sparse_rank
-from .monomials import lcm_exp, vec_sub
+from .monomials import lcm_exp
 from .multigraph import Multigraph, divisor_class_group, subset_images
 
 __all__ = [
@@ -242,12 +242,15 @@ def sub_below(c: LabeledComplex, deg) -> LabeledComplex:
     t, built once per complex (``_at_most``); the faces below deg are the
     AND over i of the masks for t = deg_i.  Among those, a face is labelled
     exactly deg when no label_i is <= deg_i - 1, and those are dropped.
-    A complex without ``face_labels`` raises ``ValueError``.
+    A complex without ``face_labels``, and a degree whose length is not
+    that of the labels, raise ``ValueError``.
     """
     if c.face_labels is None:
         raise ValueError("sub_below needs the complex's face_labels, and this complex has none")
     deg = tuple(deg)
     at_most = c._face_masks
+    if c.faces and len(deg) != len(at_most):
+        raise ValueError(f"degree {deg} must have one entry per node, {len(at_most)}")
     keep = _below(at_most, deg, (1 << len(c.faces)) - 1)
     exact = keep
     for (lo, cum), x in zip(at_most, deg):
@@ -274,18 +277,16 @@ def apt_region(g: Multigraph, degs, images):
 
     The points w <= c are the complete linear system |c| shifted by c, and
     they are connected under the steps L e_I: linear systems are tropically
-    convex (Haase-Musiker-Yu, Math. Z. 2012).  Directly, take w0 <= c and
-    w = w0 + L v <= c with v >= 0 and min v = 0.  For t = 0, ..., max v the
-    point w0 + L u with u = max(v - t, 0) is <= c: at a vertex x with
-    v_x <= t, u_x = 0 and the entry is w0_x - sum_y m(x, y) u_y <= c_x; at
-    one with v_x > t, u_x - u_y <= v_x - v_y for every y, so the entry is at
-    most w_x.  Consecutive points differ by L e_I with I = {x : v_x >= t},
-    a proper non-empty subset.  So one breadth-first walk from a point of
-    each slice, stepping by every image and keeping a probe only if it lies
-    below some degree, meets exactly the union of the slices.  A degree
-    c >= 0 is seeded at the origin and a degree of negative sum has an
-    empty slice; any other is seeded at c - q_reduced(c) when that form is
-    effective, and its slice is empty otherwise (Baker-Norine).
+    convex (Haase-Musiker-Yu, Math. Z. 2012).  For c >= 0 this is direct:
+    take w = L v <= c with v >= 0 and min v = 0.  For t = 0, ..., max v the
+    point L u with u = max(v - t, 0) is <= c: at a vertex x with v_x <= t,
+    u_x = 0 and the entry is -sum_y m(x, y) u_y <= 0 <= c_x; at one with
+    v_x > t, u_x - u_y <= v_x - v_y for every y, so the entry is at most
+    w_x.  Consecutive points differ by L e_I with I = {x : v_x >= t}, a
+    proper non-empty subset, and t = max v gives the origin.  So one
+    breadth-first walk from the origin, stepping by every image and keeping
+    a probe only if it lies below some degree, meets exactly the union of
+    the slices.
 
     A probe lies below some degree when the AND over i of the bitmasks of
     the degrees with c_i >= w_i is not 0.  Those are the ``_at_most`` masks
@@ -299,31 +300,22 @@ def apt_region(g: Multigraph, degs, images):
     label is c exactly when every coordinate i is hit: some vertex of the
     face has w_i = c_i.  The walk cuts there by or-ing per-vertex bitmasks
     of the coordinates hit.  Each slice's cliques are walked as the
-    iterator reaches it.  A degree whose length is not the node count
-    raises ``ValueError``.
+    iterator reaches it.  A degree whose length is not the node count, or
+    with a negative entry, raises ``ValueError``.
     """
     n = g.n
     degs = [tuple(c) for c in degs]
     for c in degs:
-        if len(c) != n:
-            raise ValueError(f"degree {c} must have one entry per node, {n}")
+        if len(c) != n or min(c) < 0:
+            raise ValueError(f"degree {c} must have one non-negative entry per node, {n}")
     _, imgs, _ = images
     at_least = _at_most([tuple(map(neg, c)) for c in degs])
     full = (1 << len(degs)) - 1
 
-    # The seeds, negated as the walk runs: -(c - q_reduced(c)) = q_reduced(c) - c.
-    seeds = {}
-    for c in degs:
-        if min(c) >= 0:
-            seeds[(0,) * n] = None
-        elif sum(c) >= 0:
-            d = q_reduced(g, c)
-            if d[-1] >= 0:
-                seeds[vec_sub(d, c)] = None
-    # The points and the indices of their neighbours; a probe below no
-    # degree is indexed -1.
-    pts = list(seeds)
-    index = {u: k for k, u in enumerate(pts)}
+    # The points, from the origin, and the indices of their neighbours; a
+    # probe below no degree is indexed -1.
+    pts = [(0,) * n]
+    index = {pts[0]: 0}
     near = []
     for u in pts:
         adj = []

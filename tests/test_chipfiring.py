@@ -198,6 +198,8 @@ def test_reduced_laplacian_adjugate_matches_fraction_inverse():
         g = random_saturated(rng, n) if k % 3 == 0 else random_connected(rng, n, max_mult=3)
         adj, det, _ = _reduced_laplacian_inverse(g)
         assert det == tree_count(g)
+        # L' is a Stieltjes matrix, so its inverse is entrywise >= 0
+        assert all(x >= 0 for row in adj for x in row)
         inv = _fraction_inverse(g)
         assert [[Fraction(x, det) for x in row] for row in adj] == inv
 
