@@ -2,30 +2,29 @@
 
 The Betti tables are counted from the connected flags of the graph
 (``chipfiring.connected_flags``).  The parking-vs-toppling comparison takes
-its Betti numbers from the reduced homology of label-restricted
-subcomplexes of two labeled flag complexes: the barycentric subdivision of
-the (n-2)-simplex with monomial labels, and the apartment complex of
-lattice classes under the tropical metric.  A flag complex is given by one
-neighbour bitmask per vertex, and one walk (``_cliques``) lists the faces
-of both, each clique with the join of its vertex labels: their lcm for a
-whole complex, and for an apartment slice the bitwise or of the
-coordinates each vertex hits, cut where every coordinate is hit.  Both
-sides start from one origin table (``_subset_images``): the subsets I and
-their L e_I from ``multigraph.subset_images``, and their inclusion graph.
-Its labels lcm(0, L e_I) on the subsets that avoid n are the parking
-generators, so ``bary_complex`` walks the graph from those subsets and the
-toppling class table walks it from all of them.  Slices are cut by
-per-coordinate bitmasks (``_at_most``): ``bary_complex`` keeps each face's
-label from its walk, and ``sub_below`` ANDs the masks of the faces with
-label_i <= c_i and drops those labelled exactly c.  ``apt_region`` walks
-the lattice points below the degrees >= 0 on the steps L e_I from the
-origin (a complete linear system is connected under those steps), keeps
-the points below some degree, and walks each slice on the neighbour masks
-of that union, so its faces index the sorted union.
-``homology_ranks`` collapses the star of the vertex in the most faces, a
-cone, and ranks only the relative boundaries of the faces outside it.
-``cyc_partitions`` lists the cyclically ordered partitions of [n], which
-index the paper's free complex.
+its Betti numbers from reduced homology in two independent ways.  The
+parking side is cellular: the barycentric subdivision of the (n-2)-simplex
+with monomial labels, cut below each label.  The toppling side uses the
+upper Koszul complex K^c of the lattice module at each degree c, a complex
+on at most n vertices whose homology gives beta_{i,c} with no resolution
+(Miller-Sturmfels, *Combinatorial Commutative Algebra*, Thm 1.34 and
+Ch. 9).  One walk (``_cliques``) lists the faces of a flag complex, given
+by one neighbour bitmask per vertex, each clique with the lcm of its vertex
+labels.  Both sides start from one origin table (``_subset_images``): the
+subsets I and their L e_I from ``multigraph.subset_images``, and their
+inclusion graph.  Its labels lcm(0, L e_I) on the subsets that avoid n are
+the parking generators, so ``bary_complex`` walks the graph from those
+subsets and the toppling class table walks it from all of them.
+``sub_below`` cuts the barycentric complex by per-coordinate bitmasks
+(``_at_most``): it ANDs the masks of the faces with label_i <= c_i and
+drops those labelled exactly c.  ``apt_region`` walks the lattice points
+below the degrees >= 0 on the steps L e_I from the origin (a complete
+linear system is connected under those steps), and ``_koszul_ranks`` reads
+the facets of K^c off the points below c.  ``homology_ranks`` collapses the
+star of the vertex in the most faces, a cone, and ranks only the relative
+boundaries of the faces outside it.  ``cyc_partitions`` lists the
+cyclically ordered partitions of [n], which index the paper's free
+complex.
 """
 
 from __future__ import annotations
@@ -33,8 +32,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations, compress
-from operator import add, eq, neg, or_
+from itertools import chain, combinations
+from operator import add, neg
 
 from .chipfiring import _bits, connected_flags
 from .exactla import check_char
@@ -171,17 +170,11 @@ def _below(at_most, c, full) -> int:
     return mask
 
 
-def _cliques(nbrs, labels, roots, cut=None, join=lcm_exp):
+def _cliques(nbrs, labels, roots):
     """Yield ``(face, label)`` for each non-empty clique of the graph whose
     vertex k has the neighbour bitmask ``nbrs[k]``, within the vertex
     bitmask ``roots``: a face is a sorted tuple of vertices and its label
-    the ``join`` of their ``labels``, by default their lcm.  Faces come in
-    lexicographic pre-order.
-
-    A face labelled ``cut`` is not yielded and ends its branch: when the
-    join only grows along a branch towards ``cut``, as the coordinate hits
-    of ``apt_region`` do under bitwise or, the faces yielded are those
-    whose label stays below it.
+    the lcm of their ``labels``.  Faces come in lexicographic pre-order.
     """
 
     def walk(face, label, cand):
@@ -189,11 +182,10 @@ def _cliques(nbrs, labels, roots, cut=None, join=lcm_exp):
             low = cand & -cand
             cand ^= low
             j = low.bit_length() - 1
-            lab = join(label, labels[j]) if face else labels[j]
-            if lab != cut:
-                nxt = face + (j,)
-                yield nxt, lab
-                yield from walk(nxt, lab, cand & nbrs[j])
+            lab = lcm_exp(label, labels[j]) if face else labels[j]
+            nxt = face + (j,)
+            yield nxt, lab
+            yield from walk(nxt, lab, cand & nbrs[j])
 
     return walk((), None, roots)
 
@@ -262,18 +254,15 @@ def sub_below(c: LabeledComplex, deg) -> LabeledComplex:
     return LabeledComplex(c.vertex_labels, tuple(c.faces[k] for k in _bits(keep ^ exact)))
 
 
-def apt_region(g: Multigraph, degs, images):
-    """Slice the apartment complex below each degree c of ``degs`` from one
-    walk, and return an iterator over the slices in turn.
+def apt_region(g: Multigraph, degs, images) -> list:
+    """For each degree c of ``degs``, the list of lattice points w <= c
+    componentwise, found by one walk.
 
-    A slice's vertices are the lattice classes v (normalized v_n = 0) with
-    Laplacian@v <= c componentwise, labeled by w = Laplacian@v; its faces
-    are the cliques of pairwise tropical distance <= 1 whose lcm label
-    properly divides x^c.  Tropical distance 1 means v' - v = e_I modulo the
-    all-ones vector for a proper non-empty I, that is, w' - w is an image
-    L e_I of the origin table ``images`` (``_subset_images``).  Every
-    slice's ``vertex_labels`` is the union of the slices, sorted, and its
-    faces index it.
+    The lattice points are w = Laplacian@v for integer vectors v, and they
+    generate the lattice module whose upper Koszul complexes give the
+    toppling side's Betti numbers (``_koszul_ranks``).  The steps L e_I, for
+    proper non-empty subsets I of [n], are the images of the origin table
+    ``images`` (``_subset_images``).
 
     The points w <= c are the complete linear system |c| shifted by c, and
     they are connected under the steps L e_I: linear systems are tropically
@@ -286,21 +275,14 @@ def apt_region(g: Multigraph, degs, images):
     proper non-empty subset, and t = max v gives the origin.  So one
     breadth-first walk from the origin, stepping by every image and keeping
     a probe only if it lies below some degree, meets exactly the union of
-    the slices.
+    the point sets, and each point goes to the degrees above it, in walk
+    order.
 
-    A probe lies below some degree when the AND over i of the bitmasks of
-    the degrees with c_i >= w_i is not 0.  Those are the ``_at_most`` masks
-    of the negated degrees, read by ``_below`` at -w, so the walk runs on
-    -w; the images are closed under negation (L e_I = -L e_J for the
-    complement J), so they step it too.  The walk gives each point's
-    neighbours.  The points are then sorted by w, bit k of a mask standing
-    for the k-th of them, which keeps the relative order of a lattice box
-    over the degrees; a slice is the AND over i of the masks of the points
-    with w_i <= c_i.  Each vertex w of a slice has w <= c, so a face's
-    label is c exactly when every coordinate i is hit: some vertex of the
-    face has w_i = c_i.  The walk cuts there by or-ing per-vertex bitmasks
-    of the coordinates hit.  Each slice's cliques are walked as the
-    iterator reaches it.  A degree whose length is not the node count, or
+    The degrees above a probe w are the AND over i of the bitmasks of the
+    degrees with c_i >= w_i.  Those are the ``_at_most`` masks of the
+    negated degrees, read by ``_below`` at -w, so the walk runs on -w; the
+    images are closed under negation (L e_I = -L e_J for the complement J),
+    so they step it too.  A degree whose length is not the node count, or
     with a negative entry, raises ``ValueError``.
     """
     n = g.n
@@ -312,45 +294,26 @@ def apt_region(g: Multigraph, degs, images):
     at_least = _at_most([tuple(map(neg, c)) for c in degs])
     full = (1 << len(degs)) - 1
 
-    # The points, from the origin, and the indices of their neighbours; a
-    # probe below no degree is indexed -1.
-    pts = [(0,) * n]
-    index = {pts[0]: 0}
-    near = []
+    # The points, from the origin, each with the bitmask of the degrees
+    # above it; the origin lies below every degree.
+    pts, above = [(0,) * n], [full]
+    seen = set(pts)
     for u in pts:
-        adj = []
         for d in imgs:
             x = tuple(map(add, u, d))
-            j = index.get(x)
-            if j is None:
-                if not _below(at_least, x, full):
-                    index[x] = -1
-                    continue
-                j = index[x] = len(pts)
-                pts.append(x)
-            elif j < 0:
-                continue
-            adj.append(j)
-        near.append(adj)
+            if x not in seen:
+                seen.add(x)
+                mask = _below(at_least, x, full)
+                if mask:
+                    pts.append(x)
+                    above.append(mask)
 
-    # Sorting by w is sorting by -w in reverse.
-    order = sorted(range(len(pts)), key=pts.__getitem__, reverse=True)
-    rank = [0] * len(pts)
-    for k, j in enumerate(order):
-        rank[j] = k
-    ws = tuple(tuple(-x for x in pts[j]) for j in order)
-    nbrs = [sum(1 << rank[i] for i in near[j]) for j in order]
-    at_most = _at_most(ws)
-    masks = [_below(at_most, c, (1 << len(ws)) - 1) for c in degs]
-
-    bits = [1 << i for i in range(n)]
-
-    def cut(c, mask):
-        hits = {k: sum(compress(bits, map(eq, ws[k], c))) for k in _bits(mask)}
-        faces = _cliques(nbrs, hits, mask, (1 << n) - 1, or_)
-        return LabeledComplex(ws, tuple(f for f, _ in faces))
-
-    return map(cut, degs, masks)
+    out = [[] for _ in degs]
+    for x, mask in zip(pts, above):
+        w = tuple(map(neg, x))
+        for k in _bits(mask):
+            out[k].append(w)
+    return out
 
 
 def homology_ranks(c: LabeledComplex, char: int = 0) -> dict:
@@ -429,6 +392,38 @@ def homology_ranks(c: LabeledComplex, char: int = 0) -> dict:
     return out
 
 
+def _koszul_ranks(points, c, memo: dict, char: int) -> dict:
+    """Reduced homology ranks of the upper Koszul complex K^c of the
+    lattice module, from the lattice ``points`` w <= c.
+
+    K^c is the simplicial complex on [n] whose faces are the F with c - F
+    above some lattice point, so its facets are the sets {i : w_i < c_i}
+    over the points, written as bitmasks; the toppling Betti number
+    beta_{i,c} is the rank in dimension i - 1 (Miller-Sturmfels,
+    *Combinatorial Commutative Algebra*, Thm 1.34 and Ch. 9).  A facet that
+    is all of [n] makes K^c a cone, with no homology.  Otherwise the faces
+    are the non-empty subsets of the maximal facets, and their ranks are
+    kept in ``memo`` under the set of maximal facets; a memo serves one
+    characteristic.
+    """
+    n = len(c)
+    cone = (1 << n) - 1
+    facets = {sum(1 << i for i in range(n) if w[i] < c[i]) for w in points}
+    if cone in facets:
+        return {-1: 0}
+    top = frozenset(f for f in facets if not any(f != h and f & h == f for h in facets))
+    ranks = memo.get(top)
+    if ranks is None:
+        faces = set()
+        for f in top:
+            vs = _bits(f)
+            for k in range(1, len(vs) + 1):
+                faces.update(combinations(vs, k))
+        units = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        ranks = memo[top] = homology_ranks(LabeledComplex(units, tuple(sorted(faces))), char)
+    return ranks
+
+
 def _zero_incident_labels(g: Multigraph, images) -> dict:
     """The toppling class table: a map from each (degree, divisor class) of
     apartment face labels to one label of that class, in first-met order.
@@ -486,16 +481,18 @@ def betti_toppling(g: Multigraph) -> dict:
 def conjecture_check(g: Multigraph, char: int = 0) -> dict:
     """Compare parking-side and toppling-side graded Betti numbers.
 
-    Barycentric face labels are x_n-free, but the apartment slice below a
-    degree depends only on its divisor class, and distinct parking degrees
+    Barycentric face labels are x_n-free, but the toppling Betti numbers at
+    a degree depend only on its divisor class, and distinct parking degrees
     can share a class.  The comparison therefore aggregates: for each
     class, the sum over its barycentric labels c of reduced homology in
     dimension i-1 of the subcomplex below c is compared with the homology
-    in dimension i of the apartment slice.  Classes with several distinct
-    barycentric labels are reported as ambiguous pairings; apartment label
-    orbits hit by no barycentric label must carry no homology.  Every
+    in dimension i of the upper Koszul complex of the lattice module at the
+    class's label in the class table (``_koszul_ranks``), which equals that
+    of the apartment slice below it.  Classes with several distinct
+    barycentric labels are reported as ambiguous pairings; class-table
+    labels hit by no barycentric label must carry no homology.  Every
     barycentric label is an apartment face label at the origin, so every
-    class has an apartment slice.
+    class has a label in the table.
 
     The report is written as ``chipalg conjecture`` prints it: each
     compared entry holds its ``parking`` and ``toppling`` ranks, and an
@@ -516,11 +513,12 @@ def conjecture_check(g: Multigraph, char: int = 0) -> dict:
         for i, r in homology_ranks(sub_below(bary, c), char).items():
             bsum[i] = bsum.get(i, 0) + r
 
-    # Toppling side: the apartment slice below each label of the class
-    # table, in ascending label order.
+    # Toppling side: the upper Koszul complex at each label of the class
+    # table, in ascending label order, from the lattice points below it.
     rows = sorted(_zero_incident_labels(g, images).items(), key=lambda kc: kc[1])
-    slices = apt_region(g, [c for _, c in rows], images)
-    apt = {k: (c, homology_ranks(region, char)) for (k, c), region in zip(rows, slices)}
+    points = apt_region(g, [c for _, c in rows], images)
+    memo = {}
+    apt = {k: (c, _koszul_ranks(pts, c, memo, char)) for (k, c), pts in zip(rows, points)}
 
     mismatches = []
     detail = []

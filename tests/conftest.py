@@ -1,10 +1,12 @@
 """Shared fixtures: the named example graphs, random graph generators,
 graph oracles (the edge-sum monomials x^(I->J) among them), the
-full-boundary homology oracle, and the cyclic-partition free complex."""
+full-boundary homology oracle, the apartment-slice oracle for the toppling
+side, and the cyclic-partition free complex."""
 
 import random
 from dataclasses import dataclass
 from itertools import permutations, product
+from operator import or_
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,7 @@ import pytest
 from chipalg.kernels import sparse_rank
 from chipalg.monomials import MonomialIdeal, _minimize, lcm_exp, require_artinian, vec_add, vec_sub
 from chipalg.multigraph import Multigraph, parse_graph
-from chipalg.resolutions import LabeledComplex, OrderedPartition, cyc_partitions
+from chipalg.resolutions import LabeledComplex, OrderedPartition, _subset_images, apt_region, cyc_partitions
 
 DATA = Path(__file__).parent / "data"
 
@@ -179,6 +181,53 @@ def homology_ranks_oracle(c: LabeledComplex, char: int = 0) -> dict:
     out = {-1: 1 - ranks[0]}
     for d in range(top + 1):
         out[d] = len(by_dim.get(d, ())) - ranks[d] - ranks[d + 1]
+    return out
+
+
+def cut_cliques(nbrs, labels, roots, cut, join=lcm_exp):
+    """The clique walk of ``resolutions._cliques`` with a cut: yield
+    ``(face, label)`` for each non-empty clique within the vertex bitmask
+    ``roots`` whose label, the ``join`` of its vertex ``labels``, is not
+    ``cut``, in lexicographic pre-order.  A face labelled ``cut`` ends its
+    branch, so when the join only grows along a branch towards ``cut`` the
+    faces yielded are those whose label stays below it."""
+
+    def walk(face, label, cand):
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            j = low.bit_length() - 1
+            lab = join(label, labels[j]) if face else labels[j]
+            if lab != cut:
+                nxt = face + (j,)
+                yield nxt, lab
+                yield from walk(nxt, lab, cand & nbrs[j])
+
+    return walk((), None, roots)
+
+
+def apartment_slices(g: Multigraph, degs) -> list:
+    """Oracle for the toppling side: the apartment slice below each degree
+    c of ``degs``, whose reduced homology in dimension i is beta_{i+1, c}.
+
+    The vertices of every slice are the union of ``apt_region``'s points
+    below the degrees, sorted, and the faces index them.  Two points are
+    adjacent when they differ by an image L e_I, that is, when their classes
+    are at tropical distance 1.  A slice's faces are the cliques of points
+    w <= c whose lcm label properly divides x^c; below c a label is c
+    exactly when every coordinate i is hit by some vertex with w_i = c_i, so
+    the walk cuts on the bitwise or of those hits."""
+    images = _subset_images(g)
+    degs = [tuple(c) for c in degs]
+    below = apt_region(g, degs, images)
+    ws = tuple(sorted({w for pts in below for w in pts}))
+    index = {w: k for k, w in enumerate(ws)}
+    nbrs = [sum(1 << index[x] for d in images[1] if (x := vec_add(w, d)) in index) for w in ws]
+    out = []
+    for c, pts in zip(degs, below):
+        hits = {index[w]: sum(1 << i for i, (a, b) in enumerate(zip(w, c)) if a == b) for w in pts}
+        faces = cut_cliques(nbrs, hits, sum(1 << k for k in hits), (1 << g.n) - 1, or_)
+        out.append(LabeledComplex(ws, tuple(f for f, _ in faces)))
     return out
 
 

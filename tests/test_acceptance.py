@@ -29,6 +29,7 @@ from chipalg.monomials import (
 )
 from chipalg.multigraph import connected_splits, tree_count
 from chipalg.resolutions import (
+    _koszul_ranks,
     _subset_images,
     apt_region,
     bary_complex,
@@ -49,6 +50,7 @@ from conftest import (
     acyclic_orientations_unique_sink,
     alexander_dual_box_generators,
     all_connected_graphs,
+    apartment_slices,
     c4,
     chain_graph,
     cyc_complex,
@@ -168,16 +170,21 @@ def test_criterion_5_chain_graph_slices():
     ok &= len(bary.faces) == 2 and all(len(f) == 1 for f in bary.faces)
     ok &= {face_label(bary, f) for f in bary.faces} == {(2, 0, 0, 0), (0, 0, 3, 0)}
     ok &= homology_ranks(bary)[0] == 1
-    apt = next(apt_region(g, [deg], _subset_images(g)))
+    (apt,) = apartment_slices(g, [deg])
     ok &= face_counts(apt) == (16, 28, 12)
     hr = homology_ranks(apt)
     ok &= hr.get(1) == 1 and hr.get(0) == 0
-    ok &= set(apt.vertex_labels) == {
+    (points,) = apt_region(g, [deg], _subset_images(g))
+    ok &= len(points) == 16 and set(points) == {
         (0, 0, 0, 0), (0, -1, 1, 0), (0, -2, 2, 0), (0, -3, 3, 0),
         (-2, 0, 2, 0), (-2, -1, 3, 0), (0, 0, 3, -3), (2, 0, 1, -3),
         (2, 0, -2, 0), (2, -1, 2, -3), (2, -1, -1, 0), (2, -2, 3, -3),
         (2, -2, 0, 0), (2, -3, 1, 0), (2, -4, 2, 0), (2, -5, 3, 0),
     }
+    ok &= set(apt.vertex_labels) == set(points)
+    # the upper Koszul complex K^(2,0,3,0) has the slice's H_1
+    kz = _koszul_ranks(points, deg, {}, 0)
+    ok &= kz.get(1) == 1 and not any(r for i, r in kz.items() if i != 1)
     _report(5, "chain graph: syzygy degree slice on both sides, 16 labels", ok)
 
 

@@ -327,6 +327,16 @@ def test_saturated_conjecture_report_is_unchanged(capsys, name, argv):
     assert code == 0 and out == expected
 
 
+@pytest.mark.parametrize("name, argv", [("conjecture", ()), ("conjecture_char2", ("--char", "2"))])
+def test_saturated_6_node_conjecture_report_is_unchanged(capsys, no_lattice_box, name, argv):
+    # rsat6 is conftest's random_saturated(Random(8), 6), with 1,082 classes
+    # in its class table; both reports were recorded while the toppling
+    # side still took its ranks from the apartment slices
+    expected = (DATA / f"rsat6.{name}.json").read_text()
+    code, out, _ = _run(capsys, "conjecture", str(DATA / "rsat6.graph"), *argv)
+    assert code == 0 and out == expected
+
+
 def test_skewed_conjecture_report_is_unchanged(capsys, no_lattice_box):
     # g13 is graph 13 of conftest's random_connected(Random(99), 6, 2), genus
     # 10 with 664 spanning trees, whose lattice box over the class labels

@@ -1,7 +1,9 @@
 """Cellular resolutions: cyclic-partition complexes, barycentric and
-apartment subcomplexes, homology, and graded Betti numbers."""
+apartment subcomplexes, upper Koszul complexes, homology, and graded Betti
+numbers."""
 
 import random
+from collections import Counter
 from functools import cache, reduce
 from itertools import combinations
 from math import factorial
@@ -19,6 +21,7 @@ from chipalg.resolutions import (
     OrderedPartition,
     _cliques,
     _inclusion_graph,
+    _koszul_ranks,
     _subset_images,
     _zero_incident_labels,
     apt_region,
@@ -34,8 +37,11 @@ from conftest import (
     DATA,
     _arrow,
     acyclic_orientations_unique_sink,
+    all_connected_graphs,
+    apartment_slices,
     c4,
     chain_graph,
+    cut_cliques,
     cyc_complex,
     data_and_seeded_graphs,
     face_counts,
@@ -283,7 +289,7 @@ def _walk_below(c, deg) -> tuple:
     deg = tuple(deg)
     verts = {v for f in c.faces for v in f}
     roots = sum(1 << v for v in verts if divides(c.vertex_labels[v], deg))
-    return tuple(f for f, _ in _cliques(_edge_nbrs(c), c.vertex_labels, roots, deg))
+    return tuple(f for f, _ in cut_cliques(_edge_nbrs(c), c.vertex_labels, roots, deg))
 
 
 def test_sub_below_matches_cut_walk():
@@ -305,10 +311,10 @@ def test_sub_below_matches_cut_walk():
 
 
 def test_cliques_match_brute_force():
-    """The walk yields every clique within the roots whose label is not the
-    cut, each with its lcm label, in lexicographic order; the uncut walk
-    yields every non-empty clique.  Cutting on the coordinates that reach
-    the cut, joined by bitwise or, yields the same faces."""
+    """The walk yields every non-empty clique, each with its lcm label, in
+    lexicographic order; the oracle's cut walk yields every clique within
+    the roots whose label is not the cut.  Cutting on the coordinates that
+    reach the cut, joined by bitwise or, yields the same faces."""
     rng = random.Random(26)
     walked = 0
     for _ in range(40):
@@ -327,11 +333,11 @@ def test_cliques_match_brute_force():
         for cut in sorted({lab for _, lab in cliques} | {tuple(rng.randint(0, 2) for _ in range(nvars))}):
             roots = sum(1 << v for v in range(size) if divides(labels[v], cut))
             want = [(f, lab) for f, lab in cliques if all(roots >> v & 1 for v in f) and lab != cut]
-            got = list(_cliques(nbrs, labels, roots, cut))
+            got = list(cut_cliques(nbrs, labels, roots, cut))
             assert got == want
             # below the cut, a label is the cut when every coordinate is hit
             hits = [sum(1 << i for i in range(nvars) if lab[i] == cut[i]) for lab in labels]
-            by_hits = _cliques(nbrs, hits, roots, (1 << nvars) - 1, or_)
+            by_hits = cut_cliques(nbrs, hits, roots, (1 << nvars) - 1, or_)
             assert [f for f, _ in by_hits] == [f for f, _ in want]
             walked += len(got)
     assert walked > 500
@@ -402,15 +408,16 @@ def _random_complexes(rng, count) -> list:
 
 
 def _data_slices() -> list:
-    """Every ``sub_below`` and every ``apt_region`` slice that ``conjecture``
-    ranks on the data graphs c4, k4, chain, prism and sat5."""
+    """Every ``sub_below`` slice that ``conjecture`` ranks on the data
+    graphs c4, k4, chain, prism and sat5, and the oracle's apartment slice
+    below every label of their class tables."""
     out = []
     for name in ("c4", "k4", "chain", "prism", "sat5"):
         g = parse_graph((DATA / f"{name}.graph").read_text())
         images = _subset_images(g)
         bary = bary_complex(g, images)
         out += [sub_below(bary, c) for c in sorted({face_label(bary, f) for f in bary.faces})]
-        out += apt_region(g, sorted(_zero_incident_labels(g, images).values()), images)
+        out += apartment_slices(g, sorted(_zero_incident_labels(g, images).values()))
     return out
 
 
@@ -500,15 +507,14 @@ def _betti_table(n: int, pairs, shift: int, entries: list) -> dict:
 
 def _homology_tables(g, char):
     """The parking and the toppling Betti tables from the homology of the
-    barycentric subcomplexes and of the apartment slices."""
+    barycentric subcomplexes and of the oracle's apartment slices."""
     images = _subset_images(g)
     bary = bary_complex(g, images)
     degrees = sorted({face_label(bary, f) for f in bary.faces})
     below = ((c, homology_ranks(sub_below(bary, c), char)) for c in degrees)
     parking = _betti_table(g.n, below, 2, [((0,) * g.n, 0, 1)])
     labels = sorted(_zero_incident_labels(g, images).values())
-    slices = apt_region(g, labels, images)
-    slices = ((c, homology_ranks(region, char)) for c, region in zip(labels, slices))
+    slices = ((c, homology_ranks(region, char)) for c, region in zip(labels, apartment_slices(g, labels)))
     toppling = _betti_table(g.n, slices, 1, [])
     return parking, toppling
 
@@ -569,7 +575,7 @@ def test_chain_graph_example():
 
 def test_chain_graph_apartment_slice():
     g = chain_graph()
-    apt = next(apt_region(g, [(2, 0, 3, 0)], _subset_images(g)))
+    (apt,) = apartment_slices(g, [(2, 0, 3, 0)])
     assert face_counts(apt) == (16, 28, 12)
     hr = homology_ranks(apt)
     assert hr[0] == 0 and hr[1] == 1  # homology of a circle
@@ -582,6 +588,13 @@ def test_chain_graph_apartment_slice():
     assert set(apt.vertex_labels) == expected_labels
 
 
+def _own_box_points(g, deg) -> list:
+    """The lattice points w <= deg, from its own box [deg - sum(deg), deg],
+    sorted."""
+    total = sum(deg)
+    return sorted(lattice_points_in_box(g, tuple(d - total for d in deg), tuple(deg)))
+
+
 def _apt_region_own_box(g, deg) -> LabeledComplex:
     """Reference for the apartment slice below deg: the lattice points w of
     its own box [deg - sum(deg), deg], sorted by label, and every clique of
@@ -589,8 +602,7 @@ def _apt_region_own_box(g, deg) -> LabeledComplex:
     in lexicographic pre-order.  Distances are taken between the classes v
     with L v = w (``_lattice_class``)."""
     deg = tuple(deg)
-    total = sum(deg)
-    labels = tuple(sorted(lattice_points_in_box(g, tuple(d - total for d in deg), deg)))
+    labels = tuple(_own_box_points(g, deg))
     vs = [_lattice_class(g, w) for w in labels]
 
     @cache
@@ -626,35 +638,86 @@ def _points(c) -> tuple:
 
 
 def test_apartment_slices_match_own_boxes():
-    """Every slice that apt_region cuts from the one walk over the union of
-    the slices equals the slice from the degree's own box, each face as its
-    tuple of lattice points and in the same order: below the zero-incident
+    """The points that apt_region finds below each degree by one walk over
+    their union are those of the degree's own box: below the zero-incident
     labels alone, and below random degrees, alone and together with the
-    labels."""
+    labels.  On the data graphs k4, c4 and chain, the oracle's slices below
+    the labels and the random degrees equal the slices from the own boxes,
+    each face as its tuple of lattice points and in the same order."""
     rng = random.Random(24)
     graphs = [k4(), c4(), chain_graph()]
     for n in range(1, 7):
         for max_mult in (1, 2, 3) if n < 6 else (1,):
             graphs.append(random_connected(rng, n, max_mult))
             graphs.append(random_saturated(rng, n, max_mult))
-    nonempty = 0
-    for g in graphs:
+    points = nonempty = 0
+    for k, g in enumerate(graphs):
         images = _subset_images(g)
         labels = sorted(_zero_incident_labels(g, images).values())
         degs = []
         if g.n < 6:
             top = tuple(map(max, zip(*labels)))
             degs = [tuple(rng.randint(0, t + 1) for t in top) for _ in range(5)]
-        want = [_points(_apt_region_own_box(g, c)) for c in labels + degs]
+        want = [_own_box_points(g, c) for c in labels + degs]
         # the labels alone are what conjecture_check asks for; the random
-        # degrees add points to the walk that could join a label's slice
-        assert [_points(s) for s in apt_region(g, labels, images)] == want[: len(labels)]
-        assert [_points(s) for s in apt_region(g, labels + degs, images)] == want
-        nonempty += sum(map(bool, want[: len(labels)]))
-        for deg, points in zip(degs, want[len(labels) :]):
+        # degrees add points to the walk
+        assert [sorted(pts) for pts in apt_region(g, labels, images)] == want[: len(labels)]
+        assert [sorted(pts) for pts in apt_region(g, labels + degs, images)] == want
+        points += sum(map(len, want))
+        for deg, pts in zip(degs, want[len(labels) :]):
             (one,) = apt_region(g, [deg], images)
-            assert _points(one) == points
-    assert nonempty > 1000
+            assert sorted(one) == pts
+        if k < 3:
+            slices = [_points(s) for s in apartment_slices(g, labels + degs)]
+            assert slices == [_points(_apt_region_own_box(g, c)) for c in labels + degs]
+            nonempty += sum(map(bool, slices))
+    assert points > 11000 and nonempty > 50
+
+
+def _koszul_graphs() -> list:
+    """The data graphs, every connected graph with n <= 4 and multiplicity
+    <= 1, and ten seeded random connected 5-node graphs."""
+    names = ("c4", "k4", "chain", "prism", "sat5", "rsat5", "g13")
+    graphs = [parse_graph((DATA / f"{name}.graph").read_text()) for name in names]
+    graphs += [g for n in range(1, 5) for g in all_connected_graphs(n, 1)]
+    rng = random.Random(26)
+    return graphs + [random_connected(rng, 5) for _ in range(10)]
+
+
+def _nonzero(ranks) -> dict:
+    return {i: r for i, r in ranks.items() if r}
+
+
+def test_koszul_matches_apartment_slices():
+    """At every label of the class table, and at three random degrees in
+    [0, 2]^n, the upper Koszul complex of the lattice points below the
+    degree has the reduced homology of the oracle's apartment slice below
+    it, in the same dimensions, in characteristics 0 and 2; one memo serves
+    each graph and characteristic.  Every label has homology; the random
+    degrees give cones, other acyclic complexes, and homology."""
+    rng = random.Random(27)
+    graphs = _koszul_graphs()
+    assert len(graphs) == 7 + 44 + 10
+    kinds = Counter()
+    for g in graphs:
+        images = _subset_images(g)
+        labels = sorted(_zero_incident_labels(g, images).values())
+        degs = labels + [tuple(rng.randint(0, 2) for _ in range(g.n)) for _ in range(3)]
+        points = apt_region(g, degs, images)
+        slices = apartment_slices(g, degs)
+        for char in (0, 2):
+            memo = {}
+            for k, (c, pts, region) in enumerate(zip(degs, points, slices)):
+                got = _nonzero(_koszul_ranks(pts, c, memo, char))
+                assert got == _nonzero(homology_ranks(region, char)), (g, c, char)
+                if k < len(labels):
+                    assert got
+                    kinds["label"] += 1
+                elif any(all(map(int.__lt__, w, c)) for w in pts):
+                    kinds["cone"] += 1
+                else:
+                    kinds["homology" if got else "acyclic"] += 1
+    assert kinds["label"] > 3000 and min(kinds["cone"], kinds["acyclic"], kinds["homology"]) > 50
 
 
 def test_apartment_slices_reject_bad_degrees():
