@@ -77,16 +77,16 @@ class GradedPolynomial:
 
 
 def _collect(g: Multigraph, signed) -> GradedPolynomial:
-    """Sum of c * t^|u| q^div(u) over the (u, c) pairs, collected in one
-    dict; zero coefficients are dropped."""
+    """Sum of c * t^|u| q^div(u) over the (u, c) pairs of exponent tuples
+    on [n-1], collected in one dict; zero coefficients are dropped.  Each u
+    is classified as the divisor (u, -|u|) by the group's projection."""
+    grp = divisor_class_group(g)
     terms = {}
     for u, c in signed:
-        k = (sum(u), div_class(g, u))
+        t = sum(u)
+        k = (t, grp.class_of(u + (-t,)))
         terms[k] = terms.get(k, 0) + c
-    return GradedPolynomial(
-        divisor_class_group(g).invariant_factors,
-        {k: c for k, c in terms.items() if c},
-    )
+    return GradedPolynomial(grp.invariant_factors, {k: c for k, c in terms.items() if c})
 
 
 def hilbert_numerator(g: Multigraph) -> GradedPolynomial:

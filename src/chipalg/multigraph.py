@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import mul
 
 from .exactla import determinant, smith_normal_form
 
@@ -159,7 +160,7 @@ class DivisorClassGroup:
 
     def class_of(self, w) -> tuple:
         return tuple(
-            sum(r * x for r, x in zip(row, w)) % d
+            sum(map(mul, row, w)) % d
             for row, d in zip(self._proj_rows, self.invariant_factors)
         )
 

@@ -9,7 +9,6 @@ invariant, and then rank satisfies the exact duality identity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .monomials import (
     MonomialIdeal,
@@ -69,24 +68,34 @@ def _exponents(M: MonomialIdeal, b) -> tuple:
     return b
 
 
+def _lex_below(b, k, room, i=0):
+    """The a[i:] with 0 <= a[i:] <= b[i:] and degree k, in lexicographic
+    order; ``room[j]`` is sum(b[j:])."""
+    if i == len(b):
+        yield ()
+        return
+    for v in range(max(0, k - room[i + 1]), min(b[i], k) + 1):
+        for tail in _lex_below(b, k - v, room, i + 1):
+            yield (v,) + tail
+
+
 def mono_rank_bruteforce(M: MonomialIdeal, b) -> RankWitness:
     """Rank by direct search: the smallest-degree a with 0 <= a <= b and
     x^(b-a) outside M; rank = degree(a) - 1.
 
-    Ties within a degree are broken lexicographically.
+    The search walks the degrees k = 0, 1, ... and, within each, the a <= b
+    in lexicographic order, so the first a found is the witness and only
+    the a of degree at most rank + 1 are tested.
     """
     b = _exponents(M, b)
     if any(e < 0 for e in b):
         raise ValueError("brute-force rank needs a non-negative monomial")
-    best = None
-    for a in product(*(range(e + 1) for e in b)):
-        if M.contains(vec_sub(b, a)):
-            continue
-        if best is None or (degree(a), a) < (degree(best), best):
-            best = a
-    if best is None:
-        raise AssertionError("artinian ideal cannot contain all divisors of b")
-    return RankWitness(degree(best) - 1, best)
+    room = [sum(b[i:]) for i in range(len(b) + 1)]
+    for k in range(room[0] + 1):
+        for a in _lex_below(b, k, room):
+            if not M.contains(vec_sub(b, a)):
+                return RankWitness(k - 1, a)
+    raise AssertionError("artinian ideal cannot contain all divisors of b")
 
 
 def mono_rank(M: MonomialIdeal, b) -> int:

@@ -1,7 +1,7 @@
 """Shared fixtures: the named example graphs, random graph generators,
-graph oracles (the edge-sum monomials x^(I->J) among them), the
-full-boundary homology oracle, the apartment-slice oracle for the toppling
-side, and the cyclic-partition free complex."""
+graph oracles (the edge-sum monomials x^(I->J) among them), the box-scan
+monomial rank, the full-boundary homology oracle, the apartment-slice
+oracle for the toppling side, and the cyclic-partition free complex."""
 
 import random
 from dataclasses import dataclass
@@ -15,6 +15,7 @@ from chipalg.kernels import sparse_rank
 from chipalg.monomials import MonomialIdeal, _minimize, lcm_exp, require_artinian, vec_add, vec_sub
 from chipalg.multigraph import Multigraph, parse_graph
 from chipalg.resolutions import LabeledComplex, OrderedPartition, _subset_images, apt_region, cyc_partitions
+from chipalg.riemann_roch import RankWitness
 
 DATA = Path(__file__).parent / "data"
 
@@ -242,6 +243,17 @@ def alexander_dual_box_generators(M: MonomialIdeal, K) -> list:
         raise ValueError("box corner must be non-negative")
     hits = [u for u in product(*(range(k + 1) for k in K)) if not M.contains(vec_sub(K, u))]
     return list(_minimize(hits))
+
+
+def mono_rank_box_oracle(M: MonomialIdeal, b) -> RankWitness:
+    """Rank of x^b by a scan of the whole box 0 <= a <= b: the a of least
+    (degree, lexicographic) order with x^(b-a) outside M, and its degree
+    minus one."""
+    require_artinian(M)
+    b = tuple(b)
+    hits = [a for a in product(*(range(e + 1) for e in b)) if not M.contains(vec_sub(b, a))]
+    best = min(hits, key=lambda a: (sum(a), a))
+    return RankWitness(sum(best) - 1, best)
 
 
 def acyclic_orientations_unique_sink(g: Multigraph, sink: int) -> int:

@@ -11,9 +11,9 @@ from chipalg.hilbert import (
     hilbert_numerator,
     parking_sum,
 )
-from chipalg.chipfiring import parking_ideal
+from chipalg.chipfiring import connected_flags, parking_ideal
 from chipalg.monomials import standard_monomials
-from chipalg.multigraph import div_class, divisor_class_group, tree_count
+from chipalg.multigraph import Multigraph, div_class, divisor_class_group, tree_count
 from chipalg.resolutions import cyc_partitions
 from conftest import basis_label, c4, k4, random_connected, random_saturated
 
@@ -100,6 +100,25 @@ def test_sums_match_termwise_add():
         ps = parking_sum(g)
         assert ps == _termwise(g, [(u, 1) for u in std])
         assert sum(ps.terms.values()) == tree_count(g)
+
+
+def test_sums_match_div_class_termwise():
+    """One class projection per sum gives the terms of a div_class call per
+    monomial, on cyclic class groups and on groups with several invariant
+    factors (k4, and seeded graphs with every multiplicity doubled)."""
+    rng = random.Random(27)
+    graphs = [c4(), k4()]
+    for n in (3, 4, 5):
+        g = random_connected(rng, n, max_mult=1)
+        graphs.append(Multigraph(n, tuple(tuple(2 * m for m in row) for row in g.mult)))
+    factors = [divisor_class_group(g).invariant_factors for g in graphs]
+    assert len(factors[0]) == 1 and all(len(f) >= 2 for f in factors[1:])
+    for g in graphs:
+        q = g.n - 1
+        flags = [(c[:q], 1 if k % 2 else -1) for k, c in connected_flags(g)]
+        assert hilbert_numerator(g) == _termwise(g, flags)
+        std = standard_monomials(parking_ideal(g))
+        assert parking_sum(g) == _termwise(g, [(u, 1) for u in std])
 
 
 def test_shift_and_subtract_matches_mul():

@@ -1,11 +1,14 @@
 """Riemann-Roch theory for artinian monomial ideals."""
 
 import random
-from itertools import product
+from collections import Counter
+from itertools import combinations, product
 
 import pytest
 
-from chipalg.monomials import MonomialIdeal, degree, divides, socle, vec_add, vec_sub
+from chipalg.chipfiring import parking_ideal
+from chipalg.monomials import MonomialIdeal, degree, divides, intersect_irreducible, socle, vec_add, vec_sub
+from chipalg.multigraph import Multigraph
 from chipalg.riemann_roch import (
     construct_rr_ideal,
     mono_rank,
@@ -13,6 +16,7 @@ from chipalg.riemann_roch import (
     rr_profile,
     rr_verify,
 )
+from conftest import mono_rank_box_oracle
 
 K4_PARKING = MonomialIdeal.from_generators(
     3, [(3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1), (2, 2, 0), (2, 0, 2), (0, 2, 2)]
@@ -121,6 +125,72 @@ def test_rank_definitions_agree_randomized():
         # the witness is genuine: x^(b-a) outside M at minimal degree
         assert not M.contains(vec_sub(b, w.witness))
         count += 1
+
+
+def _random_artinian(rng, m):
+    """An artinian ideal in m variables: either a pure power of each
+    variable plus up to four random generators, or an intersection of up to
+    five irreducible ideals (whose socles tie more often)."""
+    if rng.random() < 0.5:
+        comps = [tuple(rng.randint(1, 4) for _ in range(m)) for _ in range(rng.randint(1, 5))]
+        return intersect_irreducible(comps, m)
+    gens = [tuple(rng.randint(1, 5) if k == i else 0 for k in range(m)) for i in range(m)]
+    gens += [tuple(rng.randint(0, 4) for _ in range(m)) for _ in range(rng.randint(0, 4))]
+    return MonomialIdeal.from_generators(m, [g for g in gens if any(g)])
+
+
+def test_rank_search_matches_box_oracle():
+    """The search by degree finds the rank and the (degree, lex) witness of
+    the whole-box scan, on exponents with zero entries, ties within the
+    witness's degree included."""
+    rng = random.Random(27)
+    ranks, ties = set(), 0
+    for _ in range(400):
+        m = rng.randint(1, 4)
+        M = _random_artinian(rng, m)
+        b = [rng.randint(0, 6) for _ in range(m)]
+        b[rng.randrange(m)] = 0
+        w = mono_rank_bruteforce(M, b)
+        assert w == mono_rank_box_oracle(M, b)
+        assert w.rank == mono_rank(M, b)
+        ranks.add(w.rank)
+        box = product(*(range(e + 1) for e in b))
+        ties += sum(sum(a) == w.rank + 1 and not M.contains(vec_sub(b, a)) for a in box) > 1
+    assert {-1, 0, 1, 2, 3} <= ranks and ties >= 5
+
+
+def _saturated_of_genus(rng, n, genus):
+    """Complete multigraph of the given genus, as the benchmark catalogues
+    draw it: one edge on every pair, and each remaining edge on a uniformly
+    drawn pair."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    mults = [1] * len(pairs)
+    for _ in range(genus + n - 1 - len(pairs)):
+        mults[rng.randrange(len(pairs))] += 1
+    return Multigraph.from_edges(n, dict(zip(pairs, mults)))
+
+
+def test_rank_search_tests_only_low_degrees():
+    """Membership tests stop at degree rank + 1: on the 7-node saturated
+    parking ideal with b = (5,)*6 the search makes fewer than 17,000 of the
+    46,656 tests a box scan makes."""
+    calls = []
+
+    class Counting(MonomialIdeal):
+        def contains(self, b):
+            calls.append(b)
+            return super().contains(b)
+
+    P = parking_ideal(_saturated_of_genus(random.Random(5), 7, 17))
+    M = Counting(P.vars, P.generators)
+    b = (5,) * 6
+    w = mono_rank_bruteforce(M, b)
+    assert w.rank == mono_rank(P, b) == 12
+    below = Counter(sum(a) for a in product(range(6), repeat=6))
+    # every a of degree <= rank is tested, and none of degree > rank + 1
+    assert sum(below[k] for k in range(w.rank + 1)) < len(calls)
+    assert len(calls) <= sum(below[k] for k in range(w.rank + 2)) == 16941
+    assert len(set(calls)) == len(calls)
 
 
 def test_rank_sign_convention():
