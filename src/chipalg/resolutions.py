@@ -14,17 +14,21 @@ labels.  Both sides start from one origin table (``_subset_images``): the
 subsets I and their L e_I from ``multigraph.subset_images``, and their
 inclusion graph.  Its labels lcm(0, L e_I) on the subsets that avoid n are
 the parking generators, so ``bary_complex`` walks the graph from those
-subsets and the toppling class table walks it from all of them.
-``sub_below`` cuts the barycentric complex by per-coordinate bitmasks
-(``_at_most``): it ANDs the masks of the faces with label_i <= c_i and
-drops those labelled exactly c.  ``apt_region`` walks the lattice points
-below the degrees >= 0 on the steps L e_I from the origin (a complete
-linear system is connected under those steps), and ``_koszul_ranks`` reads
-the facets of K^c off the points below c.  ``homology_ranks`` collapses the
-star of the vertex in the most faces, a cone, and ranks only the relative
-boundaries of the faces outside it.  ``cyc_partitions`` lists the
-cyclically ordered partitions of [n], which index the paper's free
-complex.
+subsets.  A barycentric chain U_1 < ... < U_m is the cyclically ordered
+partition (U_1, U_2 - U_1, ..., [n] - U_m) with n in the last block, and
+its rotations are the flags of the origin: the rotation that starts after
+U_s is labelled the chain's label minus L e_U_s, a lattice translate in
+the same class.  So the toppling class table reads one rotation off each
+barycentric chain (``_zero_incident_labels``).  ``sub_below`` cuts the
+barycentric complex by per-coordinate bitmasks (``_at_most``): it ANDs the
+masks of the faces with label_i <= c_i and drops those labelled exactly
+c.  ``apt_region`` walks the lattice points below the degrees >= 0 on the
+steps L e_I from the origin (a complete linear system is connected under
+those steps), and ``_koszul_ranks`` reads the facets of K^c off the points
+below c.  ``homology_ranks`` collapses the star of the vertex in the most
+faces, a cone, and ranks only the relative boundaries of the faces outside
+it.  ``cyc_partitions`` lists the cyclically ordered partitions of [n],
+which index the paper's free complex.
 """
 
 from __future__ import annotations
@@ -32,8 +36,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations
-from operator import add, neg
+from itertools import accumulate, chain, combinations
+from math import factorial
+from operator import add, neg, or_, sub
 
 from .chipfiring import _bits, connected_flags
 from .exactla import check_char
@@ -203,11 +208,21 @@ def _inclusion_graph(subsets) -> list:
 def _subset_images(g: Multigraph) -> tuple:
     """The origin table: the subsets I and images L e_I of ``subset_images``
     and their ``_inclusion_graph``.  ``bary_complex`` walks the subsets that
-    avoid n, ``_zero_incident_labels`` walks them all, and ``apt_region``
-    steps by the images."""
+    avoid n, ``_zero_incident_labels`` reads each rotation of a barycentric
+    chain as a flag of subsets and takes its label by subtracting an image,
+    and ``apt_region`` steps by the images."""
     table = subset_images(g)
     subsets = [I for I, _ in table]
     return subsets, [d for _, d in table], _inclusion_graph(subsets)
+
+
+def _cyclic_partition_count(n: int) -> int:
+    """The number of cyclically ordered partitions of [n] into at least two
+    blocks: the sum over k >= 2 of (k-1)! S(n, k)."""
+    row = [1]  # the Stirling numbers S(m, k) of the second kind, k <= m
+    for m in range(1, n + 1):
+        row = [0] + [k * (row[k] if k < m else 0) + row[k - 1] for k in range(1, m + 1)]
+    return sum(factorial(k - 1) * row[k] for k in range(2, n + 1))
 
 
 def bary_complex(g: Multigraph, images) -> LabeledComplex:
@@ -218,11 +233,19 @@ def bary_complex(g: Multigraph, images) -> LabeledComplex:
     ``images`` is the origin table from ``_subset_images``, and the faces
     index it.  Vertex I is labelled lcm(0, L e_I), the positive part of
     L e_I, which is the parking generator x^(I -> [n] minus I).
+
+    A chain is a cyclically ordered partition of [n] into at least two
+    blocks, with n in the last block, and the class table reads one
+    rotation off each chain; a face count other than the number of those
+    partitions raises ``AssertionError``.
     """
     subsets, imgs, nbrs = images
     labels = tuple(lcm_exp((0,) * g.n, d) for d in imgs)
     roots = sum(1 << k for k, s in enumerate(subsets) if g.n not in s)
     flags = list(_cliques(nbrs, labels, roots))
+    # A missed chain would silently drop a toppling class: check the count.
+    if len(flags) != _cyclic_partition_count(g.n):
+        raise AssertionError(f"barycentric complex of a {g.n}-node graph has {len(flags)} faces")
     return LabeledComplex(labels, tuple(f for f, _ in flags), tuple(lab for _, lab in flags))
 
 
@@ -400,17 +423,13 @@ def _koszul_ranks(points, c, memo: dict, char: int) -> dict:
     above some lattice point, so its facets are the sets {i : w_i < c_i}
     over the points, written as bitmasks; the toppling Betti number
     beta_{i,c} is the rank in dimension i - 1 (Miller-Sturmfels,
-    *Combinatorial Commutative Algebra*, Thm 1.34 and Ch. 9).  A facet that
-    is all of [n] makes K^c a cone, with no homology.  Otherwise the faces
+    *Combinatorial Commutative Algebra*, Thm 1.34 and Ch. 9).  The faces
     are the non-empty subsets of the maximal facets, and their ranks are
     kept in ``memo`` under the set of maximal facets; a memo serves one
     characteristic.
     """
     n = len(c)
-    cone = (1 << n) - 1
     facets = {sum(1 << i for i in range(n) if w[i] < c[i]) for w in points}
-    if cone in facets:
-        return {-1: 0}
     top = frozenset(f for f in facets if not any(f != h and f & h == f for h in facets))
     ranks = memo.get(top)
     if ranks is None:
@@ -424,28 +443,56 @@ def _koszul_ranks(points, c, memo: dict, char: int) -> dict:
     return ranks
 
 
-def _zero_incident_labels(g: Multigraph, images) -> dict:
+def _zero_incident_labels(g: Multigraph, images, bary: LabeledComplex, keys: dict) -> dict:
     """The toppling class table: a map from each (degree, divisor class) of
-    apartment face labels to one label of that class, in first-met order.
+    apartment face labels to one label of that class, the label of the
+    first flag of the origin in lexicographic pre-order on the indices of
+    its subsets, the empty flag first.
 
-    Faces at the origin correspond to flags of proper non-empty subsets I of
-    [n] (the neighbors are the classes of the indicator vectors e_I, labeled
-    L e_I), the empty flag being the origin itself; every label orbit has
-    such a representative by translation.  ``images`` is the origin table
-    from ``_subset_images``, whose inclusion graph is walked from every
-    subset.  Each class keeps the first label met with the flags in
-    lexicographic pre-order, the empty flag first; each distinct label is
-    classified once, at its first flag.
+    The flags of proper non-empty subsets I of [n] at the origin (the
+    neighbours are the classes of the indicator vectors e_I, labelled
+    L e_I) are the ordered partitions of [n], the empty flag being the
+    origin itself, and every label orbit has such a representative by
+    translation.  A chain U_1 < ... < U_m of the barycentric complex
+    ``bary`` is the ordered partition with blocks B_1 = U_1,
+    B_t = U_t - U_(t-1) and B_(m+1) = [n] - U_m, and its rotations are the
+    flags of one cyclically ordered partition.  The rotation that starts at
+    B_(s+1) is the flag (U_(s+1) - U_s, ..., [n] - U_s,
+    ([n] - U_s) + U_1, ..., ([n] - U_s) + U_(s-1)), s = 0 giving the chain
+    itself, and its label is the chain's label minus L e_U_s (U_0 is
+    empty), so every rotation has the chain's degree and class.
+    The subsets of ``images`` (``_subset_images``) are ordered by size, so
+    a flag's indices increase, and the rotation met first is the one whose
+    first block has the least index.  Cyclic partitions of one class keep
+    the one whose first rotation has the least index tuple.
+
+    ``keys`` is filled with the (degree, class) of each distinct label of
+    ``bary``, which its rotations share, so a caller classifies each label
+    once.  Every table key but the origin's is a value of ``keys``.
     """
-    subsets, imgs, nbrs = images
+    subsets, imgs, _ = images
     grp = divisor_class_group(g)
+    full = (1 << g.n) - 1
+    bits = [sum(1 << (i - 1) for i in s) for s in subsets]
+    index = {b: k for k, b in enumerate(bits)}
+    best = {}
+    for face, lab in zip(bary.faces, bary.face_labels):
+        key = keys.get(lab)
+        if key is None:
+            key = keys[lab] = (sum(lab), grp.class_of(lab))
+        us = [0, *(bits[k] for k in face), full]
+        blocks = [a ^ b for a, b in zip(us, us[1:])]
+        firsts = [index[b] for b in blocks]
+        s = firsts.index(min(firsts))
+        flag = face
+        if s:  # the rotation (B_(s+1), ..., B_(m+1), B_1, ..., B_s)
+            flag = tuple(index[u] for u in accumulate(blocks[s:] + blocks[: s - 1], or_))
+            lab = tuple(map(sub, lab, imgs[face[s - 1]]))
+        kept = best.get(key)
+        if kept is None or flag < kept[0]:
+            best[key] = flag, lab
     zero = (0,) * g.n
-    table = {(0, grp.class_of(zero)): zero}
-    labels = [lcm_exp(zero, d) for d in imgs]  # each flag's label includes the origin's
-    flags = _cliques(nbrs, labels, (1 << len(subsets)) - 1)
-    for lab in dict.fromkeys(lab for _, lab in flags):
-        table.setdefault((sum(lab), grp.class_of(lab)), lab)
-    return table
+    return {(0, grp.class_of(zero)): zero, **{k: lab for k, (_, lab) in best.items()}}
 
 
 def _count_table(n: int, flags) -> dict:
@@ -470,9 +517,11 @@ def betti_parking(g: Multigraph) -> dict:
 def betti_toppling(g: Multigraph) -> dict:
     """Betti table of the quotient by the toppling ideal: the connected
     flag counts per divisor class of the degree, each class written as its
-    label in the class table (``_zero_incident_labels``)."""
+    label in the class table (``_zero_incident_labels``, read off the
+    barycentric chains)."""
     grp = divisor_class_group(g)
-    rep = _zero_incident_labels(g, _subset_images(g))
+    images = _subset_images(g)
+    rep = _zero_incident_labels(g, images, bary_complex(g, images), {})
     return _count_table(
         g.n, ((rep[sum(c), grp.class_of(c)], k - 1) for k, c in connected_flags(g))
     )
@@ -489,25 +538,31 @@ def conjecture_check(g: Multigraph, char: int = 0) -> dict:
     in dimension i of the upper Koszul complex of the lattice module at the
     class's label in the class table (``_koszul_ranks``), which equals that
     of the apartment slice below it.  Classes with several distinct
-    barycentric labels are reported as ambiguous pairings; class-table
-    labels hit by no barycentric label must carry no homology.  Every
-    barycentric label is an apartment face label at the origin, so every
-    class has a label in the table.
+    barycentric labels are reported as ambiguous pairings.  The class table
+    is read off the barycentric chains, one rotation each, so every class
+    but the origin's has a barycentric label, and each label is classified
+    once for both sides.  Class-table labels hit by no barycentric label
+    must carry no homology, and the only one is the origin, which has none
+    in dimension >= 0, so ``unmatched_orbits`` stays empty: that the table
+    holds every class rests on the face count that ``bary_complex``
+    checks, not on a second walk.
 
     The report is written as ``chipalg conjecture`` prints it: each
     compared entry holds its ``parking`` and ``toppling`` ranks, and an
     unmatched orbit's homology is keyed by the dimension as a string.
     """
     n = g.n
-    grp = divisor_class_group(g)
 
     # Parking side: the distinct barycentric face labels, kept from the one
-    # walk that built the complex, and the homology below each.
+    # walk that built the complex and classified by the class table, and
+    # the homology below each.
     images = _subset_images(g)
     bary = bary_complex(g, images)
+    keys = {}
+    table = _zero_incident_labels(g, images, bary, keys)
     by_key, bsums = {}, {}
-    for c in sorted(set(bary.face_labels)):
-        k = (sum(c), grp.class_of(c))
+    for c in sorted(keys):
+        k = keys[c]
         by_key.setdefault(k, []).append(c)
         bsum = bsums.setdefault(k, {})
         for i, r in homology_ranks(sub_below(bary, c), char).items():
@@ -515,7 +570,7 @@ def conjecture_check(g: Multigraph, char: int = 0) -> dict:
 
     # Toppling side: the upper Koszul complex at each label of the class
     # table, in ascending label order, from the lattice points below it.
-    rows = sorted(_zero_incident_labels(g, images).items(), key=lambda kc: kc[1])
+    rows = sorted(table.items(), key=lambda kc: kc[1])
     points = apt_region(g, [c for _, c in rows], images)
     memo = {}
     apt = {k: (c, _koszul_ranks(pts, c, memo, char)) for (k, c), pts in zip(rows, points)}

@@ -1,7 +1,8 @@
 """Shared fixtures: the named example graphs, random graph generators,
 graph oracles (the edge-sum monomials x^(I->J) among them), the box-scan
 monomial rank, the full-boundary homology oracle, the apartment-slice
-oracle for the toppling side, and the cyclic-partition free complex."""
+oracle for the toppling side, the class table from every flag of the
+origin, and the cyclic-partition free complex."""
 
 import random
 from dataclasses import dataclass
@@ -13,8 +14,15 @@ import pytest
 
 from chipalg.kernels import sparse_rank
 from chipalg.monomials import MonomialIdeal, _minimize, lcm_exp, require_artinian, vec_add, vec_sub
-from chipalg.multigraph import Multigraph, parse_graph
-from chipalg.resolutions import LabeledComplex, OrderedPartition, _subset_images, apt_region, cyc_partitions
+from chipalg.multigraph import Multigraph, divisor_class_group, parse_graph
+from chipalg.resolutions import (
+    LabeledComplex,
+    OrderedPartition,
+    _cliques,
+    _subset_images,
+    apt_region,
+    cyc_partitions,
+)
 from chipalg.riemann_roch import RankWitness
 
 DATA = Path(__file__).parent / "data"
@@ -230,6 +238,24 @@ def apartment_slices(g: Multigraph, degs) -> list:
         faces = cut_cliques(nbrs, hits, sum(1 << k for k in hits), (1 << g.n) - 1, or_)
         out.append(LabeledComplex(ws, tuple(f for f, _ in faces)))
     return out
+
+
+def class_table_by_flag_walk(g: Multigraph, images) -> dict:
+    """Oracle for ``resolutions._zero_incident_labels``: the class table
+    from a walk over every flag of the origin.  The inclusion graph of the
+    origin table ``images`` is walked from every subset, and each
+    (degree, class) keeps the label of the first flag met in lexicographic
+    pre-order, the empty flag first; each distinct label is classified
+    once, at its first flag."""
+    subsets, imgs, nbrs = images
+    grp = divisor_class_group(g)
+    zero = (0,) * g.n
+    table = {(0, grp.class_of(zero)): zero}
+    labels = [lcm_exp(zero, d) for d in imgs]  # each flag's label includes the origin's
+    flags = _cliques(nbrs, labels, (1 << len(subsets)) - 1)
+    for lab in dict.fromkeys(lab for _, lab in flags):
+        table.setdefault((sum(lab), grp.class_of(lab)), lab)
+    return table
 
 
 def alexander_dual_box_generators(M: MonomialIdeal, K) -> list:

@@ -318,6 +318,16 @@ def test_toppling_side_output_is_unchanged(capsys, no_lattice_box, graph, name, 
     assert code == 0 and out == expected
 
 
+@pytest.mark.parametrize("graph", ["g13", "rsat6"])
+def test_toppling_tie_break_output_is_unchanged(capsys, graph):
+    # g13 has 62 classes whose label is decided by the tie-break between
+    # cyclic partitions of one class, and rsat6 (saturated) has 1,082
+    # classes; both recorded while the class table walked every origin flag
+    expected = (DATA / f"{graph}.toppling.json").read_text()
+    code, out, _ = _run(capsys, "betti", str(DATA / f"{graph}.graph"), "--ideal", "toppling")
+    assert code == 0 and out == expected
+
+
 @pytest.mark.parametrize("name, argv", [("conjecture", ()), ("conjecture_char2", ("--char", "2"))])
 def test_saturated_conjecture_report_is_unchanged(capsys, name, argv):
     # rsat5 is conftest's random_saturated(Random(16), 5); both reports were

@@ -15,11 +15,12 @@ from chipalg import resolutions
 from chipalg.chipfiring import connected_flags, lattice_points_in_box, lattice_socle_base
 from chipalg.exactla import solve_integer
 from chipalg.monomials import divides, lcm_exp, vec_add
-from chipalg.multigraph import laplacian, parse_graph, subset_images
+from chipalg.multigraph import divisor_class_group, laplacian, parse_graph, subset_images
 from chipalg.resolutions import (
     LabeledComplex,
     OrderedPartition,
     _cliques,
+    _cyclic_partition_count,
     _inclusion_graph,
     _koszul_ranks,
     _subset_images,
@@ -41,6 +42,7 @@ from conftest import (
     apartment_slices,
     c4,
     chain_graph,
+    class_table_by_flag_walk,
     cut_cliques,
     cyc_complex,
     data_and_seeded_graphs,
@@ -128,8 +130,6 @@ def test_graded_consistency_of_boundaries(k4_graph):
     """Boundary entries respect the grading: literally for the parking
     resolution, and modulo the Laplacian lattice (class and total degree)
     for the cyclic complex with its wrap-around terms."""
-    from chipalg.multigraph import divisor_class_group
-
     for g in (k4_graph, chain_graph()):
         s = scarf_complex_parking(g)
         for step, mat in enumerate(s.matrices):
@@ -190,6 +190,59 @@ def test_bary_complex_matches_own_subsets():
         assert bary.face_labels == tuple(lab for _, lab in flags)
         faces += len(flags)
     assert faces > 1000
+
+
+DATA_GRAPHS = ("c4", "k4", "chain", "prism", "sat5", "rsat5", "g13", "rsat6", "one")
+
+
+def test_bary_face_count_is_cyclic_partition_count(monkeypatch):
+    """The face count that bary_complex checks, the sum over k >= 2 of
+    (k-1)! S(n, k), is the number of cyclically ordered partitions of [n]
+    but the one-block one, for n = 1-6, and the count of every data graph's
+    complex; a walk that misses a chain fails the check."""
+    for n in range(1, 7):
+        assert _cyclic_partition_count(n) == sum(len(cyc_partitions(n, k)) for k in range(1, n + 1)) - 1
+    for name in DATA_GRAPHS:
+        g = parse_graph((DATA / f"{name}.graph").read_text())
+        assert len(bary_complex(g, _subset_images(g)).faces) == _cyclic_partition_count(g.n)
+    walk = resolutions._cliques
+    monkeypatch.setattr(resolutions, "_cliques", lambda *args: list(walk(*args))[:-1])
+    with pytest.raises(AssertionError, match="barycentric complex of a 4-node graph has 24 faces"):
+        bary_complex(k4(), _subset_images(k4()))
+
+
+def _class_table_graphs() -> list:
+    """Every connected graph with n <= 4 and multiplicity <= 2, 30 seeded
+    random connected 5-node and 8 6-node graphs, the data graphs, and a
+    saturated 7-node graph of genus 17."""
+    graphs = [g for n in range(1, 5) for g in all_connected_graphs(n, 2)]
+    rng = random.Random(28)
+    graphs += [random_connected(rng, 5) for _ in range(30)] + [random_connected(rng, 6) for _ in range(8)]
+    graphs += [parse_graph((DATA / f"{name}.graph").read_text()) for name in DATA_GRAPHS]
+    return graphs + [random_saturated(random.Random(5), 7, 17)]
+
+
+def test_class_table_matches_flag_walk():
+    """The class table read off the barycentric chains, one rotation each,
+    equals the oracle's walk over every flag of the origin, keys and
+    labels.  ``keys`` holds every distinct barycentric label, and its
+    values are the table's keys but the origin's.  Many classes hold
+    several cyclic partitions, so the tie-break between them is
+    exercised."""
+    graphs = _class_table_graphs()
+    assert len(graphs) > 680
+    shared = 0
+    for g in graphs:
+        images = _subset_images(g)
+        bary = bary_complex(g, images)
+        keys = {}
+        table = _zero_incident_labels(g, images, bary, keys)
+        want = class_table_by_flag_walk(g, images)
+        assert table == want, g
+        assert set(keys) == set(bary.face_labels)
+        assert set(table) == {(0, divisor_class_group(g).class_of((0,) * g.n))} | set(keys.values())
+        shared += sum(r > 1 for r in Counter(map(keys.get, bary.face_labels)).values())
+    assert shared > 1000
 
 
 def _rp2() -> LabeledComplex:
@@ -417,7 +470,7 @@ def _data_slices() -> list:
         images = _subset_images(g)
         bary = bary_complex(g, images)
         out += [sub_below(bary, c) for c in sorted({face_label(bary, f) for f in bary.faces})]
-        out += apartment_slices(g, sorted(_zero_incident_labels(g, images).values()))
+        out += apartment_slices(g, sorted(_zero_incident_labels(g, images, bary, {}).values()))
     return out
 
 
@@ -513,7 +566,7 @@ def _homology_tables(g, char):
     degrees = sorted({face_label(bary, f) for f in bary.faces})
     below = ((c, homology_ranks(sub_below(bary, c), char)) for c in degrees)
     parking = _betti_table(g.n, below, 2, [((0,) * g.n, 0, 1)])
-    labels = sorted(_zero_incident_labels(g, images).values())
+    labels = sorted(_zero_incident_labels(g, images, bary, {}).values())
     slices = ((c, homology_ranks(region, char)) for c, region in zip(labels, apartment_slices(g, labels)))
     toppling = _betti_table(g.n, slices, 1, [])
     return parking, toppling
@@ -653,7 +706,7 @@ def test_apartment_slices_match_own_boxes():
     points = nonempty = 0
     for k, g in enumerate(graphs):
         images = _subset_images(g)
-        labels = sorted(_zero_incident_labels(g, images).values())
+        labels = sorted(_zero_incident_labels(g, images, bary_complex(g, images), {}).values())
         degs = []
         if g.n < 6:
             top = tuple(map(max, zip(*labels)))
@@ -701,7 +754,7 @@ def test_koszul_matches_apartment_slices():
     kinds = Counter()
     for g in graphs:
         images = _subset_images(g)
-        labels = sorted(_zero_incident_labels(g, images).values())
+        labels = sorted(_zero_incident_labels(g, images, bary_complex(g, images), {}).values())
         degs = labels + [tuple(rng.randint(0, 2) for _ in range(g.n)) for _ in range(3)]
         points = apt_region(g, degs, images)
         slices = apartment_slices(g, degs)
@@ -744,7 +797,8 @@ def test_linear_systems_are_connected():
     nontrivial = 0
     for g in graphs:
         steps = [d for _, d in subset_images(g)]
-        labels = sorted(_zero_incident_labels(g, _subset_images(g)).values())
+        images = _subset_images(g)
+        labels = sorted(_zero_incident_labels(g, images, bary_complex(g, images), {}).values())
         top = tuple(map(max, zip(*labels)))
         for _ in range(20 if g.n < 6 else 4):
             deg = tuple(rng.randint(-2, t + 1) for t in top)
@@ -767,10 +821,10 @@ def test_linear_systems_are_connected():
 
 
 def test_conjecture_builds_one_inclusion_graph(monkeypatch):
-    """One conjecture_check builds one inclusion graph and walks it twice:
-    from the subsets that avoid n for the barycentric complex, and from
-    every subset for the class table; sub_below cuts without walking.
-    betti_toppling builds one inclusion graph too."""
+    """One conjecture_check builds one inclusion graph and walks it once,
+    from the subsets that avoid n: the barycentric complex, whose chains
+    the class table reads; sub_below cuts without walking.  betti_toppling
+    builds one inclusion graph and walks it once too."""
     g = prism()
     subsets = _subset_images(g)[0]
     avoid_n = sum(1 << k for k, s in enumerate(subsets) if g.n not in s)
@@ -799,10 +853,12 @@ def test_conjecture_builds_one_inclusion_graph(monkeypatch):
     monkeypatch.setattr(resolutions, "sub_below", flagged_cut)
     assert conjecture_check(g)["pass"]
     assert len(built) == 1
-    assert walked == [avoid_n, (1 << len(subsets)) - 1]
+    assert walked == [avoid_n]
     built.clear()
+    walked.clear()
     betti_toppling(g)
     assert len(built) == 1
+    assert walked == [avoid_n]
 
 
 def test_conjecture_check_small_graphs():
