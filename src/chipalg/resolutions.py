@@ -22,29 +22,33 @@ the same class.  So the toppling class table reads one rotation off each
 barycentric chain (``_zero_incident_labels``).  ``sub_below`` cuts the
 barycentric complex by per-coordinate bitmasks (``_at_most``): it ANDs the
 masks of the faces with label_i <= c_i and drops those labelled exactly
-c.  ``apt_region`` walks the lattice points below the degrees >= 0 on the
-steps L e_I from the origin (a complete linear system is connected under
-those steps), and ``_koszul_ranks`` reads the facets of K^c off the points
-below c.  ``homology_ranks`` collapses the star of the vertex in the most
-faces, a cone, and ranks only the relative boundaries of the faces outside
-it.  ``cyc_partitions`` lists the cyclically ordered partitions of [n],
-which index the paper's free complex.
+c.  ``apt_region`` finds the lattice points below the degrees >= 0 by a
+reverse search from the origin (Avis-Fukuda 1996): the point L v, with
+v >= 0 and min v = 0, has the parent L max(v - 1, 0), which lies below
+every degree the point lies below, so each point is met once, from its
+parent.  ``_koszul_ranks`` writes the face set of K^c, read off the points
+below c, as one integer with a bit per face, and memoizes on it.  The
+toppling Betti table reads each connected flag's class from the class
+table's keys.  ``homology_ranks`` collapses the star of the vertex in the
+most faces, a cone, and ranks only the relative boundaries of the faces
+outside it.  ``cyc_partitions`` lists the cyclically ordered partitions
+of [n], which index the paper's free complex.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import accumulate, chain, combinations
+from functools import cached_property, lru_cache
+from itertools import accumulate, chain, combinations, compress
 from math import factorial
-from operator import add, neg, or_, sub
+from operator import add, itemgetter, lt, neg, or_, sub
 
 from .chipfiring import _bits, connected_flags
 from .exactla import check_char
 from .kernels import sparse_rank
 from .monomials import lcm_exp
-from .multigraph import Multigraph, divisor_class_group, subset_images
+from .multigraph import GRAPH_CACHE_SIZE, Multigraph, divisor_class_group, subset_images
 
 __all__ = [
     "OrderedPartition",
@@ -162,10 +166,11 @@ def _at_most(points) -> list:
     return out
 
 
-def _below(at_most, c, full) -> int:
+def _below(at_most, c, within) -> int:
     """The bitmask of the points p <= c componentwise, from their
-    ``_at_most`` masks; ``full`` has a bit for every point."""
-    mask = full
+    ``_at_most`` masks; ``within`` is a bitmask that holds every such point,
+    such as the one with a bit for every point."""
+    mask = within
     for (lo, cum), x in zip(at_most, c):
         t = x - lo
         if t < 0:
@@ -279,7 +284,7 @@ def sub_below(c: LabeledComplex, deg) -> LabeledComplex:
 
 def apt_region(g: Multigraph, degs, images) -> list:
     """For each degree c of ``degs``, the list of lattice points w <= c
-    componentwise, found by one walk.
+    componentwise, found by one reverse search that meets each point once.
 
     The lattice points are w = Laplacian@v for integer vectors v, and they
     generate the lattice module whose upper Koszul complexes give the
@@ -287,55 +292,67 @@ def apt_region(g: Multigraph, degs, images) -> list:
     proper non-empty subsets I of [n], are the images of the origin table
     ``images`` (``_subset_images``).
 
-    The points w <= c are the complete linear system |c| shifted by c, and
-    they are connected under the steps L e_I: linear systems are tropically
-    convex (Haase-Musiker-Yu, Math. Z. 2012).  For c >= 0 this is direct:
-    take w = L v <= c with v >= 0 and min v = 0.  For t = 0, ..., max v the
-    point L u with u = max(v - t, 0) is <= c: at a vertex x with v_x <= t,
-    u_x = 0 and the entry is -sum_y m(x, y) u_y <= 0 <= c_x; at one with
-    v_x > t, u_x - u_y <= v_x - v_y for every y, so the entry is at most
-    w_x.  Consecutive points differ by L e_I with I = {x : v_x >= t}, a
-    proper non-empty subset, and t = max v gives the origin.  So one
-    breadth-first walk from the origin, stepping by every image and keeping
-    a probe only if it lies below some degree, meets exactly the union of
-    the point sets, and each point goes to the degrees above it, in walk
-    order.
+    Write a point as w = L v with v >= 0 and min v = 0; this v is unique, as
+    the graph is connected.  For c >= 0 and w <= c, the point L u with
+    u = max(v - t, 0) is <= c for every t >= 0: at a vertex x with
+    v_x <= t, u_x = 0 and the entry is -sum_y m(x, y) u_y <= 0 <= c_x; at
+    one with v_x > t, u_x - u_y <= v_x - v_y for every y, so the entry is at
+    most w_x.  (So the points w <= c, the complete linear system |c|
+    shifted by c, are connected under the steps L e_I, as linear systems
+    are tropically convex: Haase-Musiker-Yu, Math. Z. 2012.)  The parent of
+    w != 0 is L max(v - 1, 0), one step L e_S back with S the support of
+    v, and by the case t = 1 it lies below every degree that w lies below.
+    The children of a point with support S are w + L e_I for the proper
+    non-empty I containing S, each of support I, and every point but the
+    origin is the child of its parent alone.  So a reverse search over this
+    tree from the origin (Avis-Fukuda, *Discrete Appl. Math.* 65, 1996),
+    pruning a child that lies below no degree, meets exactly the union of
+    the point sets, each point once, and needs no record of the points met.
+    Each point goes to the degrees above it, in search order.
 
-    The degrees above a probe w are the AND over i of the bitmasks of the
+    The degrees above a point w are the AND over i of the bitmasks of the
     degrees with c_i >= w_i.  Those are the ``_at_most`` masks of the
-    negated degrees, read by ``_below`` at -w, so the walk runs on -w; the
-    images are closed under negation (L e_I = -L e_J for the complement J),
-    so they step it too.  A degree whose length is not the node count, or
-    with a negative entry, raises ``ValueError``.
+    negated degrees, read by ``_below`` at -w, so the search runs on -w and
+    a child's mask starts from its parent's; -L e_I is the image L e_J of
+    the complement J.  A degree whose length is not the node count, or with
+    a negative entry, raises ``ValueError``.
     """
     n = g.n
     degs = [tuple(c) for c in degs]
     for c in degs:
         if len(c) != n or min(c) < 0:
             raise ValueError(f"degree {c} must have one non-negative entry per node, {n}")
-    _, imgs, _ = images
+    subsets, imgs, _ = images
     at_least = _at_most([tuple(map(neg, c)) for c in degs])
-    full = (1 << len(degs)) - 1
+    full = (1 << n) - 1
+    # -L e_I by the bitmask of I, and for each support S the pairs
+    # (I, -L e_I) over the proper non-empty I that contain S.
+    step = [None] * full
+    for I, d in zip(subsets, imgs):
+        step[full ^ sum(1 << (i - 1) for i in I)] = d
+    kids = []
+    for s in range(full):
+        rest, t, row = full ^ s, full ^ s, []
+        while t:  # the subsets t of rest but rest itself, the empty one last
+            t = (t - 1) & rest
+            if s | t:
+                row.append((s | t, step[s | t]))
+        kids.append(row)
 
-    # The points, from the origin, each with the bitmask of the degrees
-    # above it; the origin lies below every degree.
-    pts, above = [(0,) * n], [full]
-    seen = set(pts)
-    for u in pts:
-        for d in imgs:
-            x = tuple(map(add, u, d))
-            if x not in seen:
-                seen.add(x)
-                mask = _below(at_least, x, full)
-                if mask:
-                    pts.append(x)
-                    above.append(mask)
-
+    # (-w, the bitmask of the degrees above w, the support of v); the origin
+    # lies below every degree.
     out = [[] for _ in degs]
-    for x, mask in zip(pts, above):
+    stack = [((0,) * n, (1 << len(degs)) - 1, 0)]
+    while stack:
+        x, mask, s = stack.pop()
         w = tuple(map(neg, x))
         for k in _bits(mask):
             out[k].append(w)
+        for I, d in kids[s]:
+            y = tuple(map(add, x, d))
+            below = _below(at_least, y, mask)
+            if below:
+                stack.append((y, below, I))
     return out
 
 
@@ -415,31 +432,49 @@ def homology_ranks(c: LabeledComplex, char: int = 0) -> dict:
     return out
 
 
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
+def _face_tables(n: int) -> tuple:
+    """The tables of ``_koszul_ranks`` for a complex on [n] written as an
+    integer, face F being bit sum(2^i for i in F): the powers 2^i; for each
+    vertex i the integer with a bit for every face that holds i; the pairs
+    (bit, face) of the non-empty faces, each face a sorted tuple, in
+    lexicographic order of the tuples; and the unit vertex labels."""
+    pows = tuple(1 << i for i in range(n))
+    has = tuple(sum(1 << f for f in range(1 << n) if f & p) for p in pows)
+    lex = sorted(((f, tuple(_bits(f))) for f in range(1, 1 << n)), key=itemgetter(1))
+    units = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return pows, has, tuple(lex), units
+
+
 def _koszul_ranks(points, c, memo: dict, char: int) -> dict:
     """Reduced homology ranks of the upper Koszul complex K^c of the
     lattice module, from the lattice ``points`` w <= c.
 
     K^c is the simplicial complex on [n] whose faces are the F with c - F
     above some lattice point, so its facets are the sets {i : w_i < c_i}
-    over the points, written as bitmasks; the toppling Betti number
-    beta_{i,c} is the rank in dimension i - 1 (Miller-Sturmfels,
-    *Combinatorial Commutative Algebra*, Thm 1.34 and Ch. 9).  The faces
-    are the non-empty subsets of the maximal facets, and their ranks are
-    kept in ``memo`` under the set of maximal facets; a memo serves one
-    characteristic.
+    over the points; the toppling Betti number beta_{i,c} is the rank in
+    dimension i - 1 (Miller-Sturmfels, *Combinatorial Commutative Algebra*,
+    Thm 1.34 and Ch. 9).  The face set is one integer with bit F set for
+    each face F, F read as a bitmask of vertices (``_face_tables``): the
+    bits of the facets, closed downwards one vertex i at a time by moving
+    each face that holds i to the bit of the face without it.  The integer
+    identifies the complex, so the ranks are kept in ``memo`` under it; a
+    memo serves one characteristic.  On a miss the faces are decoded in
+    lexicographic order for ``homology_ranks``.
     """
-    n = len(c)
-    facets = {sum(1 << i for i in range(n) if w[i] < c[i]) for w in points}
-    top = frozenset(f for f in facets if not any(f != h and f & h == f for h in facets))
-    ranks = memo.get(top)
+    pows, has, lex, units = _face_tables(len(c))
+    faces = 0
+    for w in points:
+        faces |= 1 << sum(compress(pows, map(lt, w, c)))
+    for p, h in zip(pows, has):
+        faces |= (faces & h) >> p
+    ranks = memo.get(faces)
     if ranks is None:
-        faces = set()
-        for f in top:
-            vs = _bits(f)
-            for k in range(1, len(vs) + 1):
-                faces.update(combinations(vs, k))
-        units = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        ranks = memo[top] = homology_ranks(LabeledComplex(units, tuple(sorted(faces))), char)
+        listed = []
+        for f, face in lex:
+            if faces >> f & 1:
+                listed.append(face)
+        ranks = memo[faces] = homology_ranks(LabeledComplex(units, tuple(listed)), char)
     return ranks
 
 
@@ -518,13 +553,26 @@ def betti_toppling(g: Multigraph) -> dict:
     """Betti table of the quotient by the toppling ideal: the connected
     flag counts per divisor class of the degree, each class written as its
     label in the class table (``_zero_incident_labels``, read off the
-    barycentric chains)."""
-    grp = divisor_class_group(g)
+    barycentric chains).
+
+    The barycentric complex supports the parking resolution, so the degree
+    of a flag with k >= 2 blocks is one of its labels, whose (degree, class)
+    the class table's ``keys`` hold; one that is not raises
+    ``AssertionError``.  The one-block flag has degree 0, the origin, which
+    labels its own class.
+    """
     images = _subset_images(g)
-    rep = _zero_incident_labels(g, images, bary_complex(g, images), {})
-    return _count_table(
-        g.n, ((rep[sum(c), grp.class_of(c)], k - 1) for k, c in connected_flags(g))
-    )
+    keys = {}
+    rep = _zero_incident_labels(g, images, bary_complex(g, images), keys)
+    pairs = []
+    for k, c in connected_flags(g):
+        if k > 1:
+            key = keys.get(c)
+            if key is None:
+                raise AssertionError(f"Betti degree {c} is not a barycentric label")
+            c = rep[key]
+        pairs.append((c, k - 1))
+    return _count_table(g.n, pairs)
 
 
 def conjecture_check(g: Multigraph, char: int = 0) -> dict:

@@ -1,12 +1,13 @@
 """Shared fixtures: the named example graphs, random graph generators,
 graph oracles (the edge-sum monomials x^(I->J) among them), the box-scan
 monomial rank, the full-boundary homology oracle, the apartment-slice
-oracle for the toppling side, the class table from every flag of the
-origin, and the cyclic-partition free complex."""
+oracle for the toppling side, the upper Koszul faces from the maximal
+facets, the class table from every flag of the origin, and the
+cyclic-partition free complex."""
 
 import random
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from operator import or_
 from pathlib import Path
 
@@ -238,6 +239,24 @@ def apartment_slices(g: Multigraph, degs) -> list:
         faces = cut_cliques(nbrs, hits, sum(1 << k for k in hits), (1 << g.n) - 1, or_)
         out.append(LabeledComplex(ws, tuple(f for f, _ in faces)))
     return out
+
+
+def koszul_faces_by_facets(points, c) -> tuple:
+    """Oracle for the face set of ``resolutions._koszul_ranks``: the upper
+    Koszul complex K^c from the lattice ``points`` w <= c, by its maximal
+    facets.  The facets are the sets {i : w_i < c_i}, as vertex bitmasks;
+    returns the antichain of the maximal ones, as a frozenset, and the
+    faces, every non-empty subset of a maximal facet as a sorted tuple, in
+    lexicographic order."""
+    n = len(c)
+    facets = {sum(1 << i for i in range(n) if w[i] < c[i]) for w in points}
+    top = frozenset(f for f in facets if not any(f != h and f & h == f for h in facets))
+    faces = set()
+    for f in top:
+        vs = [i for i in range(n) if f >> i & 1]
+        for k in range(1, len(vs) + 1):
+            faces.update(combinations(vs, k))
+    return top, tuple(sorted(faces))
 
 
 def class_table_by_flag_walk(g: Multigraph, images) -> dict:

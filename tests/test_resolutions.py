@@ -50,6 +50,7 @@ from conftest import (
     face_label,
     homology_ranks_oracle,
     k4,
+    koszul_faces_by_facets,
     minimality_check,
     prism,
     random_connected,
@@ -527,6 +528,31 @@ def test_betti_tables_k4(k4_graph):
     assert betti_toppling(k4_graph)["total"] == (1, 7, 12, 6)
 
 
+def test_betti_toppling_classifies_each_label_once(monkeypatch):
+    """betti_toppling classifies each distinct barycentric label once and
+    the origin once, and reads every flag's class from the class table's
+    keys; a flag degree that is no barycentric label raises
+    AssertionError naming the degree."""
+    g = prism()
+    images = _subset_images(g)
+    labels = set(bary_complex(g, images).face_labels)
+    group = type(divisor_class_group(g))
+    class_of = group.class_of
+    calls = Counter()
+
+    def counted(self, w):
+        calls[tuple(w)] += 1
+        return class_of(self, w)
+
+    monkeypatch.setattr(group, "class_of", counted)
+    assert betti_toppling(g)["total"] == (1, 22, 92, 147, 102, 26)
+    assert set(calls) == labels | {(0,) * g.n} and set(calls.values()) == {1}
+    flags = connected_flags(g)
+    monkeypatch.setattr(resolutions, "connected_flags", lambda g: flags + [(2, (9, 0, 0, 0, 0, 0))])
+    with pytest.raises(AssertionError, match=r"Betti degree \(9, 0, 0, 0, 0, 0\) is not a barycentric label"):
+        betti_toppling(g)
+
+
 def test_homology_betti_match_partition_counts():
     """For saturated graphs the graded Betti numbers from homology equal the
     ranks of the cyclic-partition resolution."""
@@ -771,6 +797,65 @@ def test_koszul_matches_apartment_slices():
                 else:
                     kinds["homology" if got else "acyclic"] += 1
     assert kinds["label"] > 3000 and min(kinds["cone"], kinds["acyclic"], kinds["homology"]) > 50
+
+
+def test_koszul_faces_match_maximal_facets(monkeypatch):
+    """The face set that _koszul_ranks hands to homology_ranks, decoded
+    from its face integer, is the oracle's: every non-empty subset of a
+    maximal facet, in lexicographic order.  At every label of the class
+    table and at the three random degrees of
+    test_koszul_matches_apartment_slices (cones, acyclic complexes and
+    homology); the memo holds one entry per distinct antichain of maximal
+    facets, so the integer key neither merges nor splits complexes."""
+    passed = []
+    monkeypatch.setattr(resolutions, "homology_ranks", lambda c, char: passed.append(c.faces) or {})
+    rng = random.Random(27)
+    graphs = _koszul_graphs()
+    labels_seen = 0
+    for g in graphs:
+        images = _subset_images(g)
+        labels = sorted(_zero_incident_labels(g, images, bary_complex(g, images), {}).values())
+        degs = labels + [tuple(rng.randint(0, 2) for _ in range(g.n)) for _ in range(3)]
+        memo, tops = {}, set()
+        for c, pts in zip(degs, apt_region(g, degs, images)):
+            top, faces = koszul_faces_by_facets(pts, c)
+            tops.add(top)
+            _koszul_ranks(pts, c, memo, 0)
+            _koszul_ranks(pts, c, {}, 0)
+            assert passed[-1] == faces, (g, c)
+        assert len(memo) == len(tops), g
+        labels_seen += len(labels)
+    assert labels_seen > 1900
+
+
+def test_reverse_search_meets_each_point_once():
+    """apt_region meets each lattice point below the degrees once, from its
+    parent: no per-degree list repeats a point, and for each point
+    w = L v other than the origin, with v >= 0 and min v = 0, the parent
+    L max(v - 1, 0) is in the list of every degree that w is in.  On the
+    data graphs and twelve seeded 5-node graphs, at the class-table labels
+    and three random degrees."""
+    rng = random.Random(29)
+    names = ("c4", "k4", "chain", "prism", "sat5", "rsat5", "g13")
+    graphs = [parse_graph((DATA / f"{name}.graph").read_text()) for name in names]
+    graphs += [random_connected(rng, 5) for _ in range(12)]
+    parents = 0
+    for g in graphs:
+        lam = laplacian(g)
+        zero = (0,) * g.n
+        images = _subset_images(g)
+        labels = sorted(_zero_incident_labels(g, images, bary_complex(g, images), {}).values())
+        top = tuple(map(max, zip(*labels)))
+        degs = labels + [tuple(rng.randint(0, t + 1) for t in top) for _ in range(3)]
+        for c, pts in zip(degs, apt_region(g, degs, images)):
+            members = set(pts)
+            assert len(members) == len(pts), (g, c)
+            for w in members - {zero}:
+                v = _lattice_class(g, w)
+                u = [max(x - min(v) - 1, 0) for x in v]
+                assert tuple(sum(map(int.__mul__, row, u)) for row in lam) in members, (g, c, w)
+                parents += 1
+    assert parents > 12000
 
 
 def test_apartment_slices_reject_bad_degrees():
