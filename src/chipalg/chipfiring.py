@@ -471,11 +471,20 @@ def divisor_rank_oracle(g: Multigraph, u) -> int:
     sequences carries the q-reduced divisor d equivalent to u - e; only u
     itself goes through ``q_reduced``.  Taking a chip from a vertex that
     has one keeps d q-reduced; a vertex without chips goes into debt, and
-    ``_borrow`` settles it.  Effectiveness is monotone in e, so branches at
-    or beyond the least degree of a failing e found so far are cut, and the
-    rank is that degree minus one.  Node q comes last in the order and d is
+    ``_borrow`` settles it.  Node q comes last in the order and d is
     q-reduced, so e plus j copies of q stays effective exactly for j <= d_q:
-    those chains bound the failing degree without being walked.  The walk
+    those chains bound the failing degree without being walked.  The rank
+    is the least degree ``fail`` of a failing e found, minus one.
+
+    Two cuts keep the walk below ``fail``.  The divisors under a node
+    (d, deg e = k, least vertex ``first``) are the e + h with h >= 0 on the
+    vertices from ``first`` on, q's chains included.  If h <= d, then
+    u - e - h ~ d - h >= 0 is effective; so a failing h takes more than d_v
+    chips at some vertex v >= first, and k + 1 + min(d[first:]) >= fail
+    cuts the node.  A child has degree k + 1, so when k + 2 >= fail its own
+    chains and children cannot go below ``fail`` and the cut above takes
+    it; such a child lowers ``fail`` only by failing itself, when the
+    borrowing puts q in debt, and is built only to test that.  The walk
     uses an explicit stack, as its depth reaches deg(u).
     """
     if len(u) != g.n:
@@ -495,20 +504,22 @@ def divisor_rank_oracle(g: Multigraph, u) -> int:
     while stack:
         d, k, first = stack.pop()
         fail = min(fail, k + d[q] + 1)
-        if k + 1 >= fail:
+        if k + 1 + min(d[first:]) >= fail:
             continue
+        deep = k + 2 < fail  # else only a failing child matters
         for v in range(first, q):
             if d[v]:
-                child = d[:v] + (d[v] - 1,) + d[v + 1 :]
-            else:
-                child = list(d)
-                child[v] = -1
-                _borrow(nbrs, degs, child, [v])
-                child = tuple(child)
-                if child[q] < 0:
-                    fail = k + 1
-                    break
-            stack.append((child, k + 1, v))
+                if deep:
+                    stack.append((d[:v] + (d[v] - 1,) + d[v + 1 :], k + 1, v))
+                continue
+            child = list(d)
+            child[v] = -1
+            _borrow(nbrs, degs, child, [v])
+            if child[q] < 0:
+                fail = k + 1
+                break
+            if deep:
+                stack.append((tuple(child), k + 1, v))
     return fail - 1
 
 

@@ -5,11 +5,16 @@ a one-line human summary goes to stderr.  Exit codes: 0 success, 1
 malformed input, 2 a mathematical check failed.
 
 Each command is one entry of ``COMMANDS``: its handler and its options.
-``run`` builds the subparser of the command that argv names and no
-other; ``-h``, a missing command or an unknown one build them all.  A
-usage error that argparse rejects (``--char x``, no ``--divisor``) also
-exits 2 for now, though 2 is meant for a failed check: the benchmark
-harness's tests expect it.
+When argv names a command, ``run`` builds one parser, ``chipalg <name>``,
+with that command's options and no other.  Arguments it leaves over, a
+``-h`` before the command, a missing command or an unknown one go to the
+whole grammar, whose top-level usage lists every command.  No parser is
+built at import or kept between calls.  A usage error that argparse
+rejects (``--char x``, no ``--divisor``) also exits 2 for now, though 2
+is meant for a failed check: the benchmark harness's tests expect it.
+
+``report_json`` writes each report.  Its output is byte for byte that of
+``json.dumps(report, sort_keys=True, indent=2)``, at about half the cost.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from .riemann_roch import (
     rr_verify,
 )
 
-__all__ = ["COMMANDS", "main", "run"]
+__all__ = ["COMMANDS", "main", "report_json", "run"]
 
 
 def _load_graph(args):
@@ -244,31 +249,83 @@ COMMANDS = {
 }
 
 
-def _parser(argv):
-    """The grammar of the command ``argv[0]`` names, or of every command."""
-    names = argv[:1] if argv and argv[0] in COMMANDS else list(COMMANDS)
+def _add_options(p, name):
+    for flag, kw in COMMANDS[name][1].items():
+        p.add_argument(flag, **kw)
+
+
+def _parser():
+    """The whole grammar: the top-level parser and every command's."""
     # the first two docstring paragraphs are the help text
     p = argparse.ArgumentParser(prog="chipalg", description="\n\n".join(__doc__.split("\n\n")[:2]))
-    # with one command built, a top-level usage line still lists them all;
-    # with all built, no metavar keeps "command" in a missing-command error
-    metavar = "{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None
-    sub = p.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        sp = sub.add_parser(name)
-        for flag, kw in COMMANDS[name][1].items():
-            sp.add_argument(flag, **kw)
+    sub = p.add_subparsers(dest="command", required=True)
+    for name in COMMANDS:
+        _add_options(sub.add_parser(name), name)
     return p
+
+
+def _parse(argv):
+    """argv parsed.  A named command is parsed by its own parser alone,
+    the one ``_parser`` adds for it; arguments left over go to the whole
+    grammar, whose top-level usage rejects them."""
+    if argv and argv[0] in COMMANDS:
+        name = argv[0]
+        p = argparse.ArgumentParser(prog=f"chipalg {name}")
+        _add_options(p, name)
+        args, rest = p.parse_known_args(argv[1:])
+        if not rest:
+            args.command = name
+            return args
+    return _parser().parse_args(argv)
+
+
+_quote = json.encoder.encode_basestring_ascii
+
+
+def report_json(obj, indent="\n") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, for
+    what a report holds: dicts with str keys, lists, tuples, ints, strs,
+    bools and None.  ``indent`` starts the line that obj is written on.
+
+    With ``indent`` set, ``json.dumps`` runs the pure-Python encoder.  Here
+    a list of plain ints is one ``join``, and strs and keys are quoted by
+    the C ``encode_basestring_ascii`` that ``json.dumps`` also uses.  Any
+    other value, a float or a subclass of a type named here, is written by
+    ``json.dumps`` itself, re-indented to ``indent``: with ``ensure_ascii``
+    on, a newline in its output can only be indentation."""
+    t = type(obj)
+    if t is str:
+        return _quote(obj)
+    if t is int:
+        return repr(obj)
+    if t is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if t is dict or t is list or t is tuple:
+        if not obj:
+            return "{}" if t is dict else "[]"
+        inner = indent + "  "
+        if t is dict:
+            items = [_quote(k) + ": " + report_json(obj[k], inner) for k in sorted(obj)]
+            return "{" + inner + ("," + inner).join(items) + indent + "}"
+        if set(map(type, obj)) == {int}:  # a bool is not a plain int
+            items = map(repr, obj)
+        else:
+            items = [report_json(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    return json.dumps(obj, sort_keys=True, indent=2).replace("\n", indent)
 
 
 def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _parser(argv).parse_args(argv)
+    args = _parse(argv)
     try:
         check_char(getattr(args, "char", 0))
         results, checks = COMMANDS[args.command][0](args)
     except (OSError, ValueError) as exc:
         report = {"command": args.command, "error": str(exc)}
-        print(json.dumps(report, sort_keys=True, indent=2))
+        print(report_json(report))
         print(f"chipalg {args.command}: error: {exc}", file=sys.stderr)
         return 1
     report = {
@@ -278,7 +335,7 @@ def run(argv=None) -> int:
             {"name": name, "pass": ok, "details": details} for name, ok, details in checks
         ],
     }
-    print(json.dumps(report, sort_keys=True, indent=2))
+    print(report_json(report))
     failed = [c["name"] for c in report["checks"] if not c["pass"]]
     if failed:
         print(f"chipalg {args.command}: FAILED checks: {', '.join(failed)}", file=sys.stderr)

@@ -2,8 +2,8 @@
 graph oracles (the edge-sum monomials x^(I->J) among them), the box-scan
 monomial rank, the full-boundary homology oracle, the apartment-slice
 oracle for the toppling side, the upper Koszul faces from the maximal
-facets, the class table from every flag of the origin, and the
-cyclic-partition free complex."""
+facets, the class table from every flag of the origin, the divisor rank
+by the uncut q-reduction walk, and the cyclic-partition free complex."""
 
 import random
 from dataclasses import dataclass
@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from chipalg.chipfiring import _borrow, _neighbours, q_reduced
 from chipalg.kernels import sparse_rank
 from chipalg.monomials import MonomialIdeal, _minimize, lcm_exp, require_artinian, vec_add, vec_sub
 from chipalg.multigraph import Multigraph, divisor_class_group, parse_graph
@@ -275,6 +276,42 @@ def class_table_by_flag_walk(g: Multigraph, images) -> dict:
     for lab in dict.fromkeys(lab for _, lab in flags):
         table.setdefault((sum(lab), grp.class_of(lab)), lab)
     return table
+
+
+def divisor_rank_uncut_walk(g: Multigraph, u) -> int:
+    """Oracle for ``chipfiring.divisor_rank_oracle``: the same walk over the
+    effective e as non-decreasing vertex sequences, carrying the q-reduced
+    divisor d equivalent to u - e, cut only at nodes of degree fail - 1,
+    with every child built and pushed."""
+    u = tuple(u)
+    q = g.n - 1
+    deg = sum(u)
+    if deg < 0:
+        return -1
+    d = q_reduced(g, u)
+    if d[q] < 0:
+        return -1
+    nbrs, degs = _neighbours(g)
+    fail = deg + 1
+    stack = [(d, 0, 0)]
+    while stack:
+        d, k, first = stack.pop()
+        fail = min(fail, k + d[q] + 1)
+        if k + 1 >= fail:
+            continue
+        for v in range(first, q):
+            if d[v]:
+                child = d[:v] + (d[v] - 1,) + d[v + 1 :]
+            else:
+                child = list(d)
+                child[v] = -1
+                _borrow(nbrs, degs, child, [v])
+                child = tuple(child)
+                if child[q] < 0:
+                    fail = k + 1
+                    break
+            stack.append((child, k + 1, v))
+    return fail - 1
 
 
 def alexander_dual_box_generators(M: MonomialIdeal, K) -> list:

@@ -36,6 +36,7 @@ from conftest import (
     c4,
     chain_graph,
     data_and_seeded_graphs,
+    divisor_rank_uncut_walk,
     flag_socle_oracle,
     induces_connected,
     k4,
@@ -486,6 +487,21 @@ def test_divisor_rank_oracle_matches_compositions():
         assert r == _rank_by_compositions(g, u), (g, u)
         ranks.add(r)
     assert -1 in ranks and max(ranks) >= 5
+
+
+def test_divisor_rank_oracle_matches_uncut_walk():
+    # the two cuts drop only nodes that cannot lower the failing degree
+    rng = random.Random(29)
+    ranks = set()
+    for k in range(60):
+        n = 2 + k % 5
+        mult = {5: 2, 6: 1}.get(n, 3)
+        g = (random_saturated if k % 2 else random_connected)(rng, n, max_mult=mult)
+        for u in (canonical_divisor(g), tuple(rng.randint(-2, g.genus) for _ in range(n))):
+            r = divisor_rank_oracle(g, u)
+            assert r == divisor_rank_uncut_walk(g, u), (g, u)
+            ranks.add(r)
+    assert -1 in ranks and max(ranks) >= 10
 
 
 def test_divisor_rank_with_spread_entries():

@@ -6,13 +6,17 @@ import os
 import subprocess
 import sys
 import time
+from collections import OrderedDict
+from json.decoder import WHITESPACE
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chipalg
 from chipalg.chipfiring import flag_socles, parking_ideal
-from chipalg.cli import run
+from chipalg.cli import report_json, run
 from chipalg.monomials import socle
 from chipalg.multigraph import Multigraph, parse_graph, tree_count
 from conftest import format_graph
@@ -533,12 +537,59 @@ def test_named_command_builds_only_its_grammar(capsys, monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     assert run(["info", K4]) == 0
-    assert built == ["chipalg", "chipalg info"]
+    assert built == ["chipalg info"]
+    built.clear()
+    # a leftover argument is rejected by the whole grammar
+    with pytest.raises(SystemExit) as exc:
+        run(["info", K4, "extra"])
+    assert exc.value.code == 2
+    assert built[0] == "chipalg info" and len(built) == 12
     built.clear()
     with pytest.raises(SystemExit):
         run(["conj", K4])
     assert len(built) == 11  # the top-level parser and all ten commands
     capsys.readouterr()
+
+
+# report-shaped values: strs and str keys with quotes, backslashes, control
+# and non-ASCII characters, nested dicts, lists and tuples (empty ones too),
+# ints of any size and sign, lists mixing bools and ints, and None
+_strs = st.text(st.sampled_from('"\\\n\t\x00\x1f\x7f\u00e9\u20ac\U0001f600') | st.characters())
+_scalars = st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64) | _strs
+_reports = st.recursive(
+    _scalars | st.lists(st.integers() | st.booleans()),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_strs, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(obj=_reports)
+def test_report_json_matches_json_dumps(obj):
+    assert report_json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def test_report_json_matches_json_dumps_on_awkward_values():
+    # a float and a dict subclass are written by json.dumps, re-indented
+    obj = {
+        "\u00e9\"\\\n\x00\x1f\ud83d": [(), [], {}, None, -(2**70), 2**64 + 1, [True, 1, False, 0]],
+        "": {"k": ("a\tb", -1, 0.5), "o": [OrderedDict(b=[1, (2,)], a={})]},
+    }
+    assert report_json(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+def test_report_json_rewrites_every_data_document():
+    # some files hold several documents, one after the other
+    decoder, docs = json.JSONDecoder(), 0
+    for path in sorted(DATA.glob("*.json")):
+        text, pos = path.read_text(), 0
+        while (pos := WHITESPACE.match(text, pos).end()) < len(text):
+            obj, pos = decoder.raw_decode(text, pos)
+            assert report_json(obj) == json.dumps(obj, sort_keys=True, indent=2), path.name
+            docs += 1
+    assert docs > len(list(DATA.glob("*.json")))
 
 
 def test_run_reads_sys_argv(capsys, monkeypatch):
