@@ -1,14 +1,17 @@
 """Laurent monomials and artinian monomial ideals.
 
 Monomials are plain exponent tuples (negative entries allowed for Laurent
-monomials).  Ideals keep a minimized generator antichain.
+monomials).  Ideals keep a minimized generator antichain.  Standard
+monomials come from a walk down the staircase; the socle comes from the
+corners of the irreducible components, one generator at a time, without the
+staircase.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, le, sub
+from operator import add, itemgetter, le, sub
 
 __all__ = [
     "MonomialIdeal",
@@ -89,32 +92,99 @@ class MonomialIdeal:
         """Whether x^b lies in the ideal (false for any Laurent b not >= some generator)."""
         return any(divides(g, b) for g in self.generators)
 
+    @cached_property
+    def _pure_powers(self) -> tuple:
+        """Per variable, the least p with x_i^p among the generators, or None."""
+        best = [None] * self.vars
+        for g in self.generators:
+            support = [k for k, e in enumerate(g) if e]
+            if len(support) == 1:
+                i = support[0]
+                if best[i] is None or g[i] < best[i]:
+                    best[i] = g[i]
+        return tuple(best)
+
     def is_artinian(self) -> bool:
         """Artinian iff each variable has a pure-power generator."""
         return all(self.pure_power(i) is not None for i in range(self.vars))
 
     def pure_power(self, i: int):
         """Exponent of the minimal pure power x_i^p among the generators, or None."""
-        best = None
-        for g in self.generators:
-            if g[i] > 0 and all(e == 0 for k, e in enumerate(g) if k != i):
-                if best is None or g[i] < best:
-                    best = g[i]
-        return best
+        return self._pure_powers[i]
 
     @cached_property
     def _socle(self) -> tuple:
-        """Socle of an artinian ideal, built once per ideal from its staircase."""
-        stair = _staircase(self)
-        inside = set(stair)
-        return tuple(
-            u
-            for u in stair
-            if all(
-                u[:i] + (u[i] + 1,) + u[i + 1 :] not in inside
-                for i in range(self.vars)
-            )
+        """Socle of an artinian ideal from the corners of its irreducible
+        components, built once per ideal (see ``socle``).
+
+        A corner of an ideal J is a b with b - 1 a maximal standard
+        monomial; J is the intersection of <x_1^b_1, ..., x_m^b_m> over its
+        corners.  The witnesses W_j(b) are the generators h of J with
+        h <= b, h_j = b_j and h_k < b_k for every k != j, the ones that
+        divide b - 1 + e_j; as b - 1 is maximal, none is empty.
+
+        The pure powers p have the one corner p, with W_j(p) = [p_j e_j].
+        Adding a generator g to J keeps every corner b that g does not hit
+        (g < b fails), and g joins W_j(b) when g <= b agrees with b in
+        coordinate j alone.  A hit corner b gives a candidate c = b with
+        c_i := g_i for each i with g_i > 0, kept iff for every j != i some
+        h in W_j(b) has h_i < g_i; then W_i(c) = [g] and W_j(c) = [h in
+        W_j(b) : h_i < g_i].
+
+        Why: c - 1 lies below b - 1 and, in coordinate i, below g, so it is
+        standard in J + <g>; it is maximal iff c - 1 + e_j lies in J + <g>
+        for every j.  For j = i, g divides it, as g < b.  For j != i, g
+        does not (its i-th entry is g_i - 1), so a generator h of J must;
+        h does not divide b - 1, so h_j = b_j, and h is a witness in W_j(b)
+        with h_i < g_i, which is the test and W_j(c).  Any other h of J in
+        W_i(c) would have h_i = g_i < b_i and h_k < b_k, so it would divide
+        b - 1; hence W_i(c) = [g].  Conversely a maximal standard u of
+        J + <g> lies below some b - 1 and, if b is hit, below the candidate
+        c - 1 of an i with u_i < g_i, so u is b - 1 or c - 1.  Thus the kept
+        corners are exactly those of J + <g>, with no check of one corner
+        against another (two hit corners that gave the same c would agree
+        off one coordinate, and so be comparable, or one would share g_i
+        with g).  A repeated or redundant generator hits nothing; a zero
+        generator makes J the whole ring, with no socle.  Each generator
+        costs one pass over the corners and the witnesses of those it hits,
+        never a pass over the staircase.
+        """
+        require_artinian(self)
+        m = self.vars
+        if (0,) * m in self.generators:
+            return ()
+        top = self._pure_powers
+        corners = [(top, [[tuple(p if k == j else 0 for k in range(m))] for j, p in enumerate(top)])]
+        # Widest support first: on the parking ideals of saturated graphs
+        # (n = 7, 8) every candidate is then kept.
+        steps = sorted(
+            (-len(support), g, support)
+            for g in set(self.generators)
+            if len(support := [k for k, e in enumerate(g) if e]) > 1
         )
+        for _, g, support in steps:
+            at = itemgetter(*support)  # off it, g_k = 0 < b_k decides nothing
+            gs = at(g)
+            kept = []
+            for b, wit in corners:
+                low = min(map(sub, at(b), gs))
+                if low > 0:
+                    # per W_j(b), the least exponent of each variable
+                    least = [w[0] if len(w) == 1 else tuple(map(min, *w)) for w in wit]
+                    for i in support:
+                        gi = g[i]
+                        if all(j == i or h[i] < gi for j, h in enumerate(least)):
+                            c = b[:i] + (gi,) + b[i + 1 :]
+                            cw = [[g] if j == i else [h for h in w if h[i] < gi] for j, w in enumerate(wit)]
+                            kept.append((c, cw))
+                    continue
+                if low == 0:
+                    diff = tuple(map(sub, at(b), gs))
+                    if diff.count(0) == 1:
+                        wit[support[diff.index(0)]].append(g)
+                kept.append((b, wit))
+            corners = kept
+        return tuple(sorted(tuple(e - 1 for e in b) for b, _ in corners))
 
 
 def require_artinian(M: MonomialIdeal):
@@ -122,8 +192,8 @@ def require_artinian(M: MonomialIdeal):
         raise ValueError("ideal must be artinian (a pure power in every variable)")
 
 
-def _staircase(M: MonomialIdeal) -> list:
-    """Standard monomials of an artinian ideal, walked in lexicographic order.
+def standard_monomials(M: MonomialIdeal) -> list:
+    """All monomials outside an artinian ideal, walked in lexicographic order.
 
     The walk fixes u[0], u[1], ... in turn.  The prefix u[:i] carries the
     generators g with g[:i] dividing it, and u[i] runs below the least g[i]
@@ -154,14 +224,18 @@ def _staircase(M: MonomialIdeal) -> list:
     return out
 
 
-def standard_monomials(M: MonomialIdeal) -> list:
-    """All monomials outside an artinian ideal, in lexicographic order."""
-    return _staircase(M)
-
-
 def socle(M: MonomialIdeal) -> list:
     """Standard monomials pushed into the ideal by every variable, in
-    lexicographic order; computed once per ideal object."""
+    lexicographic order; computed once per ideal object.
+
+    By Alexander duality these are the s for which <x_1^(s_1+1), ...,
+    x_m^(s_m+1)> is an irreducible component of M (Miller and Sturmfels,
+    Combinatorial Commutative Algebra, ch. 5).  The components are built by
+    adding the generators one at a time to the pure powers, splitting each
+    corner a generator cuts and keeping the splits that its witnesses prove
+    maximal (see ``MonomialIdeal._socle``; Roune, J. Symbolic Comput. 2009,
+    decomposes by slices instead), so the staircase is never listed.
+    """
     return list(M._socle)
 
 

@@ -1,9 +1,10 @@
 """Shared fixtures: the named example graphs, random graph generators,
 graph oracles (the edge-sum monomials x^(I->J) among them), the box-scan
-monomial rank, the full-boundary homology oracle, the apartment-slice
-oracle for the toppling side, the upper Koszul faces from the maximal
-facets, the class table from every flag of the origin, the divisor rank
-by the uncut q-reduction walk, and the cyclic-partition free complex."""
+monomial rank, the socle by a neighbour scan of the whole staircase, the
+full-boundary homology oracle, the apartment-slice oracle for the toppling
+side, the upper Koszul faces from the maximal facets, the class table from
+every flag of the origin, the divisor rank by the uncut q-reduction walk,
+and the cyclic-partition free complex."""
 
 import random
 from dataclasses import dataclass
@@ -15,7 +16,15 @@ import pytest
 
 from chipalg.chipfiring import _borrow, _neighbours, q_reduced
 from chipalg.kernels import sparse_rank
-from chipalg.monomials import MonomialIdeal, _minimize, lcm_exp, require_artinian, vec_add, vec_sub
+from chipalg.monomials import (
+    MonomialIdeal,
+    _minimize,
+    lcm_exp,
+    require_artinian,
+    standard_monomials,
+    vec_add,
+    vec_sub,
+)
 from chipalg.multigraph import Multigraph, divisor_class_group, parse_graph
 from chipalg.resolutions import (
     LabeledComplex,
@@ -325,6 +334,19 @@ def alexander_dual_box_generators(M: MonomialIdeal, K) -> list:
         raise ValueError("box corner must be non-negative")
     hits = [u for u in product(*(range(k + 1) for k in K)) if not M.contains(vec_sub(K, u))]
     return list(_minimize(hits))
+
+
+def socle_by_staircase_scan(M: MonomialIdeal) -> list:
+    """Oracle for ``monomials.socle``: the standard monomials u, in
+    lexicographic order, with no u + e_i standard, by listing the whole
+    staircase and testing every neighbour of every point."""
+    stair = standard_monomials(M)
+    inside = set(stair)
+    return [
+        u
+        for u in stair
+        if all(u[:i] + (u[i] + 1,) + u[i + 1 :] not in inside for i in range(M.vars))
+    ]
 
 
 def mono_rank_box_oracle(M: MonomialIdeal, b) -> RankWitness:

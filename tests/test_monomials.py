@@ -23,7 +23,13 @@ from chipalg.monomials import (
     vec_sub,
 )
 from chipalg.multigraph import tree_count
-from conftest import alexander_dual_box_generators, random_connected, random_saturated
+from chipalg.riemann_roch import construct_rr_ideal
+from conftest import (
+    alexander_dual_box_generators,
+    random_connected,
+    random_saturated,
+    socle_by_staircase_scan,
+)
 
 K4_GENS = [
     (3, 0, 0), (0, 3, 0), (0, 0, 3), (1, 1, 1), (2, 2, 0), (2, 0, 2), (0, 2, 2),
@@ -120,6 +126,12 @@ def test_generators_are_minimized():
 def test_artinian_detection():
     assert MonomialIdeal.from_generators(2, [(2, 0), (0, 3)]).is_artinian()
     assert not MonomialIdeal.from_generators(2, [(2, 0), (1, 1)]).is_artinian()
+    # Non-minimal generators: the least pure power counts, read from one
+    # vector built once per ideal.
+    M = MonomialIdeal(3, ((3, 0, 0), (0, 4, 0), (2, 0, 0), (1, 1, 0), (2, 0, 0)))
+    assert [M.pure_power(i) for i in range(3)] == [2, 4, None]
+    assert not M.is_artinian()
+    assert vars(M)["_pure_powers"] == (2, 4, None)
 
 
 def test_standard_monomials_k4():
@@ -168,6 +180,11 @@ def test_socle_matches_box_scan():
         assert socle(M) == _box_socle(M)
     for M, _ in _random_parking_ideals(24, 24):
         assert socle(M) == _box_socle(M)
+    # The zero generator puts every monomial in the ideal; x^5 alone, or
+    # with its multiples and a repeat, has the socle x^4.
+    assert socle(MonomialIdeal(2, ((0, 0), (1, 0), (0, 1)))) == []
+    assert socle(MonomialIdeal(1, ((5,),))) == [(4,)]
+    assert socle(MonomialIdeal(1, ((7,), (5,), (5,)))) == [(4,)]
 
 
 def test_staircase_is_output_sensitive():
@@ -187,6 +204,61 @@ def test_staircase_is_output_sensitive():
     assert len(std) == 7997
     assert soc == [(0, 0, 0, 1999), (0, 0, 1999, 0), (0, 1999, 0, 0), (1999, 0, 0, 0)]
     assert elapsed < 2.0
+
+
+def test_socle_is_output_sensitive():
+    # Pure powers x_i^(10^6) and every x_i*x_j: 1 + 3 * (10^6 - 1) standard
+    # monomials, but three socle monomials, found without listing them.
+    big = 10**6
+    gens = [tuple(big if k == i else 0 for k in range(3)) for i in range(3)]
+    gens += [(1, 1, 0), (0, 1, 1), (1, 0, 1)]
+    M = MonomialIdeal.from_generators(3, gens)
+    start = time.perf_counter()
+    soc = socle(M)
+    elapsed = time.perf_counter() - start
+    assert soc == [(0, 0, big - 1), (0, big - 1, 0), (big - 1, 0, 0)]
+    assert elapsed < 0.5
+
+
+def test_socle_gives_irreducible_decomposition():
+    # Alexander duality: M is the intersection of <x^(s+1)> over its socle.
+    # (One component comes back with its pure powers in variable order.)
+    ideals = list(_random_ideals(27, 150)) + [M for M, _ in _random_parking_ideals(28, 10)]
+    for M in ideals:
+        corners = [tuple(e + 1 for e in s) for s in socle(M)]
+        back = intersect_irreducible(corners, M.vars)
+        assert MonomialIdeal.from_generators(M.vars, back.generators) == MonomialIdeal.from_generators(M.vars, M.generators)
+
+
+def _rr_ideals(seed, count):
+    """Ideals from ``construct_rr_ideal`` for seeded canonical monomials in
+    2-4 variables and one to three seeds each."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        K = tuple(rng.randint(0, 3) for _ in range(rng.randint(2, 4)))
+        if sum(K) % 2:
+            K = K[:-1] + (K[-1] + 1,)
+        seeds = [s for s in product(*(range(e + 1) for e in K)) if 2 * sum(s) == sum(K)]
+        yield construct_rr_ideal(K, rng.sample(seeds, min(len(seeds), rng.randint(1, 3)))).ideal
+
+
+def test_socle_matches_staircase_scan():
+    # Parking ideals of saturated graphs with n = 6, 7, past the box scan's
+    # reach, and ideals from construct_rr_ideal; each again with
+    # non-minimal generators: repeats, multiples and every pure power
+    # raised by one.
+    rng = random.Random(29)
+    ideals = [parking_ideal(random_saturated(rng, n, max_mult=m)) for n, m in ((6, 2), (6, 3), (7, 1), (7, 2))]
+    ideals += _rr_ideals(30, 40)
+    for M in ideals:
+        expected = socle_by_staircase_scan(M)
+        assert socle(M) == expected
+        gens = list(M.generators)
+        gens += [rng.choice(gens) for _ in range(3)]
+        gens += [vec_add(g, tuple(rng.randint(0, 2) for _ in g)) for g in rng.sample(gens, 4)]
+        gens += [tuple(e and e + 1 for e in g) for g in M.generators if sum(map(bool, g)) == 1]
+        rng.shuffle(gens)
+        assert socle(MonomialIdeal(M.vars, tuple(gens))) == expected
 
 
 def test_socle_cache_is_per_ideal():
@@ -243,6 +315,8 @@ def test_standard_monomials_requires_artinian():
     M = MonomialIdeal.from_generators(2, [(1, 1)])
     with pytest.raises(ValueError):
         standard_monomials(M)
+    with pytest.raises(ValueError):
+        socle(MonomialIdeal.from_generators(2, [(2, 0), (1, 1)]))
 
 
 def test_parse_format_roundtrip():
