@@ -18,8 +18,17 @@ from functools import lru_cache
 from itertools import permutations
 from operator import mul
 
+from .kernels import bareiss
 from .monomials import MonomialIdeal, degree_plus, standard_monomials, vec_sub
-from .multigraph import GRAPH_CACHE_SIZE, Multigraph, connected_splits, laplacian, tree_count
+from .multigraph import (
+    GRAPH_CACHE_SIZE,
+    Multigraph,
+    _adjacency,
+    _components,
+    connected_splits,
+    laplacian,
+    tree_count,
+)
 
 __all__ = [
     "SplitBinomial",
@@ -115,10 +124,10 @@ def _layerings(g: Multigraph, singletons: bool) -> list:
     before it, and outside itself C has neighbours only in U_0, ..., U_i;
     so that layer is U_(i+1), and C must have a neighbour in U_i.  With
     this cut every branch of the walk ends in a flag.  Vertex sets are
-    bitmasks.
+    bitmasks, split into components by ``multigraph._components``.
     """
     n = g.n
-    adj = [sum(1 << w for w, m in enumerate(row) if m) for row in g.mult]
+    adj = _adjacency(g.mult)
     edges = [[(1 << w, m) for w, m in enumerate(row) if m] for row in g.mult]
     memo_nbhd, memo_comps, memo_degs = {}, {}, {}
 
@@ -135,17 +144,7 @@ def _layerings(g: Multigraph, singletons: bool) -> list:
         """The vertex sets of the components of the subgraph on ``mask``."""
         out = memo_comps.get(mask)
         if out is None:
-            out, left = [], mask
-            while left:
-                seen = left & -left
-                while True:
-                    grown = seen | nbhd(seen) & left
-                    if grown == seen:
-                        break
-                    seen = grown
-                out.append(seen)
-                left ^= seen
-            memo_comps[mask] = out
+            out = memo_comps[mask] = _components(adj, mask)
         return out
 
     def degs(rest):
@@ -253,25 +252,14 @@ def _reduced_laplacian_inverse(g: Multigraph) -> tuple:
     """The inverse of the Laplacian L with row and column n deleted, as
     integers (adj, det, L): inverse = adj / det with det = tree count.
 
-    Fraction-free Gauss-Jordan (Bareiss) on [L' | I] keeps every entry a
-    minor, so each division is exact, and ends at [det*I | adj].  L' is
-    positive definite, so no pivot (a leading principal minor) is zero.
+    One ``bareiss`` elimination of [L' | I] ends at [det*I | adj].  L' is
+    positive definite, so no pivot (a leading principal minor) is zero and
+    no row is swapped.
     """
     m = g.n - 1
     lam = laplacian(g)
-    a = [list(lam[i][:m]) + [int(i == j) for j in range(m)] for i in range(m)]
-    prev = 1
-    for k in range(m):
-        ak = a[k]
-        pk = ak[k]
-        for i in range(m):
-            if i != k:
-                ai = a[i]
-                aik = ai[k]
-                a[i] = [(pk * x - aik * y) // prev for x, y in zip(ai, ak)]
-        prev = pk
-    adj = tuple(tuple(row[m:]) for row in a)
-    det = prev
+    det, rows = bareiss([list(lam[i][:m]) + [int(i == j) for j in range(m)] for i in range(m)])
+    adj = tuple(tuple(row[m:]) for row in rows)
     # A wrong inverse would silently drop lattice points: check it once.
     if det != tree_count(g) or any(
         sum(adj[i][k] * lam[k][j] for k in range(m)) != det * (i == j)

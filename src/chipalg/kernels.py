@@ -1,7 +1,7 @@
 """Exact elimination kernels.
 
-These are the hot inner loops of the package: every homology rank and
-tree count bottoms out here.
+These are the hot inner loops of the package: every homology rank, tree
+count and reduced-Laplacian inverse bottoms out here.
 
 All arithmetic is exact.  ``sparse_rank`` works on a column-major sparse
 matrix (a list of ``{row: value}`` dicts) and performs fraction-free
@@ -15,7 +15,7 @@ whole matrix.
 
 from math import gcd
 
-__all__ = ["sparse_rank", "bareiss_det", "BACKEND"]
+__all__ = ["sparse_rank", "bareiss", "bareiss_det", "BACKEND"]
 
 #: Name of the kernel implementation, reported in benchmark environment stamps.
 BACKEND = "_impl"
@@ -103,30 +103,40 @@ def _put(colrows, row, r, c, v):
             del colrows[c]
 
 
-def bareiss_det(rows):
-    """Exact determinant of a square integer matrix (list of rows)."""
-    n = len(rows)
-    if n == 0:
-        return 1
+def bareiss(rows):
+    """Fraction-free Gauss-Jordan elimination (Bareiss, *Math. Comp.* 22,
+    1968) of the integer rows [A | rest], A square: ``(det A, rows)`` with
+    rows [det*I | adj(A)*rest].
+
+    Every entry stays a minor of the input, so each division is exact.  A
+    zero pivot is swapped with the first row below that is non-zero in its
+    column, and after an odd number of swaps the rows are negated.  A
+    singular A gives ``(0, None)``.
+    """
     a = [list(row) for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pk = a[k][k]
+    n = len(a)
+    sign = prev = 1
+    for k in range(n):
+        if not a[k][k]:
+            i = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if i is None:
+                return 0, None
+            a[k], a[i] = a[i], a[k]
+            sign = -sign
         ak = a[k]
-        for i in range(k + 1, n):
-            ai = a[i]
-            aik = ai[k]
-            for j in range(k + 1, n):
-                ai[j] = (pk * ai[j] - aik * ak[j]) // prev
-            ai[k] = 0
+        pk = ak[k]
+        for i in range(n):
+            if i != k:
+                ai = a[i]
+                aik = ai[k]
+                a[i] = [(pk * x - aik * y) // prev for x, y in zip(ai, ak)]
         prev = pk
-    return sign * a[n - 1][n - 1]
+    if sign < 0:
+        a = [[-x for x in row] for row in a]
+    return sign * prev, a
+
+
+def bareiss_det(rows):
+    """Exact determinant of a square integer matrix (list of rows), by
+    ``bareiss``."""
+    return bareiss(rows)[0]

@@ -261,7 +261,7 @@ def intersect_irreducible(components, vars: int) -> MonomialIdeal:
     gens = pure_powers(components[0])
     for v in components[1:]:
         gens = _minimize(lcm_exp(a, b) for a in gens for b in pure_powers(v))
-    return MonomialIdeal(vars, tuple(gens))
+    return MonomialIdeal.from_generators(vars, gens)
 
 
 def parse_ideal(text: str) -> MonomialIdeal:

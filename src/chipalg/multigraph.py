@@ -50,7 +50,7 @@ class Multigraph:
                     raise ValueError("multiplicities must be non-negative")
                 if self.mult[i][j] != self.mult[j][i]:
                     raise ValueError("multiplicity matrix must be symmetric")
-        if not _connected(self.mult, range(n)):
+        if len(_components(_adjacency(self.mult), (1 << n) - 1)) != 1:
             raise ValueError("graph must be connected")
 
     @classmethod
@@ -90,20 +90,30 @@ class Multigraph:
         return Multigraph(n, m)
 
 
-def _connected(mult, nodes) -> bool:
-    nodes = list(nodes)
-    if not nodes:
-        return False
-    seen = {nodes[0]}
-    stack = [nodes[0]]
-    inside = set(nodes)
-    while stack:
-        v = stack.pop()
-        for w in inside:
-            if w not in seen and mult[v][w] > 0:
-                seen.add(w)
-                stack.append(w)
-    return seen == inside
+def _adjacency(mult) -> list:
+    """Neighbour bitmask of each node (bit j for node j + 1)."""
+    return [sum(1 << j for j, m in enumerate(row) if m) for row in mult]
+
+
+def _components(adj, mask) -> list:
+    """The node bitmasks of the components of the subgraph induced on the
+    node bitmask ``mask``, by lowest node; ``adj`` is from ``_adjacency``."""
+    out = []
+    while mask:
+        comp = todo = mask & -mask
+        while todo:
+            low = todo & -todo
+            new = adj[low.bit_length() - 1] & mask & ~comp
+            comp |= new
+            todo ^= low | new
+        out.append(comp)
+        mask ^= comp
+    return out
+
+
+def _mask(I) -> int:
+    """The bitmask of the 1-based node set I."""
+    return sum(1 << (i - 1) for i in I)
 
 
 def laplacian(g: Multigraph) -> tuple:
@@ -137,14 +147,15 @@ def subset_images(g: Multigraph) -> list:
 def connected_splits(g: Multigraph) -> list:
     """The pairs (I, L e_I) of ``subset_images`` with n not in I and both I
     and [n] minus I inducing connected subgraphs, in the table's order."""
-    n = g.n
-    return [
-        (I, d)
-        for I, d in subset_images(g)
-        if n not in I
-        and _connected(g.mult, [i - 1 for i in I])
-        and _connected(g.mult, [j for j in range(n) if j + 1 not in I])
-    ]
+    adj = _adjacency(g.mult)
+    full = (1 << g.n) - 1
+    out = []
+    for I, d in subset_images(g):
+        if g.n not in I:
+            mask = _mask(I)
+            if len(_components(adj, mask)) == len(_components(adj, full ^ mask)) == 1:
+                out.append((I, d))
+    return out
 
 
 @dataclass(frozen=True)

@@ -31,8 +31,9 @@ below c, as one integer with a bit per face, and memoizes on it.  The
 toppling Betti table reads each connected flag's class from the class
 table's keys.  ``homology_ranks`` collapses the star of the vertex in the
 most faces, a cone, and ranks only the relative boundaries of the faces
-outside it.  ``cyc_partitions`` lists the cyclically ordered partitions
-of [n], which index the paper's free complex.
+outside it.  ``cyc_partitions`` reads the cyclically ordered partitions
+of [n], which index the paper's free complex, off the same barycentric
+chains, and ``_chain_blocks`` turns a chain into its blocks for both.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .chipfiring import _bits, connected_flags
 from .exactla import check_char
 from .kernels import sparse_rank
 from .monomials import lcm_exp
-from .multigraph import GRAPH_CACHE_SIZE, Multigraph, divisor_class_group, subset_images
+from .multigraph import GRAPH_CACHE_SIZE, Multigraph, _mask, divisor_class_group, subset_images
 
 __all__ = [
     "OrderedPartition",
@@ -86,45 +87,34 @@ class OrderedPartition:
             raise ValueError("canonical representative has n in the last block")
 
 
-def _set_partitions(items, k):
-    """All partitions of the list into k non-empty blocks (as sorted tuples)."""
-    if k == 1:
-        yield [tuple(items)]
-        return
-    if len(items) < k:
-        return
-    first, rest = items[0], items[1:]
-    # first joins an existing block of a (k)-partition of the rest
-    for part in _set_partitions(rest, k):
-        for i in range(k):
-            yield part[:i] + [tuple(sorted((first,) + part[i]))] + part[i + 1 :]
-    # first is a singleton block
-    for part in _set_partitions(rest, k - 1):
-        yield [(first,)] + part
-
-
-def _orderings(blocks):
-    if len(blocks) <= 1:
-        yield tuple(blocks)
-        return
-    for i, b in enumerate(blocks):
-        for rest in _orderings(blocks[:i] + blocks[i + 1 :]):
-            yield (b,) + rest
-
-
 def cyc_partitions(n: int, k: int) -> list:
     """Canonical representatives of cyclically ordered partitions of [n]
-    into k blocks; there are (k-1)!*S(n,k) of them."""
+    into k blocks; there are (k-1)!*S(n,k) of them.  With k >= 2 they are
+    the barycentric chains of k - 1 non-empty subsets of [n-1]
+    (``_chain_blocks``), and with k = 1 the one block [n]."""
     if not 1 <= k <= n:
         raise ValueError("block count must satisfy 1 <= k <= n")
-    out = []
-    for part in _set_partitions(list(range(1, n + 1)), k):
-        last = next(b for b in part if n in b)
-        others = sorted(b for b in part if b is not last)
-        for head in _orderings(others):
-            out.append(OrderedPartition(head + (last,)))
+    if k == 1:
+        return [OrderedPartition((tuple(range(1, n + 1)),))]
+    subsets = [I for size in range(1, n) for I in combinations(range(1, n), size)]
+    bits = list(map(_mask, subsets))
+    # the chains carry empty labels: only their blocks are read
+    chains = _cliques(_inclusion_graph(subsets), [()] * len(subsets), (1 << len(subsets)) - 1)
+    out = [
+        OrderedPartition(tuple(tuple(i + 1 for i in _bits(b)) for b in _chain_blocks(face, bits, n)))
+        for face, _ in chains
+        if len(face) == k - 1
+    ]
     out.sort(key=lambda p: p.blocks)
     return out
+
+
+def _chain_blocks(face, bits, n: int) -> list:
+    """The blocks, as bitmasks, of the chain U_1 < ... < U_m of subsets of
+    [n] given by the indices ``face`` into their bitmasks ``bits``: the
+    ordered partition (U_1, U_2 - U_1, ..., [n] - U_m)."""
+    us = [0, *(bits[k] for k in face), (1 << n) - 1]
+    return [a ^ b for a, b in zip(us, us[1:])]
 
 
 @dataclass(frozen=True)
@@ -203,7 +193,7 @@ def _cliques(nbrs, labels, roots):
 def _inclusion_graph(subsets) -> list:
     """Neighbour bitmasks of the subsets under proper inclusion: the
     cliques are the flags (chains) of subsets."""
-    bits = [sum(1 << (i - 1) for i in s) for s in subsets]
+    bits = list(map(_mask, subsets))
     return [
         sum(1 << k for k, b in enumerate(bits) if a != b and a & b in (a, b))
         for a in bits
@@ -329,7 +319,7 @@ def apt_region(g: Multigraph, degs, images) -> list:
     # (I, -L e_I) over the proper non-empty I that contain S.
     step = [None] * full
     for I, d in zip(subsets, imgs):
-        step[full ^ sum(1 << (i - 1) for i in I)] = d
+        step[full ^ _mask(I)] = d
     kids = []
     for s in range(full):
         rest, t, row = full ^ s, full ^ s, []
@@ -507,16 +497,14 @@ def _zero_incident_labels(g: Multigraph, images, bary: LabeledComplex, keys: dic
     """
     subsets, imgs, _ = images
     grp = divisor_class_group(g)
-    full = (1 << g.n) - 1
-    bits = [sum(1 << (i - 1) for i in s) for s in subsets]
+    bits = list(map(_mask, subsets))
     index = {b: k for k, b in enumerate(bits)}
     best = {}
     for face, lab in zip(bary.faces, bary.face_labels):
         key = keys.get(lab)
         if key is None:
             key = keys[lab] = (sum(lab), grp.class_of(lab))
-        us = [0, *(bits[k] for k in face), full]
-        blocks = [a ^ b for a, b in zip(us, us[1:])]
+        blocks = _chain_blocks(face, bits, g.n)
         firsts = [index[b] for b in blocks]
         s = firsts.index(min(firsts))
         flag = face

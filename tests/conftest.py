@@ -1,10 +1,12 @@
 """Shared fixtures: the named example graphs, random graph generators,
-graph oracles (the edge-sum monomials x^(I->J) among them), the box-scan
+graph oracles (the edge-sum monomials x^(I->J) and a set-based
+connectivity search among them), the box-scan
 monomial rank, the socle by a neighbour scan of the whole staircase, the
 full-boundary homology oracle, the apartment-slice oracle for the toppling
 side, the upper Koszul faces from the maximal facets, the class table from
 every flag of the origin, the divisor rank by the uncut q-reduction walk,
-and the cyclic-partition free complex."""
+the cyclic partitions from set partitions and block orderings, and the
+cyclic-partition free complex."""
 
 import random
 from dataclasses import dataclass
@@ -146,17 +148,29 @@ def _arrow(g: Multigraph, I, J) -> tuple:
     return tuple(out)
 
 
-def induces_connected(g: Multigraph, nodes) -> bool:
-    """Whether the non-empty node set (1-based) induces a connected
-    subgraph, by a search over its edges."""
-    nodes = set(nodes)
-    seen, stack = set(), [min(nodes)]
+def connected_by_search(mult, nodes) -> bool:
+    """Whether the 0-based node list ``nodes`` is non-empty and induces a
+    connected subgraph of the multiplicity matrix ``mult``, by a search over
+    node sets."""
+    nodes = list(nodes)
+    if not nodes:
+        return False
+    seen = {nodes[0]}
+    stack = [nodes[0]]
+    inside = set(nodes)
     while stack:
         v = stack.pop()
-        if v not in seen:
-            seen.add(v)
-            stack += [w for w in nodes if g.mult[v - 1][w - 1]]
-    return seen == nodes
+        for w in inside:
+            if w not in seen and mult[v][w] > 0:
+                seen.add(w)
+                stack.append(w)
+    return seen == inside
+
+
+def induces_connected(g: Multigraph, nodes) -> bool:
+    """Whether the non-empty node set (1-based) induces a connected
+    subgraph, by ``connected_by_search``."""
+    return connected_by_search(g.mult, [v - 1 for v in nodes])
 
 
 def face_label(c: LabeledComplex, face) -> tuple:
@@ -426,6 +440,46 @@ def _is_acyclic(n, out) -> bool:
             if indeg[w] == 0:
                 stack.append(w)
     return seen == n
+
+
+def _set_partitions(items, k):
+    """All partitions of the list into k non-empty blocks (as sorted tuples)."""
+    if k == 1:
+        yield [tuple(items)]
+        return
+    if len(items) < k:
+        return
+    first, rest = items[0], items[1:]
+    # first joins an existing block of a (k)-partition of the rest
+    for part in _set_partitions(rest, k):
+        for i in range(k):
+            yield part[:i] + [tuple(sorted((first,) + part[i]))] + part[i + 1 :]
+    # first is a singleton block
+    for part in _set_partitions(rest, k - 1):
+        yield [(first,)] + part
+
+
+def _orderings(blocks):
+    if len(blocks) <= 1:
+        yield tuple(blocks)
+        return
+    for i, b in enumerate(blocks):
+        for rest in _orderings(blocks[:i] + blocks[i + 1 :]):
+            yield (b,) + rest
+
+
+def cyc_partitions_by_set_partitions(n: int, k: int) -> list:
+    """The canonical cyclically ordered partitions of [n] into k blocks, in
+    the order of ``cyc_partitions``: each set partition with its blocks but
+    n's ordered every way, then n's block last."""
+    out = []
+    for part in _set_partitions(list(range(1, n + 1)), k):
+        last = next(b for b in part if n in b)
+        others = sorted(b for b in part if b is not last)
+        for head in _orderings(others):
+            out.append(OrderedPartition(head + (last,)))
+    out.sort(key=lambda p: p.blocks)
+    return out
 
 
 # The paper's cellular resolution on cyclically ordered partitions.  On a

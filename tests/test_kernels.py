@@ -1,13 +1,14 @@
 """The elimination kernels agree with slow oracles."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chipalg.kernels import bareiss_det, sparse_rank
+from chipalg.kernels import bareiss, bareiss_det, sparse_rank
 
 
 def _dense_to_cols(rows):
@@ -88,6 +89,50 @@ def test_sparse_rank_matches_fraction_oracle(rows, p):
 )
 def test_bareiss_matches_cofactor_expansion(rows):
     assert bareiss_det([list(r) for r in rows]) == _det_cofactor(rows)
+
+
+def _pivot_swaps(rows):
+    """Row swaps of Gaussian elimination over Q that replaces each zero
+    pivot by the first row below it that is non-zero in its column, or
+    None when a column has no pivot (the matrix is singular)."""
+    a = [[Fraction(x) for x in r] for r in rows]
+    swaps = 0
+    for k in range(len(a)):
+        if not a[k][k]:
+            i = next((i for i in range(k + 1, len(a)) if a[i][k]), None)
+            if i is None:
+                return None
+            a[k], a[i] = a[i], a[k]
+            swaps += 1
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return swaps
+
+
+def test_bareiss_gives_determinant_and_adjugate():
+    # [A | I] ends at [det*I | R] with R*A = det*I, through zero leading
+    # pivots with odd and even swap counts; a singular A gives (0, None)
+    rng = random.Random(32)
+    seen = Counter()
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        a = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 5)) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:
+            a[-1] = [x - 2 * y for x, y in zip(a[0], a[1])]
+        det, rows = bareiss([r + [int(i == j) for j in range(n)] for i, r in enumerate(a)])
+        assert det == _det_cofactor(a) == bareiss_det(a)
+        swaps = _pivot_swaps(a)
+        if det == 0:
+            assert rows is None and swaps is None
+            seen["singular"] += 1
+            continue
+        seen["odd" if swaps % 2 else "even" if swaps else "none"] += 1
+        eye = [[det * (i == j) for j in range(n)] for i in range(n)]
+        assert [r[:n] for r in rows] == eye
+        right = [r[n:] for r in rows]
+        assert [[sum(right[i][k] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)] == eye
+    assert min(seen[s] for s in ("singular", "odd", "even", "none")) >= 20, seen
 
 
 def test_kernels_match_oracles_on_larger_random_matrices():

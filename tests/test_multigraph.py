@@ -1,14 +1,17 @@
 """Graphs, Laplacians, spanning trees, the subset table, and divisor class groups."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 from math import prod
 
 import pytest
 
 from chipalg.exactla import _mat_vec, determinant
+from chipalg.chipfiring import _bits
 from chipalg.multigraph import (
     Multigraph,
+    _adjacency,
+    _components,
     connected_splits,
     div_class,
     divisor_class_group,
@@ -20,6 +23,7 @@ from chipalg.multigraph import (
 from conftest import (
     acyclic_orientations_unique_sink,
     c4,
+    connected_by_search,
     data_and_seeded_graphs,
     format_graph,
     k4,
@@ -35,6 +39,57 @@ def test_validation():
         Multigraph.from_edges(2, {(1, 1): 1})  # loop
     with pytest.raises(ValueError):
         Multigraph(2, ((0, 1), (2, 0)))  # asymmetric
+
+
+def test_components_partition_the_mask():
+    # seeded random multiplicity matrices, connected or not, and node masks
+    rng = random.Random(33)
+    split = 0
+    for _ in range(400):
+        n = rng.randint(1, 8)
+        m = [[0] * n for _ in range(n)]
+        for i, j in combinations(range(n), 2):
+            if rng.random() < 0.3:
+                m[i][j] = m[j][i] = rng.randint(1, 2)
+        mask = rng.randrange(1 << n)
+        comps = _components(_adjacency(m), mask)
+        assert sum(comps) == mask and all(c & d == 0 for c, d in combinations(comps, 2))
+        assert [c & -c for c in comps] == sorted(c & -c for c in comps)
+        for c in comps:
+            assert connected_by_search(m, _bits(c))
+        for c, d in combinations(comps, 2):
+            assert not any(m[u][v] for u in _bits(c) for v in _bits(d))
+        split += len(comps) > 1
+    assert split > 50
+
+
+def test_connected_splits_match_search_oracle():
+    # every multiplicity matrix with n <= 4 and multiplicity <= 2: Multigraph
+    # accepts exactly the connected ones, and their splits are the pairs
+    # of the subset table that the search finds connected on both sides
+    graphs = 0
+    for n in range(1, 5):
+        pairs = list(combinations(range(n), 2))
+        for mults in product(range(3), repeat=len(pairs)):
+            m = [[0] * n for _ in range(n)]
+            for (i, j), w in zip(pairs, mults):
+                m[i][j] = m[j][i] = w
+            mult = tuple(map(tuple, m))
+            if not connected_by_search(mult, range(n)):
+                with pytest.raises(ValueError, match="connected"):
+                    Multigraph(n, mult)
+                continue
+            g = Multigraph(n, mult)
+            graphs += 1
+            expect = [
+                (I, d)
+                for I, d in subset_images(g)
+                if n not in I
+                and connected_by_search(mult, [i - 1 for i in I])
+                and connected_by_search(mult, [j for j in range(n) if j + 1 not in I])
+            ]
+            assert connected_splits(g) == expect
+    assert graphs == 1 + 2 + 20 + 624
 
 
 def test_basic_invariants(k4_graph, c4_graph, prism_graph):

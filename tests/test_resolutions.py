@@ -45,6 +45,7 @@ from conftest import (
     class_table_by_flag_walk,
     cut_cliques,
     cyc_complex,
+    cyc_partitions_by_set_partitions,
     data_and_seeded_graphs,
     face_counts,
     face_label,
@@ -72,6 +73,14 @@ def test_cyc_partition_counts():
         for k in range(1, n + 1):
             expect = factorial(k - 1) * _stirling2(n, k)
             assert len(cyc_partitions(n, k)) == expect
+
+
+def test_cyc_partitions_match_set_partition_enumerator():
+    # the chains of the barycentric walk give the same partitions, in the
+    # same order, as ordering the blocks of every set partition
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            assert cyc_partitions(n, k) == cyc_partitions_by_set_partitions(n, k)
 
 
 def test_ordered_partition_canonical_form():
