@@ -34,7 +34,7 @@ from .chipfiring import (
     toppling_generators,
 )
 from .exactla import check_char
-from .hilbert import hilbert_identity_check, hilbert_numerator, parking_sum
+from .hilbert import hilbert_identity_check, hilbert_numerator, parking_sum, parking_sum_check
 from .monomials import monomial_str, parse_ideal
 from .multigraph import divisor_class_group, parse_graph, tree_count
 from .resolutions import betti_parking, betti_toppling, conjecture_check
@@ -154,11 +154,15 @@ def _cmd_hilbert(args):
     g = _load_graph(args)
     num = hilbert_numerator(g)
     psum = parking_sum(g)
-    rep = hilbert_identity_check(g, psum, num)
+    rep = hilbert_identity_check(g, num)
+    per_class = parking_sum_check(g, psum)
     return {
         "numerator": num.to_json(),
         "parking_sum_terms": len(psum.terms),
-    }, [("hilbert_identity", rep["pass"], rep)]
+    }, [
+        ("hilbert_identity", rep["pass"], rep),
+        ("parking_sum_one_per_class", per_class["pass"], per_class),
+    ]
 
 
 def _cmd_rank(args):

@@ -2,9 +2,9 @@
 
 Monomials are plain exponent tuples (negative entries allowed for Laurent
 monomials).  Ideals keep a minimized generator antichain.  Standard
-monomials come from a walk down the staircase; the socle comes from the
-corners of the irreducible components, one generator at a time, without the
-staircase.
+monomials come from a walk down the staircase that lists columns along the
+last variable; the socle comes from the corners of the irreducible
+components, one generator at a time, without the staircase.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ __all__ = [
     "vec_add",
     "vec_sub",
     "require_artinian",
+    "staircase_columns",
     "standard_monomials",
     "socle",
     "intersect_irreducible",
@@ -192,19 +193,22 @@ def require_artinian(M: MonomialIdeal):
         raise ValueError("ideal must be artinian (a pure power in every variable)")
 
 
-def standard_monomials(M: MonomialIdeal) -> list:
-    """All monomials outside an artinian ideal, walked in lexicographic order.
+def staircase_columns(M: MonomialIdeal) -> list:
+    """The standard monomials of an artinian ideal in at least one variable,
+    as columns along the last variable, in lexicographic order.
 
-    The walk fixes u[0], u[1], ... in turn.  The prefix u[:i] carries the
-    generators g with g[:i] dividing it, and u[i] runs below the least g[i]
-    over the carried g with g[i+1:] == 0 (the pure power of x_i is one of
-    them).  So every prefix visited extends by zeros to a standard monomial,
-    and the work grows with the output, not with the box of pure powers.
+    A column is a pair (prefix, bound) with bound >= 1: its standard
+    monomials are prefix + (v,) for 0 <= v < bound, and prefix + (bound,)
+    lies in M.  The walk fixes u[0], u[1], ... in turn.  The prefix u[:i]
+    carries the generators g with g[:i] dividing it, and u[i] runs below
+    the least g[i] over the carried g with g[i+1:] == 0 (the pure power of
+    x_i is one of them).  So every prefix visited extends by zeros to a
+    standard monomial, and the work grows with the number of columns, not
+    with the box of pure powers.  A zero generator leaves no column.
     """
     require_artinian(M)
     if not M.vars:
-        # 1 is the only monomial; it is standard unless M is the whole ring
-        return [] if M.generators else [()]
+        raise ValueError("staircase columns need at least one variable")
     last = M.vars - 1
     gens = [
         (g, max((i for i, e in enumerate(g) if e), default=0))
@@ -215,13 +219,23 @@ def standard_monomials(M: MonomialIdeal) -> list:
     def walk(prefix, i, carried):
         bound = min(g[i] for g, end in carried if end <= i)
         if i == last:
-            out.extend(prefix + (v,) for v in range(bound))
+            if bound:
+                out.append((prefix, bound))
             return
         for v in range(bound):
             walk(prefix + (v,), i + 1, [ge for ge in carried if ge[0][i] <= v])
 
     walk((), 0, gens)
     return out
+
+
+def standard_monomials(M: MonomialIdeal) -> list:
+    """All monomials outside an artinian ideal, in lexicographic order: the
+    columns of ``staircase_columns``, expanded."""
+    if not M.vars:
+        # 1 is the only monomial; it is standard unless M is the whole ring
+        return [] if M.generators else [()]
+    return [prefix + (v,) for prefix, bound in staircase_columns(M) for v in range(bound)]
 
 
 def socle(M: MonomialIdeal) -> list:

@@ -5,8 +5,9 @@ monomial rank, the socle by a neighbour scan of the whole staircase, the
 full-boundary homology oracle, the apartment-slice oracle for the toppling
 side, the upper Koszul faces from the maximal facets, the class table from
 every flag of the origin, the divisor rank by the uncut q-reduction walk,
-the cyclic partitions from set partitions and block orderings, and the
-cyclic-partition free complex."""
+the cyclic partitions from set partitions and block orderings, the
+cyclic-partition free complex, and the coarse product of a graded
+polynomial with 1 - psi(x_i)."""
 
 import random
 from dataclasses import dataclass
@@ -17,6 +18,7 @@ from pathlib import Path
 import pytest
 
 from chipalg.chipfiring import _borrow, _neighbours, q_reduced
+from chipalg.hilbert import GradedPolynomial
 from chipalg.kernels import sparse_rank
 from chipalg.monomials import (
     MonomialIdeal,
@@ -27,7 +29,7 @@ from chipalg.monomials import (
     vec_add,
     vec_sub,
 )
-from chipalg.multigraph import Multigraph, divisor_class_group, parse_graph
+from chipalg.multigraph import Multigraph, div_class, divisor_class_group, parse_graph
 from chipalg.resolutions import (
     LabeledComplex,
     OrderedPartition,
@@ -601,6 +603,33 @@ def minimality_check(c: FreeComplex) -> bool:
             if poly.get(zero, 0) != 0:
                 return False
     return True
+
+
+def times_one_minus(p: GradedPolynomial, cls) -> GradedPolynomial:
+    """Oracle for the Hilbert identity's left side, in the coarse grading:
+    p * (1 - t q^cls), as p minus a copy of p shifted by (1, cls).  Each
+    class is shifted once, however many t-degrees it carries."""
+    out = dict(p.terms)
+    moved = {}
+    for (t, q), c in p.terms.items():
+        r = moved.get(q)
+        if r is None:
+            r = moved[q] = tuple((a + b) % d for a, b, d in zip(q, cls, p.factors))
+        k = (t + 1, r)
+        v = out.get(k, 0) - c
+        if v:
+            out[k] = v
+        else:
+            del out[k]
+    return GradedPolynomial(p.factors, out)
+
+
+def coarse_identity_lhs(g: Multigraph, psum: GradedPolynomial) -> GradedPolynomial:
+    """psum * prod_{i<n} (1 - psi(x_i)), one ``times_one_minus`` pass per
+    variable."""
+    for i in range(g.n - 1):
+        psum = times_one_minus(psum, div_class(g, tuple(int(j == i) for j in range(g.n - 1))))
+    return psum
 
 
 @pytest.fixture(name="k4_graph")

@@ -6,16 +6,25 @@ import pytest
 
 from chipalg.hilbert import (
     GradedPolynomial,
-    _times_one_minus,
+    _staircase_k_polynomial,
     hilbert_identity_check,
     hilbert_numerator,
     parking_sum,
+    parking_sum_check,
 )
 from chipalg.chipfiring import connected_flags, parking_ideal
 from chipalg.monomials import standard_monomials
 from chipalg.multigraph import Multigraph, div_class, divisor_class_group, tree_count
 from chipalg.resolutions import cyc_partitions
-from conftest import basis_label, c4, k4, random_connected, random_saturated
+from conftest import (
+    basis_label,
+    c4,
+    coarse_identity_lhs,
+    k4,
+    random_connected,
+    random_saturated,
+    times_one_minus,
+)
 
 
 def psi(g, u, coeff=1):
@@ -133,17 +142,17 @@ def test_shift_and_subtract_matches_mul():
         p = q = parking_sum(g)
         for i in range(g.n - 1):
             xi = tuple(int(j == i) for j in range(g.n - 1))
-            p = _times_one_minus(p, div_class(g, xi))
+            p = times_one_minus(p, div_class(g, xi))
             q = q.mul(one.add(psi(g, xi, -1)))
             assert p == q
         # (1 + t q^c)(1 - t q^c) = 1 - t^2 q^2c: the t-term cancels
         xi = (1,) + (0,) * (g.n - 2)
         f = one.add(psi(g, xi))
-        assert _times_one_minus(f, div_class(g, xi)) == f.mul(one.add(psi(g, xi, -1)))
+        assert times_one_minus(f, div_class(g, xi)) == f.mul(one.add(psi(g, xi, -1)))
 
 
 def test_hilbert_identity_k4(k4_graph):
-    rep = hilbert_identity_check(k4_graph, parking_sum(k4_graph), hilbert_numerator(k4_graph))
+    rep = hilbert_identity_check(k4_graph, hilbert_numerator(k4_graph))
     assert rep["pass"]
     assert rep["lhs_terms"] == rep["rhs_terms"] == 26
 
@@ -160,7 +169,7 @@ def test_numerator_matches_cyclic_partitions():
 def test_hilbert_identity_c4():
     # not saturated: the numerator comes from the connected flags alone
     g = c4()
-    rep = hilbert_identity_check(g, parking_sum(g), hilbert_numerator(g))
+    rep = hilbert_identity_check(g, hilbert_numerator(g))
     assert rep["pass"] and rep["lhs_terms"] == rep["rhs_terms"]
 
 
@@ -173,7 +182,7 @@ def test_hilbert_identity_random_saturated():
     rng = random.Random(30)
     for _ in range(5):
         g = random_saturated(rng, rng.randint(2, 4), max_mult=3)
-        assert hilbert_identity_check(g, parking_sum(g), hilbert_numerator(g))["pass"]
+        assert hilbert_identity_check(g, hilbert_numerator(g))["pass"]
 
 
 def test_hilbert_identity_random_not_saturated():
@@ -181,7 +190,98 @@ def test_hilbert_identity_random_not_saturated():
     graphs = [random_connected(rng, n, max_mult=3) for n in (2, 3, 4, 5, 5, 6) for _ in range(3)]
     assert sum(not g.is_saturated() for g in graphs) >= 10
     for g in graphs:
-        assert hilbert_identity_check(g, parking_sum(g), hilbert_numerator(g))["pass"]
+        assert hilbert_identity_check(g, hilbert_numerator(g))["pass"]
+
+
+def _doubled(g):
+    """g with every multiplicity doubled: Div_0 then has at least two
+    invariant factors."""
+    return Multigraph(g.n, tuple(tuple(2 * m for m in row) for row in g.mult))
+
+
+def _fine_product_graphs():
+    """Seeded graphs with n = 1-6: connected ones, the same doubled for
+    n <= 5, and saturated ones for n >= 2."""
+    rng = random.Random(41)
+    graphs = []
+    for n in range(1, 7):
+        for _ in range(3):
+            g = random_connected(rng, n, max_mult=3 if n < 6 else 1)
+            graphs.append(g)
+            if n < 6:
+                graphs.append(_doubled(g))
+            if n > 1:
+                graphs.append(random_saturated(rng, n, max_mult=3 if n < 6 else 1))
+    return graphs
+
+
+def test_fine_product_matches_coarse_oracle():
+    """The identity check's left side, psi of the staircase's K-polynomial,
+    is psum * prod_{i<n} (1 - psi(x_i)) taken one shift-and-subtract at a
+    time in the coarse grading."""
+    graphs = _fine_product_graphs()
+    assert len(graphs) >= 40 and {g.n for g in graphs} == set(range(1, 7))
+    assert sum(g.is_saturated() for g in graphs) >= 15 and sum(not g.is_saturated() for g in graphs) >= 10
+    assert sum(len(divisor_class_group(g).invariant_factors) >= 2 for g in graphs) >= 12
+    for g in graphs:
+        coarse = coarse_identity_lhs(g, parking_sum(g))
+        rep = hilbert_identity_check(g, coarse)
+        assert rep["pass"] and rep["lhs_terms"] == len(coarse.terms)
+        assert coarse == hilbert_numerator(g)
+
+
+def test_fine_product_telescopes_columns(k4_graph):
+    # k4's 8 columns give 16 terms times 1 - x_3; after the two other
+    # factors the 26 left are the numerator's, one term per multidegree
+    fine = _staircase_k_polynomial(k4_graph)
+    assert len(fine) == len(hilbert_numerator(k4_graph).terms) == 26
+    assert fine[(0, 0, 0)] == 1
+    assert _staircase_k_polynomial(Multigraph(1, ((0,),))) == {(): 1}
+
+
+def test_identity_check_fails_on_a_changed_numerator():
+    rng = random.Random(43)
+    graphs = [Multigraph(1, ((0,),)), c4(), k4(), _doubled(random_connected(rng, 4))]
+    graphs += [random_saturated(rng, n) for n in (2, 3, 5)]
+    for g in graphs:
+        num = hilbert_numerator(g)
+        assert hilbert_identity_check(g, num)["pass"]
+        for k in list(num.terms)[:: max(1, len(num.terms) // 5)]:
+            changed = dict(num.terms)
+            changed[k] += 1 if changed[k] != -1 else 2
+            rep = hilbert_identity_check(g, GradedPolynomial(num.factors, changed))
+            assert not rep["pass"] and rep["lhs_terms"] == rep["rhs_terms"]
+            dropped = {j: c for j, c in num.terms.items() if j != k}
+            rep = hilbert_identity_check(g, GradedPolynomial(num.factors, dropped))
+            assert not rep["pass"] and rep["lhs_terms"] == rep["rhs_terms"] + 1
+
+
+def test_parking_sum_one_per_class():
+    rng = random.Random(44)
+    tree = Multigraph.from_edges(3, {(1, 2): 1, (2, 3): 1})  # trivial Div_0
+    graphs = [Multigraph(1, ((0,),)), tree, c4(), k4(), _doubled(random_connected(rng, 4))]
+    graphs += [random_saturated(rng, n) for n in (2, 3, 4, 5)]
+    for g in graphs:
+        trees = tree_count(g)
+        psum = parking_sum(g)
+        rep = parking_sum_check(g, psum)
+        assert rep == {"terms": trees, "classes": trees, "tree_count": trees, "coefficients_not_one": 0, "pass": True}
+        if trees < 2:
+            continue
+        (a, _), (b, _) = list(psum.terms.items())[:2]
+        # two parking functions of one degree in one class: one term fewer,
+        # with coefficient 2
+        merged = {k: c for k, c in psum.terms.items() if k != a}
+        merged[b] = 2
+        rep = parking_sum_check(g, GradedPolynomial(psum.factors, merged))
+        assert not rep["pass"] and rep["terms"] == trees - 1 and rep["coefficients_not_one"] == 1
+        # two of different degrees in one class: as many terms, each with
+        # coefficient 1
+        moved = {k: c for k, c in psum.terms.items() if k != a}
+        moved[(a[0] + 100, b[1])] = 1
+        rep = parking_sum_check(g, GradedPolynomial(psum.factors, moved))
+        assert not rep["pass"] and rep["terms"] == trees and rep["classes"] == trees - 1
+        assert rep["coefficients_not_one"] == 0
 
 
 def test_to_json_sorted(k4_graph):

@@ -18,6 +18,7 @@ from chipalg.monomials import (
     monomial_str,
     parse_ideal,
     socle,
+    staircase_columns,
     standard_monomials,
     vec_add,
     vec_sub,
@@ -175,6 +176,38 @@ def test_standard_monomials_match_box_scan():
     assert standard_monomials(MonomialIdeal(2, ((0, 0), (1, 0), (0, 1)))) == []
 
 
+def _check_columns(M):
+    """The columns hold as many monomials as the box scan finds outside M,
+    their prefixes are distinct and in lexicographic order, and each column
+    ends where the ideal starts."""
+    cols = staircase_columns(M)
+    assert sum(bound for _, bound in cols) == len(standard_monomials(M)) == len(_box_standard(M))
+    prefixes = [p for p, _ in cols]
+    assert prefixes == sorted(set(prefixes))
+    for prefix, bound in cols:
+        assert bound >= 1 and len(prefix) == M.vars - 1
+        assert M.contains(prefix + (bound,)) and not M.contains(prefix + (bound - 1,))
+
+
+def test_staircase_columns():
+    ideals = list(_random_ideals(25, 150))
+    assert len(ideals) == 300 and {M.vars for M in ideals} == set(range(1, 6))
+    for M in ideals:
+        _check_columns(M)
+    for M, trees in _random_parking_ideals(26, 24):
+        _check_columns(M)
+        assert sum(bound for _, bound in staircase_columns(M)) == trees
+    # k4's staircase: the 16 parking functions in 8 columns along x_3
+    assert staircase_columns(MonomialIdeal.from_generators(3, K4_GENS)) == [
+        ((0, 0), 3), ((0, 1), 3), ((0, 2), 2), ((1, 0), 3), ((1, 1), 1), ((1, 2), 1), ((2, 0), 2), ((2, 1), 1)
+    ]
+    # The zero generator leaves no column; an ideal in no variable is refused.
+    assert staircase_columns(MonomialIdeal(2, ((0, 0), (1, 0), (0, 1)))) == []
+    assert staircase_columns(MonomialIdeal(1, ((0,), (1,)))) == []
+    with pytest.raises(ValueError):
+        staircase_columns(MonomialIdeal(0, ()))
+
+
 def test_socle_matches_box_scan():
     for M in _random_ideals(23, 200):
         assert socle(M) == _box_socle(M)
@@ -319,6 +352,8 @@ def test_standard_monomials_requires_artinian():
     M = MonomialIdeal.from_generators(2, [(1, 1)])
     with pytest.raises(ValueError):
         standard_monomials(M)
+    with pytest.raises(ValueError):
+        staircase_columns(M)
     with pytest.raises(ValueError):
         socle(MonomialIdeal.from_generators(2, [(2, 0), (1, 1)]))
 
