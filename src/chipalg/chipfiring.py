@@ -24,6 +24,7 @@ from .multigraph import (
     GRAPH_CACHE_SIZE,
     Multigraph,
     _adjacency,
+    _bits,
     _components,
     connected_splits,
     laplacian,
@@ -64,9 +65,9 @@ class SplitBinomial:
 def toppling_generators(g: Multigraph) -> list:
     """Minimal generating binomials of the toppling ideal: one per connected
     split (I, J), whose L e_I has positive part x^(I->J) and negative part
-    x^(J->I)."""
+    x^(J->I).  I is written as the sorted tuple of its 1-based nodes."""
     return [
-        SplitBinomial(I, tuple(max(x, 0) for x in d), tuple(max(-x, 0) for x in d))
+        SplitBinomial(tuple(i + 1 for i in _bits(I)), tuple(max(x, 0) for x in d), tuple(max(-x, 0) for x in d))
         for I, d in connected_splits(g)
     ]
 
@@ -198,16 +199,6 @@ def _layerings(g: Multigraph, singletons: bool) -> list:
         if not sub:
             return out
         sub = (sub - 1) & others
-
-
-def _bits(mask) -> list:
-    """Positions of the set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
 
 
 def connected_flags(g: Multigraph) -> list:

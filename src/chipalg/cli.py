@@ -35,7 +35,7 @@ from .chipfiring import (
 )
 from .exactla import check_char
 from .hilbert import hilbert_identity_check, hilbert_numerator, parking_sum, parking_sum_check
-from .monomials import monomial_str, parse_ideal
+from .monomials import monomial_str, parse_ideal, parse_ints
 from .multigraph import divisor_class_group, parse_graph, tree_count
 from .resolutions import betti_parking, betti_toppling, conjecture_check
 from .riemann_roch import (
@@ -63,8 +63,9 @@ def _load_ideal(path):
         return parse_ideal(fh.read())
 
 
-def _csv_ints(s):
-    return tuple(int(x) for x in s.split(","))
+def _csv_ints(s, flag):
+    """The comma-separated integers given to the option ``flag``."""
+    return parse_ints(s.split(","), flag)
 
 
 def _binomial_json(b):
@@ -167,7 +168,7 @@ def _cmd_hilbert(args):
 
 def _cmd_rank(args):
     g = _load_graph(args)
-    u = _csv_ints(args.divisor)
+    u = _csv_ints(args.divisor, "--divisor")
     bn = baker_norine_verify(g, u)
     r = bn["rank_u"]
     oracle = divisor_rank_oracle(g, u)
@@ -185,7 +186,7 @@ def _cmd_rank(args):
 
 def _cmd_mrank(args):
     M = _load_ideal(args.ideal_file)
-    b = _csv_ints(args.monomial)
+    b = _csv_ints(args.monomial, "--monomial")
     r = mono_rank(M, b)
     payload = {"monomial": b, "rank": r}
     checks = []
@@ -210,7 +211,7 @@ def _cmd_rrcheck(args):
         "canonical_candidates": prof.canonical_candidates,
     }
     # a malformed --b is bad input whether or not the ideal qualifies
-    bs_exps = [(bs, _exponents(M, _csv_ints(bs))) for bs in args.b or []]
+    bs_exps = [(bs, _exponents(M, _csv_ints(bs, "--b"))) for bs in args.b or []]
     checks = []
     if prof.reflection_invariant and prof.level:
         for bs, b in bs_exps:
@@ -224,8 +225,8 @@ def _cmd_rrcheck(args):
 
 
 def _cmd_construct(args):
-    K = _csv_ints(args.canonical)
-    seeds = [_csv_ints(s) for s in args.seed]
+    K = _csv_ints(args.canonical, "--canonical")
+    seeds = [_csv_ints(s, "--seed") for s in args.seed]
     prof = construct_rr_ideal(K, seeds)
     return {
         "vars": prof.ideal.vars,

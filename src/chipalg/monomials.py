@@ -26,6 +26,7 @@ __all__ = [
     "standard_monomials",
     "socle",
     "intersect_irreducible",
+    "parse_ints",
     "parse_ideal",
     "monomial_str",
 ]
@@ -278,6 +279,18 @@ def intersect_irreducible(components, vars: int) -> MonomialIdeal:
     return MonomialIdeal.from_generators(vars, gens)
 
 
+def parse_ints(tokens, where: str) -> tuple:
+    """The tokens as ints; the first that is not one raises ``ValueError``
+    naming it and ``where`` it stands, such as a line or an option."""
+    out = []
+    for x in tokens:
+        try:
+            out.append(int(x))
+        except ValueError:
+            raise ValueError(f"{where}: {x!r} is not an integer") from None
+    return tuple(out)
+
+
 def parse_ideal(text: str) -> MonomialIdeal:
     """Parse the shared ideal text format: ``vars <m>`` then ``gen e_1 ... e_m`` lines."""
     m = None
@@ -290,13 +303,13 @@ def parse_ideal(text: str) -> MonomialIdeal:
         if m is None:
             if parts[0] != "vars" or len(parts) != 2:
                 raise ValueError(f"line {lineno}: expected 'vars <m>'")
-            m = int(parts[1])
+            (m,) = parse_ints(parts[1:], f"line {lineno}")
             if m < 1:
                 raise ValueError(f"line {lineno}: need at least one variable")
             continue
         if parts[0] != "gen" or len(parts) != m + 1:
             raise ValueError(f"line {lineno}: expected 'gen' with {m} exponents")
-        g = tuple(int(x) for x in parts[1:])
+        g = parse_ints(parts[1:], f"line {lineno}")
         if any(e < 0 for e in g):
             raise ValueError(f"line {lineno}: exponents must be non-negative")
         if not any(g):

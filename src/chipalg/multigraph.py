@@ -1,9 +1,12 @@
 """Multigraphs, Laplacians, the subset table, and the divisor class group.
 
 Nodes are named 1..n; node n is the distinguished node (the sink) by
-convention throughout the package.  The subset table (``subset_images``)
-holds each proper non-empty subset I of [n] with its Laplacian move L e_I:
-the splits, the toppling binomials and the origin table are read off it.
+convention throughout the package.  Inside the package a node set is a
+bitmask, bit i - 1 for node i; this module writes them (``_adjacency``,
+``_components``) and decodes them (``_bits``).  The subset table
+(``subset_images``) holds each proper non-empty subset I of [n], as a
+bitmask, with its Laplacian move L e_I: the splits, the toppling binomials
+and the origin table are read off it.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from itertools import combinations
 from operator import mul
 
 from .exactla import determinant, smith_normal_form
+from .monomials import parse_ints
 
 #: Entries kept by each cache keyed on a ``Multigraph``.
 GRAPH_CACHE_SIZE = 64
@@ -111,9 +115,14 @@ def _components(adj, mask) -> list:
     return out
 
 
-def _mask(I) -> int:
-    """The bitmask of the 1-based node set I."""
-    return sum(1 << (i - 1) for i in I)
+def _bits(mask) -> list:
+    """Positions of the set bits of ``mask``, ascending: its 0-based nodes."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def laplacian(g: Multigraph) -> tuple:
@@ -132,15 +141,15 @@ def tree_count(g: Multigraph) -> int:
 
 
 def subset_images(g: Multigraph) -> list:
-    """The pairs (I, L e_I) over the proper non-empty subsets I of [n], by
-    |I| and then lexicographically.  Entry i of L e_I is the number of edges
-    from i to [n] minus I for i in I, and minus the number from i to I
-    otherwise.  A one-node graph has none."""
+    """The pairs (I, L e_I) over the proper non-empty subsets I of [n], I a
+    node bitmask, by |I| and then lexicographically.  Entry i of L e_I is
+    the number of edges from i to [n] minus I for i in I, and minus the
+    number from i to I otherwise.  A one-node graph has none."""
     rows = laplacian(g)
     return [
-        (I, tuple(sum(row[i - 1] for i in I) for row in rows))
+        (sum(1 << i for i in I), tuple(sum(row[i] for i in I) for row in rows))
         for size in range(1, g.n)
-        for I in combinations(range(1, g.n + 1), size)
+        for I in combinations(range(g.n), size)
     ]
 
 
@@ -149,13 +158,11 @@ def connected_splits(g: Multigraph) -> list:
     and [n] minus I inducing connected subgraphs, in the table's order."""
     adj = _adjacency(g.mult)
     full = (1 << g.n) - 1
-    out = []
-    for I, d in subset_images(g):
-        if g.n not in I:
-            mask = _mask(I)
-            if len(_components(adj, mask)) == len(_components(adj, full ^ mask)) == 1:
-                out.append((I, d))
-    return out
+    return [
+        (I, d)
+        for I, d in subset_images(g)
+        if not I >> (g.n - 1) and len(_components(adj, I)) == len(_components(adj, full ^ I)) == 1
+    ]
 
 
 @dataclass(frozen=True)
@@ -213,13 +220,13 @@ def parse_graph(text: str) -> Multigraph:
         if n is None:
             if parts[0] != "nodes" or len(parts) != 2:
                 raise ValueError(f"line {lineno}: expected 'nodes <n>'")
-            n = int(parts[1])
+            (n,) = parse_ints(parts[1:], f"line {lineno}")
             if n < 1:
                 raise ValueError(f"line {lineno}: need at least one node")
             continue
         if parts[0] != "edge" or len(parts) != 4:
             raise ValueError(f"line {lineno}: expected 'edge <i> <j> <mult>'")
-        i, j, w = int(parts[1]), int(parts[2]), int(parts[3])
+        i, j, w = parse_ints(parts[1:], f"line {lineno}")
         if not (1 <= i < j <= n):
             raise ValueError(f"line {lineno}: need 1 <= i < j <= n")
         if w < 1:

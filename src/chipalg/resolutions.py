@@ -11,9 +11,10 @@ on at most n vertices whose homology gives beta_{i,c} with no resolution
 Ch. 9).  One walk (``_cliques``) lists the faces of a flag complex, given
 by one neighbour bitmask per vertex, each clique with the lcm of its vertex
 labels.  Both sides start from one origin table (``_subset_images``): the
-subsets I and their L e_I from ``multigraph.subset_images``, and their
-inclusion graph.  Its labels lcm(0, L e_I) on the subsets that avoid n are
-the parking generators, so ``bary_complex`` walks the graph from those
+subsets I, as node bitmasks, and their L e_I from
+``multigraph.subset_images``, and their inclusion graph.  Its labels
+lcm(0, L e_I) on the subsets that avoid n (I >> (n - 1) == 0) are the
+parking generators, so ``bary_complex`` walks the graph from those
 subsets.  A barycentric chain U_1 < ... < U_m is the cyclically ordered
 partition (U_1, U_2 - U_1, ..., [n] - U_m) with n in the last block, and
 its rotations are the flags of the origin: the rotation that starts after
@@ -45,11 +46,11 @@ from itertools import accumulate, chain, combinations, compress
 from math import factorial
 from operator import add, itemgetter, lt, neg, or_, sub
 
-from .chipfiring import _bits, connected_flags
+from .chipfiring import connected_flags
 from .exactla import check_char
 from .kernels import sparse_rank
 from .monomials import lcm_exp
-from .multigraph import GRAPH_CACHE_SIZE, Multigraph, _mask, divisor_class_group, subset_images
+from .multigraph import GRAPH_CACHE_SIZE, Multigraph, _bits, divisor_class_group, subset_images
 
 __all__ = [
     "OrderedPartition",
@@ -96,10 +97,9 @@ def cyc_partitions(n: int, k: int) -> list:
         raise ValueError("block count must satisfy 1 <= k <= n")
     if k == 1:
         return [OrderedPartition((tuple(range(1, n + 1)),))]
-    subsets = [I for size in range(1, n) for I in combinations(range(1, n), size)]
-    bits = list(map(_mask, subsets))
+    bits = range(1, 1 << (n - 1))
     # the chains carry empty labels: only their blocks are read
-    chains = _cliques(_inclusion_graph(subsets), [()] * len(subsets), (1 << len(subsets)) - 1)
+    chains = _cliques(_inclusion_graph(bits), [()] * len(bits), (1 << len(bits)) - 1)
     out = [
         OrderedPartition(tuple(tuple(i + 1 for i in _bits(b)) for b in _chain_blocks(face, bits, n)))
         for face, _ in chains
@@ -119,17 +119,14 @@ def _chain_blocks(face, bits, n: int) -> list:
 
 @dataclass(frozen=True)
 class LabeledComplex:
-    """Simplicial complex with exponent-vector labels on the vertices.
+    """Simplicial complex, optionally with exponent-vector face labels.
 
-    ``vertex_labels`` is the table the faces index into, and may hold
-    entries no face uses; ``faces`` contains every face as a sorted tuple of
-    vertex indices (singletons included), and a face's label is the lcm of
-    its vertex labels.  ``face_labels``, in the order of ``faces``, come
-    from the builder that walked the faces; ``sub_below`` cuts only a
-    complex that has them.
+    ``faces`` contains every face as a sorted tuple of vertex indices
+    (singletons included).  ``face_labels``, in the order of ``faces``, come
+    from the function that walked the faces, a face's label being the lcm of
+    its vertex labels; ``sub_below`` cuts only a complex that has them.
     """
 
-    vertex_labels: tuple
     faces: tuple
     face_labels: tuple | None = field(default=None, compare=False, repr=False)
 
@@ -191,12 +188,11 @@ def _cliques(nbrs, labels, roots):
 
 
 def _inclusion_graph(subsets) -> list:
-    """Neighbour bitmasks of the subsets under proper inclusion: the
-    cliques are the flags (chains) of subsets."""
-    bits = list(map(_mask, subsets))
+    """Neighbour bitmasks of the subsets, given as node bitmasks, under
+    proper inclusion: the cliques are the flags (chains) of subsets."""
     return [
-        sum(1 << k for k, b in enumerate(bits) if a != b and a & b in (a, b))
-        for a in bits
+        sum(1 << k for k, b in enumerate(subsets) if a != b and a & b in (a, b))
+        for a in subsets
     ]
 
 
@@ -236,12 +232,12 @@ def bary_complex(g: Multigraph, images) -> LabeledComplex:
     """
     subsets, imgs, nbrs = images
     labels = tuple(lcm_exp((0,) * g.n, d) for d in imgs)
-    roots = sum(1 << k for k, s in enumerate(subsets) if g.n not in s)
+    roots = sum(1 << k for k, s in enumerate(subsets) if not s >> (g.n - 1))
     flags = list(_cliques(nbrs, labels, roots))
     # A missed chain would silently drop a toppling class: check the count.
     if len(flags) != _cyclic_partition_count(g.n):
         raise AssertionError(f"barycentric complex of a {g.n}-node graph has {len(flags)} faces")
-    return LabeledComplex(labels, tuple(f for f, _ in flags), tuple(lab for _, lab in flags))
+    return LabeledComplex(tuple(f for f, _ in flags), tuple(lab for _, lab in flags))
 
 
 def sub_below(c: LabeledComplex, deg) -> LabeledComplex:
@@ -269,7 +265,7 @@ def sub_below(c: LabeledComplex, deg) -> LabeledComplex:
             exact = 0
         elif t > 0:
             exact &= ~cum[t - 1]
-    return LabeledComplex(c.vertex_labels, tuple(c.faces[k] for k in _bits(keep ^ exact)))
+    return LabeledComplex(tuple(c.faces[k] for k in _bits(keep ^ exact)))
 
 
 def apt_region(g: Multigraph, degs, images) -> list:
@@ -319,7 +315,7 @@ def apt_region(g: Multigraph, degs, images) -> list:
     # (I, -L e_I) over the proper non-empty I that contain S.
     step = [None] * full
     for I, d in zip(subsets, imgs):
-        step[full ^ _mask(I)] = d
+        step[full ^ I] = d
     kids = []
     for s in range(full):
         rest, t, row = full ^ s, full ^ s, []
@@ -428,12 +424,11 @@ def _face_tables(n: int) -> tuple:
     integer, face F being bit sum(2^i for i in F): the powers 2^i; for each
     vertex i the integer with a bit for every face that holds i; the pairs
     (bit, face) of the non-empty faces, each face a sorted tuple, in
-    lexicographic order of the tuples; and the unit vertex labels."""
+    lexicographic order of the tuples."""
     pows = tuple(1 << i for i in range(n))
     has = tuple(sum(1 << f for f in range(1 << n) if f & p) for p in pows)
     lex = sorted(((f, tuple(_bits(f))) for f in range(1, 1 << n)), key=itemgetter(1))
-    units = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-    return pows, has, tuple(lex), units
+    return pows, has, tuple(lex)
 
 
 def _koszul_ranks(points, c, memo: dict, char: int) -> dict:
@@ -452,7 +447,7 @@ def _koszul_ranks(points, c, memo: dict, char: int) -> dict:
     memo serves one characteristic.  On a miss the faces are decoded in
     lexicographic order for ``homology_ranks``.
     """
-    pows, has, lex, units = _face_tables(len(c))
+    pows, has, lex = _face_tables(len(c))
     faces = 0
     for w in points:
         faces |= 1 << sum(compress(pows, map(lt, w, c)))
@@ -464,7 +459,7 @@ def _koszul_ranks(points, c, memo: dict, char: int) -> dict:
         for f, face in lex:
             if faces >> f & 1:
                 listed.append(face)
-        ranks = memo[faces] = homology_ranks(LabeledComplex(units, tuple(listed)), char)
+        ranks = memo[faces] = homology_ranks(LabeledComplex(tuple(listed)), char)
     return ranks
 
 
@@ -497,14 +492,13 @@ def _zero_incident_labels(g: Multigraph, images, bary: LabeledComplex, keys: dic
     """
     subsets, imgs, _ = images
     grp = divisor_class_group(g)
-    bits = list(map(_mask, subsets))
-    index = {b: k for k, b in enumerate(bits)}
+    index = {b: k for k, b in enumerate(subsets)}
     best = {}
     for face, lab in zip(bary.faces, bary.face_labels):
         key = keys.get(lab)
         if key is None:
             key = keys[lab] = (sum(lab), grp.class_of(lab))
-        blocks = _chain_blocks(face, bits, g.n)
+        blocks = _chain_blocks(face, subsets, g.n)
         firsts = [index[b] for b in blocks]
         s = firsts.index(min(firsts))
         flag = face

@@ -175,12 +175,20 @@ def induces_connected(g: Multigraph, nodes) -> bool:
     return connected_by_search(g.mult, [v - 1 for v in nodes])
 
 
-def face_label(c: LabeledComplex, face) -> tuple:
-    """The lcm of the face's vertex labels."""
-    lab = c.vertex_labels[face[0]]
+def face_label(labels, face) -> tuple:
+    """The lcm of the face's vertex labels, read from the table ``labels``
+    that the face indexes."""
+    lab = labels[face[0]]
     for v in face[1:]:
-        lab = lcm_exp(lab, c.vertex_labels[v])
+        lab = lcm_exp(lab, labels[v])
     return lab
+
+
+def bary_vertex_labels(g: Multigraph, images) -> tuple:
+    """The vertex labels of ``resolutions.bary_complex``: lcm(0, L e_I) for
+    each subset I of the origin table ``images``, which its faces index."""
+    zero = (0,) * g.n
+    return tuple(lcm_exp(zero, d) for d in images[1])
 
 
 def face_counts(c: LabeledComplex) -> tuple:
@@ -242,17 +250,19 @@ def cut_cliques(nbrs, labels, roots, cut, join=lcm_exp):
     return walk((), None, roots)
 
 
-def apartment_slices(g: Multigraph, degs) -> list:
-    """Oracle for the toppling side: the apartment slice below each degree
-    c of ``degs``, whose reduced homology in dimension i is beta_{i+1, c}.
+def apartment_slices(g: Multigraph, degs) -> tuple:
+    """Oracle for the toppling side: the pair (points, slices) of the
+    apartment slice below each degree c of ``degs``, whose reduced homology
+    in dimension i is beta_{i+1, c}.
 
     The vertices of every slice are the union of ``apt_region``'s points
-    below the degrees, sorted, and the faces index them.  Two points are
-    adjacent when they differ by an image L e_I, that is, when their classes
-    are at tropical distance 1.  A slice's faces are the cliques of points
-    w <= c whose lcm label properly divides x^c; below c a label is c
-    exactly when every coordinate i is hit by some vertex with w_i = c_i, so
-    the walk cuts on the bitwise or of those hits."""
+    below the degrees, sorted, which ``points`` lists; the faces index
+    them.  Two points are adjacent when they differ by an image L e_I, that
+    is, when their classes are at tropical distance 1.  A slice's faces are
+    the cliques of points w <= c whose lcm label properly divides x^c;
+    below c a label is c exactly when every coordinate i is hit by some
+    vertex with w_i = c_i, so the walk cuts on the bitwise or of those
+    hits."""
     images = _subset_images(g)
     degs = [tuple(c) for c in degs]
     below = apt_region(g, degs, images)
@@ -263,8 +273,8 @@ def apartment_slices(g: Multigraph, degs) -> list:
     for c, pts in zip(degs, below):
         hits = {index[w]: sum(1 << i for i, (a, b) in enumerate(zip(w, c)) if a == b) for w in pts}
         faces = cut_cliques(nbrs, hits, sum(1 << k for k in hits), (1 << g.n) - 1, or_)
-        out.append(LabeledComplex(ws, tuple(f for f, _ in faces)))
-    return out
+        out.append(LabeledComplex(tuple(f for f, _ in faces)))
+    return ws, out
 
 
 def koszul_faces_by_facets(points, c) -> tuple:
@@ -292,11 +302,11 @@ def class_table_by_flag_walk(g: Multigraph, images) -> dict:
     (degree, class) keeps the label of the first flag met in lexicographic
     pre-order, the empty flag first; each distinct label is classified
     once, at its first flag."""
-    subsets, imgs, nbrs = images
+    subsets, _, nbrs = images
     grp = divisor_class_group(g)
     zero = (0,) * g.n
     table = {(0, grp.class_of(zero)): zero}
-    labels = [lcm_exp(zero, d) for d in imgs]  # each flag's label includes the origin's
+    labels = bary_vertex_labels(g, images)  # each flag's label includes the origin's
     flags = _cliques(nbrs, labels, (1 << len(subsets)) - 1)
     for lab in dict.fromkeys(lab for _, lab in flags):
         table.setdefault((sum(lab), grp.class_of(lab)), lab)

@@ -503,6 +503,34 @@ def test_exit_code_1_on_malformed_input(capsys, tmp_path):
     assert code == 1
 
 
+# (file name, file text or None, argv with "{}" for the file, error)
+NON_INTEGER_CASES = [
+    ("bad.graph", "nodes 3\nedge 1 2 1\nedge 2 3 x\n", ("info", "{}"), "line 3: 'x' is not an integer"),
+    ("bad.graph", "# two nodes\nnodes two\n", ("info", "{}"), "line 2: 'two' is not an integer"),
+    ("bad.ideal", "vars 2\ngen 1 a\n", ("mrank", "{}", "--monomial=1,1"), "line 2: 'a' is not an integer"),
+    ("bad.ideal", "vars 2.0\ngen 1 1\n", ("rrcheck", "{}"), "line 1: '2.0' is not an integer"),
+    (None, None, ("rank", K4, "--divisor=1,2,x,4"), "--divisor: 'x' is not an integer"),
+    (None, None, ("mrank", str(DATA / "k4_parking.ideal"), "--monomial=1,,2"), "--monomial: '' is not an integer"),
+    (None, None, ("rrcheck", str(DATA / "k4_parking.ideal"), "--b", "1,1,1", "--b", "1,y,0"), "--b: 'y' is not an integer"),
+    (None, None, ("construct", "--canonical", "2,z", "--seed", "1,1"), "--canonical: 'z' is not an integer"),
+    (None, None, ("construct", "--canonical", "2,2", "--seed", "1,1", "--seed", "1,q"), "--seed: 'q' is not an integer"),
+]
+
+
+@pytest.mark.parametrize("name, text, argv, error", NON_INTEGER_CASES, ids=[c[3] for c in NON_INTEGER_CASES])
+def test_non_integer_input_names_its_source(capsys, tmp_path, name, text, argv, error):
+    # a token that is not an integer is malformed input: exit 1, with the
+    # line of the graph or ideal file, or the option, that holds it
+    if name is not None:
+        (tmp_path / name).write_text(text)
+        argv = tuple(a.format(tmp_path / name) for a in argv)
+    code, out, err = _run(capsys, *argv)
+    rep = json.loads(out)
+    assert code == 1 and "results" not in rep
+    assert rep["error"] == error
+    assert err.endswith(f"error: {error}\n")
+
+
 def test_exit_code_2_on_failed_math_check(capsys, c4_parking_ideal):
     # the 4-cycle's parking ideal is not reflection-invariant
     code, out, err = _run(capsys, "rrcheck", c4_parking_ideal, "--b", "1,0,0")

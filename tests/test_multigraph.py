@@ -7,10 +7,10 @@ from math import prod
 import pytest
 
 from chipalg.exactla import _mat_vec, determinant
-from chipalg.chipfiring import _bits
 from chipalg.multigraph import (
     Multigraph,
     _adjacency,
+    _bits,
     _components,
     connected_splits,
     div_class,
@@ -84,9 +84,9 @@ def test_connected_splits_match_search_oracle():
             expect = [
                 (I, d)
                 for I, d in subset_images(g)
-                if n not in I
-                and connected_by_search(mult, [i - 1 for i in I])
-                and connected_by_search(mult, [j for j in range(n) if j + 1 not in I])
+                if not I >> (n - 1)
+                and connected_by_search(mult, _bits(I))
+                and connected_by_search(mult, [j for j in range(n) if not I >> j & 1])
             ]
             assert connected_splits(g) == expect
     assert graphs == 1 + 2 + 20 + 624
@@ -137,21 +137,55 @@ def test_splits_counts():
         g = random_connected(random.Random(n), n)
         table = subset_images(g)
         assert len(table) == 2**n - 2
-        assert sum(n not in I for I, _ in table) == 2 ** (n - 1) - 1
+        assert sum(not I >> (n - 1) for I, _ in table) == 2 ** (n - 1) - 1
     assert subset_images(parse_graph("nodes 1")) == []
     assert len(connected_splits(k4())) == 7
     assert len(connected_splits(prism())) == 22
 
 
 def test_subset_images_are_laplacian_moves():
-    """Each entry of the table is L e_I, in order of |I| and then
-    lexicographically, on the data graphs and seeded graphs with n = 1-6."""
+    """Each entry of the table is L e_I, on the data graphs and seeded
+    graphs with n = 1-6."""
     for g in data_and_seeded_graphs(4):
         lam = laplacian(g)
-        table = subset_images(g)
-        assert [I for I, _ in table] == [I for k in range(1, g.n) for I in combinations(range(1, g.n + 1), k)]
-        for I, d in table:
-            assert d == _mat_vec(lam, tuple(int(i + 1 in I) for i in range(g.n)))
+        for I, d in subset_images(g):
+            assert d == _mat_vec(lam, tuple(I >> i & 1 for i in range(g.n)))
+
+
+def test_subset_table_format():
+    """The subsets of the table are node bitmasks, bit i - 1 for node i:
+    decoded by ``_bits``, they are the proper non-empty subsets of [n] in
+    order of size and then lexicographically, for n = 1-8."""
+    rng = random.Random(34)
+    for n in range(1, 9):
+        g = random_connected(rng, n)
+        got = [tuple(i + 1 for i in _bits(I)) for I, _ in subset_images(g)]
+        assert got == [I for size in range(1, n) for I in combinations(range(1, n + 1), size)]
+
+
+def _bits_by_shift(m) -> list:
+    return [i for i in range(m.bit_length()) if m >> i & 1]
+
+
+def test_bits_matches_shift_loop():
+    """``_bits`` lists the set bits in ascending order, as a shift over
+    every position does: on 0, single bits, dense and sparse masks of
+    widths that are and are not multiples of 8, and a sparse mask about
+    95,000 bits wide, the width of the barycentric complex's face masks
+    at n = 8."""
+    rng = random.Random(35)
+    masks = [0, 1, 1 << 7, 1 << 8, 1 << 1000]
+    for width in (1, 3, 7, 8, 9, 15, 16, 63, 64, 65, 100, 257, 1001):
+        top = 1 << (width - 1)
+        masks.append(top)
+        masks.append((1 << width) - 1)
+        masks += [rng.getrandbits(width) | top for _ in range(5)]
+        masks += [sum(1 << rng.randrange(width) for _ in range(3)) | top for _ in range(5)]
+    wide = 94_585
+    masks.append(sum(1 << rng.randrange(wide) for _ in range(40)) | 1 << (wide - 1))
+    for m in masks:
+        assert _bits(m) == _bits_by_shift(m), m
+    assert len(_bits(masks[-1])) > 30
 
 
 def test_divisor_class_group_order_is_tree_count():
