@@ -20,19 +20,20 @@ partition (U_1, U_2 - U_1, ..., [n] - U_m) with n in the last block, and
 its rotations are the flags of the origin: the rotation that starts after
 U_s is labelled the chain's label minus L e_U_s, a lattice translate in
 the same class.  So the toppling class table reads one rotation off each
-barycentric chain (``_zero_incident_labels``).  ``sub_below`` cuts the
-barycentric complex by per-coordinate bitmasks (``_at_most``): it ANDs the
-masks of the faces with label_i <= c_i and drops those labelled exactly
-c.  ``apt_region`` finds the lattice points below the degrees >= 0 by a
+barycentric chain (``_class_table``), and returns with it the class of
+each barycentric label.  ``sub_below`` cuts the barycentric complex by
+per-coordinate bitmasks (``_at_most``): it ANDs the masks of the faces
+with label_i <= c_i and drops those labelled exactly c.  ``apt_region`` finds the lattice points below the degrees >= 0 by a
 reverse search from the origin (Avis-Fukuda 1996): the point L v, with
 v >= 0 and min v = 0, has the parent L max(v - 1, 0), which lies below
 every degree the point lies below, so each point is met once, from its
 parent.  ``_koszul_ranks`` writes the face set of K^c, read off the points
 below c, as one integer with a bit per face, and memoizes on it.  The
 toppling Betti table reads each connected flag's class from the class
-table's keys.  ``homology_ranks`` collapses the star of the vertex in the
-most faces, a cone, and ranks only the relative boundaries of the faces
-outside it.  ``cyc_partitions`` reads the cyclically ordered partitions
+table's keys, and ``conjecture_check`` compares the two sides in one
+loop over the classes.  ``homology_ranks`` collapses the star of the
+vertex in the most faces, a cone, and ranks only the relative boundaries
+of the faces outside it.  ``cyc_partitions`` reads the cyclically ordered partitions
 of [n], which index the paper's free complex, off the same barycentric
 chains, and ``_chain_blocks`` turns a chain into its blocks for both.
 """
@@ -199,7 +200,7 @@ def _inclusion_graph(subsets) -> list:
 def _subset_images(g: Multigraph) -> tuple:
     """The origin table: the subsets I and images L e_I of ``subset_images``
     and their ``_inclusion_graph``.  ``bary_complex`` walks the subsets that
-    avoid n, ``_zero_incident_labels`` reads each rotation of a barycentric
+    avoid n, ``_class_table`` reads each rotation of a barycentric
     chain as a flag of subsets and takes its label by subtracting an image,
     and ``apt_region`` steps by the images."""
     table = subset_images(g)
@@ -294,7 +295,8 @@ def apt_region(g: Multigraph, degs, images) -> list:
     tree from the origin (Avis-Fukuda, *Discrete Appl. Math.* 65, 1996),
     pruning a child that lies below no degree, meets exactly the union of
     the point sets, each point once, and needs no record of the points met.
-    Each point goes to the degrees above it, in search order.
+    Each point goes to the degrees above it, in search order, so a degree's
+    list does not depend on the order of ``degs``.
 
     The degrees above a point w are the AND over i of the bitmasks of the
     degrees with c_i >= w_i.  Those are the ``_at_most`` masks of the
@@ -463,11 +465,13 @@ def _koszul_ranks(points, c, memo: dict, char: int) -> dict:
     return ranks
 
 
-def _zero_incident_labels(g: Multigraph, images, bary: LabeledComplex, keys: dict) -> dict:
-    """The toppling class table: a map from each (degree, divisor class) of
-    apartment face labels to one label of that class, the label of the
-    first flag of the origin in lexicographic pre-order on the indices of
-    its subsets, the empty flag first.
+def _class_table(g: Multigraph, images, bary: LabeledComplex) -> tuple:
+    """The toppling class table and its keys, as the pair (table, keys).
+
+    ``table`` maps each (degree, divisor class) of the barycentric labels,
+    and the origin's, to one label of that class: the label of the first
+    flag of the origin in lexicographic pre-order on the indices of its
+    subsets, the empty flag first.
 
     The flags of proper non-empty subsets I of [n] at the origin (the
     neighbours are the classes of the indicator vectors e_I, labelled
@@ -486,14 +490,14 @@ def _zero_incident_labels(g: Multigraph, images, bary: LabeledComplex, keys: dic
     first block has the least index.  Cyclic partitions of one class keep
     the one whose first rotation has the least index tuple.
 
-    ``keys`` is filled with the (degree, class) of each distinct label of
-    ``bary``, which its rotations share, so a caller classifies each label
-    once.  Every table key but the origin's is a value of ``keys``.
+    ``keys`` maps each distinct label of ``bary`` to its (degree, class),
+    which its rotations share, so a caller classifies each label once.
+    Every table key but the origin's is a value of ``keys``.
     """
     subsets, imgs, _ = images
     grp = divisor_class_group(g)
     index = {b: k for k, b in enumerate(subsets)}
-    best = {}
+    keys, best = {}, {}
     for face, lab in zip(bary.faces, bary.face_labels):
         key = keys.get(lab)
         if key is None:
@@ -509,7 +513,7 @@ def _zero_incident_labels(g: Multigraph, images, bary: LabeledComplex, keys: dic
         if kept is None or flag < kept[0]:
             best[key] = flag, lab
     zero = (0,) * g.n
-    return {(0, grp.class_of(zero)): zero, **{k: lab for k, (_, lab) in best.items()}}
+    return {(0, grp.class_of(zero)): zero, **{k: lab for k, (_, lab) in best.items()}}, keys
 
 
 def _count_table(n: int, flags) -> dict:
@@ -534,18 +538,16 @@ def betti_parking(g: Multigraph) -> dict:
 def betti_toppling(g: Multigraph) -> dict:
     """Betti table of the quotient by the toppling ideal: the connected
     flag counts per divisor class of the degree, each class written as its
-    label in the class table (``_zero_incident_labels``, read off the
-    barycentric chains).
+    label in the class table (``_class_table``, read off the barycentric
+    chains).
 
     The barycentric complex supports the parking resolution, so the degree
     of a flag with k >= 2 blocks is one of its labels, whose (degree, class)
-    the class table's ``keys`` hold; one that is not raises
-    ``AssertionError``.  The one-block flag has degree 0, the origin, which
-    labels its own class.
+    the table's keys hold; one that is not raises ``AssertionError``.  The
+    one-block flag has degree 0, the origin, which labels its own class.
     """
     images = _subset_images(g)
-    keys = {}
-    rep = _zero_incident_labels(g, images, bary_complex(g, images), keys)
+    rep, keys = _class_table(g, images, bary_complex(g, images))
     pairs = []
     for k, c in connected_flags(g):
         if k > 1:
@@ -558,69 +560,61 @@ def betti_toppling(g: Multigraph) -> dict:
 
 
 def conjecture_check(g: Multigraph, char: int = 0) -> dict:
-    """Compare parking-side and toppling-side graded Betti numbers.
+    """Compare parking-side and toppling-side graded Betti numbers, class
+    by class.
 
     Barycentric face labels are x_n-free, but the toppling Betti numbers at
     a degree depend only on its divisor class, and distinct parking degrees
-    can share a class.  The comparison therefore aggregates: for each
-    class, the sum over its barycentric labels c of reduced homology in
-    dimension i-1 of the subcomplex below c is compared with the homology
-    in dimension i of the upper Koszul complex of the lattice module at the
-    class's label in the class table (``_koszul_ranks``), which equals that
-    of the apartment slice below it.  Classes with several distinct
-    barycentric labels are reported as ambiguous pairings.  The class table
-    is read off the barycentric chains, one rotation each, so every class
-    but the origin's has a barycentric label, and each label is classified
-    once for both sides.  Class-table labels hit by no barycentric label
-    must carry no homology, and the only one is the origin, which has none
-    in dimension >= 0, so ``unmatched_orbits`` stays empty: that the table
-    holds every class rests on the face count that ``bary_complex``
+    can share a class.  So one loop visits each class of a barycentric
+    label, in the order of its least label: it sums, over the class's
+    labels c, the reduced homology in dimension i-1 of the subcomplex below
+    c, and compares that with the homology in dimension i of the upper
+    Koszul complex of the lattice module at the class's label in the class
+    table (``_koszul_ranks``).  One reverse search (``apt_region``) finds
+    the lattice points below every label of the table first.  Classes with
+    several distinct barycentric labels are reported as ambiguous pairings.
+
+    The class table is read off the barycentric chains, one rotation each,
+    so every class but the origin's has a barycentric label, and each label
+    is classified once for both sides.  The table's classes the loop did
+    not visit are checked after it: each must carry no homology in
+    dimension >= 0, or it is reported in ``unmatched_orbits``.  The only
+    one is the origin, which has none, so the list stays empty; that the
+    table holds every class rests on the face count that ``bary_complex``
     checks, not on a second walk.
 
     The report is written as ``chipalg conjecture`` prints it: each
     compared entry holds its ``parking`` and ``toppling`` ranks, and an
     unmatched orbit's homology is keyed by the dimension as a string.
     """
-    n = g.n
-
-    # Parking side: the distinct barycentric face labels, kept from the one
-    # walk that built the complex and classified by the class table, and
-    # the homology below each.
     images = _subset_images(g)
     bary = bary_complex(g, images)
-    keys = {}
-    table = _zero_incident_labels(g, images, bary, keys)
-    by_key, bsums = {}, {}
+    table, keys = _class_table(g, images, bary)
+    by_key = {}
     for c in sorted(keys):
-        k = keys[c]
-        by_key.setdefault(k, []).append(c)
-        bsum = bsums.setdefault(k, {})
-        for i, r in homology_ranks(sub_below(bary, c), char).items():
-            bsum[i] = bsum.get(i, 0) + r
-
-    # Toppling side: the upper Koszul complex at each label of the class
-    # table, in ascending label order, from the lattice points below it.
-    rows = sorted(table.items(), key=lambda kc: kc[1])
-    points = apt_region(g, [c for _, c in rows], images)
+        by_key.setdefault(keys[c], []).append(c)
+    points = dict(zip(table, apt_region(g, table.values(), images)))
     memo = {}
-    apt = {k: (c, _koszul_ranks(pts, c, memo, char)) for (k, c), pts in zip(rows, points)}
 
-    mismatches = []
-    detail = []
+    detail, mismatches = [], []
     for k, labels in by_key.items():
-        ha = apt.pop(k)[1]
-        for i in range(-1, n):
-            b, a = bsums[k].get(i, 0), ha.get(i + 1, 0)
+        parking = {}
+        for c in labels:
+            for i, r in homology_ranks(sub_below(bary, c), char).items():
+                parking[i] = parking.get(i, 0) + r
+        toppling = _koszul_ranks(points.pop(k), table[k], memo, char)
+        for i in range(-1, g.n):
+            b, a = parking.get(i, 0), toppling.get(i + 1, 0)
             if b or a:
                 detail.append({"degrees": tuple(labels), "dimension": i, "parking": b, "toppling": a})
             if b != a:
                 mismatches.append(detail[-1])
 
-    unmatched = [
-        {"degree": c, "homology": {str(i): r for i, r in ha.items() if r}}
-        for c, ha in apt.values()
-        if any(r for i, r in ha.items() if i >= 0)
-    ]
+    unmatched = []
+    for k, pts in points.items():
+        ha = _koszul_ranks(pts, table[k], memo, char)
+        if any(r for i, r in ha.items() if i >= 0):
+            unmatched.append({"degree": table[k], "homology": {str(i): r for i, r in ha.items() if r}})
     return {
         "compared": detail,
         "mismatches": mismatches,

@@ -296,9 +296,9 @@ def koszul_faces_by_facets(points, c) -> tuple:
 
 
 def class_table_by_flag_walk(g: Multigraph, images) -> dict:
-    """Oracle for ``resolutions._zero_incident_labels``: the class table
-    from a walk over every flag of the origin.  The inclusion graph of the
-    origin table ``images`` is walked from every subset, and each
+    """Oracle for the table of ``resolutions._class_table``: the class
+    table from a walk over every flag of the origin.  The inclusion graph
+    of the origin table ``images`` is walked from every subset, and each
     (degree, class) keeps the label of the first flag met in lexicographic
     pre-order, the empty flag first; each distinct label is classified
     once, at its first flag."""

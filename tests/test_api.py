@@ -26,6 +26,12 @@ def _traced_names() -> set:
 # kernel name stamped on benchmark reports, and the traced functions.
 UNUSED_ALLOWED = {"cli.main", "kernels.BACKEND"} | _traced_names()
 
+# The traced names that nothing in the package loads: the tracer still wraps
+# them by name, so they stay until it reads other names.  A name may leave
+# this set, but none may join it (``GradedPolynomial.add`` is loaded as
+# ``set.add``, so this rule cannot see it).
+TRACED_ONLY = {"exactla.solve_integer", "hilbert.GradedPolynomial.mul", "resolutions.cyc_partitions"}
+
 
 def _attribute_loads(node) -> Counter:
     """Attribute names loaded anywhere under ``node``."""
@@ -67,7 +73,9 @@ def _public_definitions(module: str, tree):
     assert defined == exported, f"{module}.__all__ names undefined: {exported - defined}"
 
 
-def test_public_names_are_used_in_src():
+def _unused_public_names() -> list:
+    """The qualified public names that nothing in ``src/chipalg`` loads
+    besides their own definitions."""
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     totals = {loads: sum(map(loads, trees.values()), Counter()) for loads in (_loads, _attribute_loads)}
     unused = []
@@ -75,9 +83,20 @@ def test_public_names_are_used_in_src():
         if module == "__init__":
             continue
         for qualified, name, node, loads in _public_definitions(module, tree):
-            if totals[loads][name] == loads(node)[name] and qualified not in UNUSED_ALLOWED:
+            if totals[loads][name] == loads(node)[name]:
                 unused.append(qualified)
-    assert unused == []
+    return unused
+
+
+def test_public_names_are_used_in_src():
+    assert [name for name in _unused_public_names() if name not in UNUSED_ALLOWED] == []
+
+
+def test_tracer_exemption_hides_no_new_dead_name():
+    """The tracer's exemption covers only the traced names that were
+    already unused when it was granted: a traced function that loses its
+    last caller in ``src/chipalg`` fails here."""
+    assert set(_unused_public_names()) & _traced_names() <= TRACED_ONLY
 
 
 def _imported_names(tree):

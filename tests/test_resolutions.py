@@ -2,6 +2,7 @@
 apartment subcomplexes, upper Koszul complexes, homology, and graded Betti
 numbers."""
 
+import json
 import random
 from collections import Counter
 from functools import cache, reduce
@@ -13,18 +14,19 @@ import pytest
 
 from chipalg import resolutions
 from chipalg.chipfiring import connected_flags, lattice_points_in_box, lattice_socle_base
+from chipalg.cli import run
 from chipalg.exactla import solve_integer
 from chipalg.monomials import divides, lcm_exp, vec_add
 from chipalg.multigraph import divisor_class_group, laplacian, parse_graph, subset_images
 from chipalg.resolutions import (
     LabeledComplex,
     OrderedPartition,
+    _class_table,
     _cliques,
     _cyclic_partition_count,
     _inclusion_graph,
     _koszul_ranks,
     _subset_images,
-    _zero_incident_labels,
     apt_region,
     bary_complex,
     betti_parking,
@@ -242,9 +244,9 @@ def _class_table_graphs() -> list:
 def test_class_table_matches_flag_walk():
     """The class table read off the barycentric chains, one rotation each,
     equals the oracle's walk over every flag of the origin, keys and
-    labels.  ``keys`` holds every distinct barycentric label, and its
-    values are the table's keys but the origin's.  Many classes hold
-    several cyclic partitions, so the tie-break between them is
+    labels.  The returned ``keys`` hold every distinct barycentric label,
+    and their values are the table's keys but the origin's.  Many classes
+    hold several cyclic partitions, so the tie-break between them is
     exercised."""
     graphs = _class_table_graphs()
     assert len(graphs) > 680
@@ -252,8 +254,7 @@ def test_class_table_matches_flag_walk():
     for g in graphs:
         images = _subset_images(g)
         bary = bary_complex(g, images)
-        keys = {}
-        table = _zero_incident_labels(g, images, bary, keys)
+        table, keys = _class_table(g, images, bary)
         want = class_table_by_flag_walk(g, images)
         assert table == want, g
         assert set(keys) == set(bary.face_labels)
@@ -487,7 +488,7 @@ def _data_slices() -> list:
         bary = bary_complex(g, images)
         labels = bary_vertex_labels(g, images)
         out += [sub_below(bary, c) for c in sorted({face_label(labels, f) for f in bary.faces})]
-        out += apartment_slices(g, sorted(_zero_incident_labels(g, images, bary, {}).values()))[1]
+        out += apartment_slices(g, sorted(_class_table(g, images, bary)[0].values()))[1]
     return out
 
 
@@ -607,7 +608,7 @@ def _homology_tables(g, char):
     degrees = sorted({face_label(vertex_labels, f) for f in bary.faces})
     below = ((c, homology_ranks(sub_below(bary, c), char)) for c in degrees)
     parking = _betti_table(g.n, below, 2, [((0,) * g.n, 0, 1)])
-    labels = sorted(_zero_incident_labels(g, images, bary, {}).values())
+    labels = sorted(_class_table(g, images, bary)[0].values())
     slices = ((c, homology_ranks(region, char)) for c, region in zip(labels, apartment_slices(g, labels)[1]))
     toppling = _betti_table(g.n, slices, 1, [])
     return parking, toppling
@@ -749,7 +750,7 @@ def test_apartment_slices_match_own_boxes():
     points = nonempty = 0
     for k, g in enumerate(graphs):
         images = _subset_images(g)
-        labels = sorted(_zero_incident_labels(g, images, bary_complex(g, images), {}).values())
+        labels = sorted(_class_table(g, images, bary_complex(g, images))[0].values())
         degs = []
         if g.n < 6:
             top = tuple(map(max, zip(*labels)))
@@ -798,7 +799,7 @@ def test_koszul_matches_apartment_slices():
     kinds = Counter()
     for g in graphs:
         images = _subset_images(g)
-        labels = sorted(_zero_incident_labels(g, images, bary_complex(g, images), {}).values())
+        labels = sorted(_class_table(g, images, bary_complex(g, images))[0].values())
         degs = labels + [tuple(rng.randint(0, 2) for _ in range(g.n)) for _ in range(3)]
         points = apt_region(g, degs, images)
         _, slices = apartment_slices(g, degs)
@@ -832,7 +833,7 @@ def test_koszul_faces_match_maximal_facets(monkeypatch):
     labels_seen = 0
     for g in graphs:
         images = _subset_images(g)
-        labels = sorted(_zero_incident_labels(g, images, bary_complex(g, images), {}).values())
+        labels = sorted(_class_table(g, images, bary_complex(g, images))[0].values())
         degs = labels + [tuple(rng.randint(0, 2) for _ in range(g.n)) for _ in range(3)]
         memo, tops = {}, set()
         for c, pts in zip(degs, apt_region(g, degs, images)):
@@ -862,7 +863,7 @@ def test_reverse_search_meets_each_point_once():
         lam = laplacian(g)
         zero = (0,) * g.n
         images = _subset_images(g)
-        labels = sorted(_zero_incident_labels(g, images, bary_complex(g, images), {}).values())
+        labels = sorted(_class_table(g, images, bary_complex(g, images))[0].values())
         top = tuple(map(max, zip(*labels)))
         degs = labels + [tuple(rng.randint(0, t + 1) for t in top) for _ in range(3)]
         for c, pts in zip(degs, apt_region(g, degs, images)):
@@ -874,6 +875,25 @@ def test_reverse_search_meets_each_point_once():
                 assert tuple(sum(map(int.__mul__, row, u)) for row in lam) in members, (g, c, w)
                 parents += 1
     assert parents > 12000
+
+
+def test_apt_region_ignores_the_order_of_its_degrees():
+    """apt_region gives each degree the same list, the same points in the
+    same order, whatever the order of the degrees: the search prunes a
+    child only when it lies below no degree, and walks the children in an
+    order that the degrees do not set.  At the class-table labels of every
+    sweep graph (n <= 4, multiplicity <= 2), twelve seeded 5-node graphs
+    and the prism, each in three shuffled orders."""
+    rng = random.Random(35)
+    graphs = [g for n in range(1, 5) for g in all_connected_graphs(n, 2)]
+    graphs += [random_connected(rng, 5) for _ in range(12)] + [prism()]
+    for g in graphs:
+        images = _subset_images(g)
+        labels = sorted(_class_table(g, images, bary_complex(g, images))[0].values())
+        want = dict(zip(labels, apt_region(g, labels, images)))
+        for _ in range(3):
+            degs = rng.sample(labels, len(labels))
+            assert dict(zip(degs, apt_region(g, degs, images))) == want, g
 
 
 def test_apartment_slices_reject_bad_degrees():
@@ -901,7 +921,7 @@ def test_linear_systems_are_connected():
     for g in graphs:
         steps = [d for _, d in subset_images(g)]
         images = _subset_images(g)
-        labels = sorted(_zero_incident_labels(g, images, bary_complex(g, images), {}).values())
+        labels = sorted(_class_table(g, images, bary_complex(g, images))[0].values())
         top = tuple(map(max, zip(*labels)))
         for _ in range(20 if g.n < 6 else 4):
             deg = tuple(rng.randint(-2, t + 1) for t in top)
@@ -974,3 +994,55 @@ def test_conjecture_check_aggregates_classes():
     rep = conjecture_check(chain_graph())
     # c^3, b^3, and a^2*b share one divisor class; the comparison groups them
     assert any(len(grp) > 1 for grp in rep["ambiguous_pairings"])
+
+
+def test_conjecture_reports_a_mismatch(monkeypatch, capsys):
+    """A toppling rank that is off by one in one dimension is listed as a
+    mismatch and fails the comparison, and ``chipalg conjecture`` exits 2
+    with ``betti_agreement`` failed.  The rank is raised at the degrees of
+    the minimal generators, in dimension 0 of K^c, which the comparison
+    sets against dimension -1 below the parking labels."""
+    koszul = resolutions._koszul_ranks
+
+    def off_by_one(points, c, memo, char):
+        ranks = dict(koszul(points, c, memo, char))
+        if ranks.get(0):
+            ranks[0] += 1
+        return ranks
+
+    monkeypatch.setattr(resolutions, "_koszul_ranks", off_by_one)
+    rep = conjecture_check(c4())
+    assert not rep["pass"] and not rep["unmatched_orbits"]
+    assert rep["mismatches"]
+    assert all(m["dimension"] == -1 and m["toppling"] == m["parking"] + 1 for m in rep["mismatches"])
+    assert all(m in rep["compared"] for m in rep["mismatches"])
+
+    code = run(["conjecture", str(DATA / "c4.graph")])
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert code == 2 and "betti_agreement" in err
+    (check,) = report["checks"]
+    assert check["name"] == "betti_agreement" and not check["pass"]
+    assert check["details"]["mismatches"] >= 1
+
+
+def test_conjecture_reports_an_unmatched_orbit(monkeypatch):
+    """A class-table row under a key that no barycentric label has is
+    checked after the loop over the classes: a row with homology is listed
+    in ``unmatched_orbits`` and fails the comparison."""
+    g = c4()
+    table_of = resolutions._class_table
+    images = _subset_images(g)
+    table, _ = table_of(g, images, bary_complex(g, images))
+    assert conjecture_check(g)["pass"]
+    row = max(table.values(), key=sum)  # a label of the top degree, which carries homology
+
+    def with_stray_row(g, images, bary):
+        table, keys = table_of(g, images, bary)
+        return {**table, ("stray", 0): row}, keys
+
+    monkeypatch.setattr(resolutions, "_class_table", with_stray_row)
+    rep = conjecture_check(g)
+    assert not rep["pass"] and not rep["mismatches"]
+    (orbit,) = rep["unmatched_orbits"]
+    assert orbit["degree"] == row and any(r for i, r in orbit["homology"].items() if int(i) >= 0)
