@@ -20,17 +20,21 @@ partition (U_1, U_2 - U_1, ..., [n] - U_m) with n in the last block, and
 its rotations are the flags of the origin: the rotation that starts after
 U_s is labelled the chain's label minus L e_U_s, a lattice translate in
 the same class.  So the toppling class table reads one rotation off each
-barycentric chain (``_class_table``), and returns with it the class of
-each barycentric label.  ``sub_below`` cuts the barycentric complex by
-per-coordinate bitmasks (``_at_most``): it ANDs the masks of the faces
-with label_i <= c_i and drops those labelled exactly c.  ``apt_region`` finds the lattice points below the degrees >= 0 by a
+barycentric chain (``_class_table``) and maps each barycentric label to
+its class's representative.  ``sub_below`` cuts the barycentric complex
+by per-coordinate bitmasks (``_at_most``): it ANDs the masks of the
+faces with label_i <= c_i and drops those labelled exactly c.
+``apt_region`` finds the lattice points below the degrees >= 0 by a
 reverse search from the origin (Avis-Fukuda 1996): the point L v, with
 v >= 0 and min v = 0, has the parent L max(v - 1, 0), which lies below
 every degree the point lies below, so each point is met once, from its
 parent.  ``_koszul_ranks`` writes the face set of K^c, read off the points
 below c, as one integer with a bit per face, and memoizes on it.  The
-toppling Betti table reads each connected flag's class from the class
-table's keys, and ``conjecture_check`` compares the two sides in one
+toppling Betti table names each connected flag's class by the class
+table's representative of its degree.  K^c depends on the class of c
+alone, as the lattice module is translation invariant, so
+``conjecture_check`` groups the barycentric labels by class itself,
+reads K^c at each class's least label, and compares the two sides in one
 loop over the classes.  ``homology_ranks`` collapses the star of the
 vertex in the most faces, a cone, and ranks only the relative boundaries
 of the faces outside it.  ``cyc_partitions`` reads the cyclically ordered partitions
@@ -465,34 +469,34 @@ def _koszul_ranks(points, c, memo: dict, char: int) -> dict:
     return ranks
 
 
-def _class_table(g: Multigraph, images, bary: LabeledComplex) -> tuple:
-    """The toppling class table and its keys, as the pair (table, keys).
-
-    ``table`` maps each (degree, divisor class) of the barycentric labels,
-    and the origin's, to one label of that class: the label of the first
-    flag of the origin in lexicographic pre-order on the indices of its
-    subsets, the empty flag first.
+def _class_table(g: Multigraph, images, bary: LabeledComplex) -> dict:
+    """The toppling class table: each distinct label of the barycentric
+    complex ``bary`` mapped to the representative of its (degree, divisor
+    class), the label of the first flag of the origin in that class, in
+    lexicographic pre-order on the indices of its subsets.
 
     The flags of proper non-empty subsets I of [n] at the origin (the
     neighbours are the classes of the indicator vectors e_I, labelled
-    L e_I) are the ordered partitions of [n], the empty flag being the
-    origin itself, and every label orbit has such a representative by
-    translation.  A chain U_1 < ... < U_m of the barycentric complex
-    ``bary`` is the ordered partition with blocks B_1 = U_1,
-    B_t = U_t - U_(t-1) and B_(m+1) = [n] - U_m, and its rotations are the
-    flags of one cyclically ordered partition.  The rotation that starts at
-    B_(s+1) is the flag (U_(s+1) - U_s, ..., [n] - U_s,
-    ([n] - U_s) + U_1, ..., ([n] - U_s) + U_(s-1)), s = 0 giving the chain
-    itself, and its label is the chain's label minus L e_U_s (U_0 is
-    empty), so every rotation has the chain's degree and class.
+    L e_I) are the ordered partitions of [n], and every label orbit has
+    such a representative by translation, the origin's being the empty
+    flag, which the table leaves out.  A chain
+    U_1 < ... < U_m of ``bary`` is the ordered partition with blocks
+    B_1 = U_1, B_t = U_t - U_(t-1) and B_(m+1) = [n] - U_m, and its
+    rotations are the flags of one cyclically ordered partition.  The
+    rotation that starts at B_(s+1) is the flag (U_(s+1) - U_s, ...,
+    [n] - U_s, ([n] - U_s) + U_1, ..., ([n] - U_s) + U_(s-1)), s = 0 giving
+    the chain itself, and its label is the chain's label minus L e_U_s (U_0
+    is empty), so every rotation has the chain's degree and class.
     The subsets of ``images`` (``_subset_images``) are ordered by size, so
     a flag's indices increase, and the rotation met first is the one whose
     first block has the least index.  Cyclic partitions of one class keep
     the one whose first rotation has the least index tuple.
 
-    ``keys`` maps each distinct label of ``bary`` to its (degree, class),
-    which its rotations share, so a caller classifies each label once.
-    Every table key but the origin's is a value of ``keys``.
+    Only ``betti_toppling`` reads the table, to name each class in its
+    report.  The upper Koszul complex K^c of the lattice module depends on
+    the class of c alone, as x^(c + u - F) lies in the module iff x^(c - F)
+    does for u in the lattice, so ``conjecture_check`` reads each class at
+    its own least label and needs no representative.
     """
     subsets, imgs, _ = images
     grp = divisor_class_group(g)
@@ -512,8 +516,7 @@ def _class_table(g: Multigraph, images, bary: LabeledComplex) -> tuple:
         kept = best.get(key)
         if kept is None or flag < kept[0]:
             best[key] = flag, lab
-    zero = (0,) * g.n
-    return {(0, grp.class_of(zero)): zero, **{k: lab for k, (_, lab) in best.items()}}, keys
+    return {lab: best[key][1] for lab, key in keys.items()}
 
 
 def _count_table(n: int, flags) -> dict:
@@ -538,23 +541,23 @@ def betti_parking(g: Multigraph) -> dict:
 def betti_toppling(g: Multigraph) -> dict:
     """Betti table of the quotient by the toppling ideal: the connected
     flag counts per divisor class of the degree, each class written as its
-    label in the class table (``_class_table``, read off the barycentric
-    chains).
+    representative in the class table (``_class_table``, read off the
+    barycentric chains).  The Betti numbers depend on the class alone, as
+    K^c does (``_koszul_ranks``), so any label of a class names it.
 
     The barycentric complex supports the parking resolution, so the degree
-    of a flag with k >= 2 blocks is one of its labels, whose (degree, class)
-    the table's keys hold; one that is not raises ``AssertionError``.  The
-    one-block flag has degree 0, the origin, which labels its own class.
+    of a flag with k >= 2 blocks is one of its labels, which the table
+    maps; one that is not raises ``AssertionError``.  The one-block flag
+    has degree 0, the origin, which labels its own class.
     """
     images = _subset_images(g)
-    rep, keys = _class_table(g, images, bary_complex(g, images))
+    rep = _class_table(g, images, bary_complex(g, images))
     pairs = []
     for k, c in connected_flags(g):
         if k > 1:
-            key = keys.get(c)
-            if key is None:
+            if c not in rep:
                 raise AssertionError(f"Betti degree {c} is not a barycentric label")
-            c = rep[key]
+            c = rep[c]
         pairs.append((c, k - 1))
     return _count_table(g.n, pairs)
 
@@ -565,23 +568,23 @@ def conjecture_check(g: Multigraph, char: int = 0) -> dict:
 
     Barycentric face labels are x_n-free, but the toppling Betti numbers at
     a degree depend only on its divisor class, and distinct parking degrees
-    can share a class.  So one loop visits each class of a barycentric
-    label, in the order of its least label: it sums, over the class's
-    labels c, the reduced homology in dimension i-1 of the subcomplex below
-    c, and compares that with the homology in dimension i of the upper
-    Koszul complex of the lattice module at the class's label in the class
-    table (``_koszul_ranks``).  One reverse search (``apt_region``) finds
-    the lattice points below every label of the table first.  Classes with
-    several distinct barycentric labels are reported as ambiguous pairings.
+    can share a class.  So the distinct barycentric labels are grouped by
+    (degree, class), in the order of each class's least label, and one loop
+    over the classes sums, over a class's labels c, the reduced homology in
+    dimension i-1 of the subcomplex below c, and compares that with the
+    homology in dimension i of the upper Koszul complex of the lattice
+    module at the class's least label (``_koszul_ranks``).  K^c depends on
+    the class of c alone: for u in the lattice, x^(c + u - F) lies in the
+    module iff x^(c - F) does.  One reverse search (``apt_region``) finds
+    the lattice points below the least labels, and their Koszul ranks are
+    taken before the loop.  Classes with several distinct barycentric
+    labels are reported as ambiguous pairings.
 
-    The class table is read off the barycentric chains, one rotation each,
-    so every class but the origin's has a barycentric label, and each label
-    is classified once for both sides.  The table's classes the loop did
-    not visit are checked after it: each must carry no homology in
-    dimension >= 0, or it is reported in ``unmatched_orbits``.  The only
-    one is the origin, which has none, so the list stays empty; that the
-    table holds every class rests on the face count that ``bary_complex``
-    checks, not on a second walk.
+    Every class of a flag with two or more blocks has a barycentric label
+    (``_class_table``), so the one class left is the origin's, whose only
+    lattice point below 0 is 0 itself.  It is checked on its own: homology
+    in dimension >= 0 there is reported in ``unmatched_orbits``.  K^0 is
+    the empty complex, so the list stays empty.
 
     The report is written as ``chipalg conjecture`` prints it: each
     compared entry holds its ``parking`` and ``toppling`` ranks, and an
@@ -589,20 +592,20 @@ def conjecture_check(g: Multigraph, char: int = 0) -> dict:
     """
     images = _subset_images(g)
     bary = bary_complex(g, images)
-    table, keys = _class_table(g, images, bary)
+    grp = divisor_class_group(g)
     by_key = {}
-    for c in sorted(keys):
-        by_key.setdefault(keys[c], []).append(c)
-    points = dict(zip(table, apt_region(g, table.values(), images)))
+    for c in sorted(set(bary.face_labels)):
+        by_key.setdefault((sum(c), grp.class_of(c)), []).append(c)
+    least = [labels[0] for labels in by_key.values()]
     memo = {}
+    koszul = [_koszul_ranks(pts, c, memo, char) for c, pts in zip(least, apt_region(g, least, images))]
 
     detail, mismatches = [], []
-    for k, labels in by_key.items():
+    for labels, toppling in zip(by_key.values(), koszul):
         parking = {}
         for c in labels:
             for i, r in homology_ranks(sub_below(bary, c), char).items():
                 parking[i] = parking.get(i, 0) + r
-        toppling = _koszul_ranks(points.pop(k), table[k], memo, char)
         for i in range(-1, g.n):
             b, a = parking.get(i, 0), toppling.get(i + 1, 0)
             if b or a:
@@ -610,11 +613,11 @@ def conjecture_check(g: Multigraph, char: int = 0) -> dict:
             if b != a:
                 mismatches.append(detail[-1])
 
+    zero = (0,) * g.n
+    ha = _koszul_ranks([zero], zero, memo, char)
     unmatched = []
-    for k, pts in points.items():
-        ha = _koszul_ranks(pts, table[k], memo, char)
-        if any(r for i, r in ha.items() if i >= 0):
-            unmatched.append({"degree": table[k], "homology": {str(i): r for i, r in ha.items() if r}})
+    if any(r for i, r in ha.items() if i >= 0):
+        unmatched.append({"degree": zero, "homology": {str(i): r for i, r in ha.items() if r}})
     return {
         "compared": detail,
         "mismatches": mismatches,

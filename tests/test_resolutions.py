@@ -241,12 +241,23 @@ def _class_table_graphs() -> list:
     return graphs + [random_saturated(random.Random(5), 7, 17)]
 
 
+def _least_labels(g, images) -> list:
+    """The least label of each (degree, divisor class) of the barycentric
+    labels, in increasing order: the degrees at which conjecture_check
+    reads the upper Koszul complexes."""
+    grp = divisor_class_group(g)
+    least = {}
+    for c in sorted(set(bary_complex(g, images).face_labels)):
+        least.setdefault((sum(c), grp.class_of(c)), c)
+    return list(least.values())
+
+
 def test_class_table_matches_flag_walk():
     """The class table read off the barycentric chains, one rotation each,
-    equals the oracle's walk over every flag of the origin, keys and
-    labels.  The returned ``keys`` hold every distinct barycentric label,
-    and their values are the table's keys but the origin's.  Many classes
-    hold several cyclic partitions, so the tie-break between them is
+    maps every distinct barycentric label to a representative of its own
+    (degree, class), and those representatives are the oracle's walk over
+    every flag of the origin, but for its origin row.  Many classes hold
+    several cyclic partitions, so the tie-break between them is
     exercised."""
     graphs = _class_table_graphs()
     assert len(graphs) > 680
@@ -254,13 +265,39 @@ def test_class_table_matches_flag_walk():
     for g in graphs:
         images = _subset_images(g)
         bary = bary_complex(g, images)
-        table, keys = _class_table(g, images, bary)
+        table = _class_table(g, images, bary)
+        grp = divisor_class_group(g)
         want = class_table_by_flag_walk(g, images)
-        assert table == want, g
-        assert set(keys) == set(bary.face_labels)
-        assert set(table) == {(0, divisor_class_group(g).class_of((0,) * g.n))} | set(keys.values())
-        shared += sum(r > 1 for r in Counter(map(keys.get, bary.face_labels)).values())
+        del want[(0, grp.class_of((0,) * g.n))]
+        assert set(table) == set(bary.face_labels)
+        got = {}
+        for c, rep in table.items():
+            key = (sum(c), grp.class_of(c))
+            assert (sum(rep), grp.class_of(rep)) == key, (g, c, rep)
+            got[key] = rep
+        assert got == want, g
+        shared += sum(r > 1 for r in Counter(map(table.get, bary.face_labels)).values())
     assert shared > 1000
+
+
+def test_koszul_ranks_are_class_invariant():
+    """The upper Koszul complex K^c depends on the class of c alone: at
+    every distinct barycentric label, _koszul_ranks gives the ranks that it
+    gives at the label's class-table representative, in characteristics 0
+    and 2, on the class-table graphs.  conjecture_check reads each class at
+    its least label on this ground."""
+    moved = 0
+    for g in _class_table_graphs():
+        images = _subset_images(g)
+        table = _class_table(g, images, bary_complex(g, images))
+        degs = sorted(set(table) | set(table.values()))
+        points = dict(zip(degs, apt_region(g, degs, images)))
+        for char in (0, 2):
+            memo = {}
+            for c, rep in table.items():
+                assert _koszul_ranks(points[c], c, memo, char) == _koszul_ranks(points[rep], rep, memo, char), (g, c)
+        moved += sum(c != rep for c, rep in table.items())
+    assert moved > 15000
 
 
 def _rp2() -> LabeledComplex:
@@ -480,7 +517,7 @@ def _random_complexes(rng, count) -> list:
 def _data_slices() -> list:
     """Every ``sub_below`` slice that ``conjecture`` ranks on the data
     graphs c4, k4, chain, prism and sat5, and the oracle's apartment slice
-    below every label of their class tables."""
+    below the least label of each of their classes."""
     out = []
     for name in ("c4", "k4", "chain", "prism", "sat5"):
         g = parse_graph((DATA / f"{name}.graph").read_text())
@@ -488,7 +525,7 @@ def _data_slices() -> list:
         bary = bary_complex(g, images)
         labels = bary_vertex_labels(g, images)
         out += [sub_below(bary, c) for c in sorted({face_label(labels, f) for f in bary.faces})]
-        out += apartment_slices(g, sorted(_class_table(g, images, bary)[0].values()))[1]
+        out += apartment_slices(g, _least_labels(g, images))[1]
     return out
 
 
@@ -544,10 +581,10 @@ def test_betti_tables_k4(k4_graph):
 
 
 def test_betti_toppling_classifies_each_label_once(monkeypatch):
-    """betti_toppling classifies each distinct barycentric label once and
-    the origin once, and reads every flag's class from the class table's
-    keys; a flag degree that is no barycentric label raises
-    AssertionError naming the degree."""
+    """betti_toppling classifies each distinct barycentric label once, and
+    not the origin, which names its own class, and reads every flag's
+    class representative from the class table; a flag degree that is no
+    barycentric label raises AssertionError naming the degree."""
     g = prism()
     images = _subset_images(g)
     labels = set(bary_complex(g, images).face_labels)
@@ -561,7 +598,7 @@ def test_betti_toppling_classifies_each_label_once(monkeypatch):
 
     monkeypatch.setattr(group, "class_of", counted)
     assert betti_toppling(g)["total"] == (1, 22, 92, 147, 102, 26)
-    assert set(calls) == labels | {(0,) * g.n} and set(calls.values()) == {1}
+    assert set(calls) == labels and set(calls.values()) == {1}
     flags = connected_flags(g)
     monkeypatch.setattr(resolutions, "connected_flags", lambda g: flags + [(2, (9, 0, 0, 0, 0, 0))])
     with pytest.raises(AssertionError, match=r"Betti degree \(9, 0, 0, 0, 0, 0\) is not a barycentric label"):
@@ -608,7 +645,7 @@ def _homology_tables(g, char):
     degrees = sorted({face_label(vertex_labels, f) for f in bary.faces})
     below = ((c, homology_ranks(sub_below(bary, c), char)) for c in degrees)
     parking = _betti_table(g.n, below, 2, [((0,) * g.n, 0, 1)])
-    labels = sorted(_class_table(g, images, bary)[0].values())
+    labels = sorted({(0,) * g.n, *_class_table(g, images, bary).values()})
     slices = ((c, homology_ranks(region, char)) for c, region in zip(labels, apartment_slices(g, labels)[1]))
     toppling = _betti_table(g.n, slices, 1, [])
     return parking, toppling
@@ -736,9 +773,9 @@ def _points(labels, c) -> tuple:
 
 def test_apartment_slices_match_own_boxes():
     """The points that apt_region finds below each degree by one walk over
-    their union are those of the degree's own box: below the zero-incident
-    labels alone, and below random degrees, alone and together with the
-    labels.  On the data graphs k4, c4 and chain, the oracle's slices below
+    their union are those of the degree's own box: below the least label of
+    each class alone, and below random degrees, alone and together with
+    the labels.  On the data graphs k4, c4 and chain, the oracle's slices below
     the labels and the random degrees equal the slices from the own boxes,
     each face as its tuple of lattice points and in the same order."""
     rng = random.Random(24)
@@ -750,14 +787,14 @@ def test_apartment_slices_match_own_boxes():
     points = nonempty = 0
     for k, g in enumerate(graphs):
         images = _subset_images(g)
-        labels = sorted(_class_table(g, images, bary_complex(g, images))[0].values())
+        labels = _least_labels(g, images)
         degs = []
         if g.n < 6:
-            top = tuple(map(max, zip(*labels)))
+            top = tuple(map(max, zip((0,) * g.n, *labels)))
             degs = [tuple(rng.randint(0, t + 1) for t in top) for _ in range(5)]
         want = [_own_box_points(g, c) for c in labels + degs]
-        # the labels alone are what conjecture_check asks for; the random
-        # degrees add points to the walk
+        # the least label of each class alone is what conjecture_check asks
+        # for; the random degrees add points to the walk
         assert [sorted(pts) for pts in apt_region(g, labels, images)] == want[: len(labels)]
         assert [sorted(pts) for pts in apt_region(g, labels + degs, images)] == want
         points += sum(map(len, want))
@@ -787,7 +824,7 @@ def _nonzero(ranks) -> dict:
 
 
 def test_koszul_matches_apartment_slices():
-    """At every label of the class table, and at three random degrees in
+    """At the least label of each class, and at three random degrees in
     [0, 2]^n, the upper Koszul complex of the lattice points below the
     degree has the reduced homology of the oracle's apartment slice below
     it, in the same dimensions, in characteristics 0 and 2; one memo serves
@@ -799,7 +836,7 @@ def test_koszul_matches_apartment_slices():
     kinds = Counter()
     for g in graphs:
         images = _subset_images(g)
-        labels = sorted(_class_table(g, images, bary_complex(g, images))[0].values())
+        labels = _least_labels(g, images)
         degs = labels + [tuple(rng.randint(0, 2) for _ in range(g.n)) for _ in range(3)]
         points = apt_region(g, degs, images)
         _, slices = apartment_slices(g, degs)
@@ -821,8 +858,8 @@ def test_koszul_matches_apartment_slices():
 def test_koszul_faces_match_maximal_facets(monkeypatch):
     """The face set that _koszul_ranks hands to homology_ranks, decoded
     from its face integer, is the oracle's: every non-empty subset of a
-    maximal facet, in lexicographic order.  At every label of the class
-    table and at the three random degrees of
+    maximal facet, in lexicographic order.  At the least label of each
+    class and at the three random degrees of
     test_koszul_matches_apartment_slices (cones, acyclic complexes and
     homology); the memo holds one entry per distinct antichain of maximal
     facets, so the integer key neither merges nor splits complexes."""
@@ -833,7 +870,7 @@ def test_koszul_faces_match_maximal_facets(monkeypatch):
     labels_seen = 0
     for g in graphs:
         images = _subset_images(g)
-        labels = sorted(_class_table(g, images, bary_complex(g, images))[0].values())
+        labels = _least_labels(g, images)
         degs = labels + [tuple(rng.randint(0, 2) for _ in range(g.n)) for _ in range(3)]
         memo, tops = {}, set()
         for c, pts in zip(degs, apt_region(g, degs, images)):
@@ -852,8 +889,8 @@ def test_reverse_search_meets_each_point_once():
     parent: no per-degree list repeats a point, and for each point
     w = L v other than the origin, with v >= 0 and min v = 0, the parent
     L max(v - 1, 0) is in the list of every degree that w is in.  On the
-    data graphs and twelve seeded 5-node graphs, at the class-table labels
-    and three random degrees."""
+    data graphs and twelve seeded 5-node graphs, at the least label of each
+    class and three random degrees."""
     rng = random.Random(29)
     names = ("c4", "k4", "chain", "prism", "sat5", "rsat5", "g13")
     graphs = [parse_graph((DATA / f"{name}.graph").read_text()) for name in names]
@@ -863,8 +900,8 @@ def test_reverse_search_meets_each_point_once():
         lam = laplacian(g)
         zero = (0,) * g.n
         images = _subset_images(g)
-        labels = sorted(_class_table(g, images, bary_complex(g, images))[0].values())
-        top = tuple(map(max, zip(*labels)))
+        labels = _least_labels(g, images)
+        top = tuple(map(max, zip((0,) * g.n, *labels)))
         degs = labels + [tuple(rng.randint(0, t + 1) for t in top) for _ in range(3)]
         for c, pts in zip(degs, apt_region(g, degs, images)):
             members = set(pts)
@@ -881,15 +918,15 @@ def test_apt_region_ignores_the_order_of_its_degrees():
     """apt_region gives each degree the same list, the same points in the
     same order, whatever the order of the degrees: the search prunes a
     child only when it lies below no degree, and walks the children in an
-    order that the degrees do not set.  At the class-table labels of every
-    sweep graph (n <= 4, multiplicity <= 2), twelve seeded 5-node graphs
+    order that the degrees do not set.  At the least label of each class of
+    every sweep graph (n <= 4, multiplicity <= 2), twelve seeded 5-node graphs
     and the prism, each in three shuffled orders."""
     rng = random.Random(35)
     graphs = [g for n in range(1, 5) for g in all_connected_graphs(n, 2)]
     graphs += [random_connected(rng, 5) for _ in range(12)] + [prism()]
     for g in graphs:
         images = _subset_images(g)
-        labels = sorted(_class_table(g, images, bary_complex(g, images))[0].values())
+        labels = _least_labels(g, images)
         want = dict(zip(labels, apt_region(g, labels, images)))
         for _ in range(3):
             degs = rng.sample(labels, len(labels))
@@ -921,8 +958,9 @@ def test_linear_systems_are_connected():
     for g in graphs:
         steps = [d for _, d in subset_images(g)]
         images = _subset_images(g)
-        labels = sorted(_class_table(g, images, bary_complex(g, images))[0].values())
-        top = tuple(map(max, zip(*labels)))
+        # a box that holds every class representative
+        reps = _class_table(g, images, bary_complex(g, images)).values()
+        top = tuple(map(max, zip((0,) * g.n, *reps)))
         for _ in range(20 if g.n < 6 else 4):
             deg = tuple(rng.randint(-2, t + 1) for t in top)
             points = set(lattice_points_in_box(g, tuple(x - sum(deg) for x in deg), deg))
@@ -945,9 +983,10 @@ def test_linear_systems_are_connected():
 
 def test_conjecture_builds_one_inclusion_graph(monkeypatch):
     """One conjecture_check builds one inclusion graph and walks it once,
-    from the subsets that avoid n: the barycentric complex, whose chains
-    the class table reads; sub_below cuts without walking.  betti_toppling
-    builds one inclusion graph and walks it once too."""
+    from the subsets that avoid n: the barycentric complex, whose labels it
+    groups by class itself; sub_below cuts without walking.  betti_toppling
+    builds one inclusion graph and walks it once too, for the barycentric
+    chains whose rotations the class table reads."""
     g = prism()
     subsets = _subset_images(g)[0]
     avoid_n = sum(1 << k for k, s in enumerate(subsets) if not s >> (g.n - 1))
@@ -1026,23 +1065,41 @@ def test_conjecture_reports_a_mismatch(monkeypatch, capsys):
     assert check["details"]["mismatches"] >= 1
 
 
-def test_conjecture_reports_an_unmatched_orbit(monkeypatch):
-    """A class-table row under a key that no barycentric label has is
-    checked after the loop over the classes: a row with homology is listed
-    in ``unmatched_orbits`` and fails the comparison."""
+def test_conjecture_reports_an_unmatched_orbit(monkeypatch, capsys):
+    """The origin, the one class with no barycentric label, is checked on
+    its own: homology of K^0 in dimension >= 0 is listed in
+    ``unmatched_orbits`` and fails the comparison, with no mismatch, and
+    ``chipalg conjecture`` exits 2 with ``betti_agreement`` failed."""
     g = c4()
-    table_of = resolutions._class_table
-    images = _subset_images(g)
-    table, _ = table_of(g, images, bary_complex(g, images))
-    assert conjecture_check(g)["pass"]
-    row = max(table.values(), key=sum)  # a label of the top degree, which carries homology
+    zero = (0,) * g.n
+    koszul = resolutions._koszul_ranks
 
-    def with_stray_row(g, images, bary):
-        table, keys = table_of(g, images, bary)
-        return {**table, ("stray", 0): row}, keys
+    def origin_with_homology(points, c, memo, char):
+        ranks = koszul(points, c, memo, char)
+        return {**ranks, 0: 1} if c == zero else ranks
 
-    monkeypatch.setattr(resolutions, "_class_table", with_stray_row)
+    monkeypatch.setattr(resolutions, "_koszul_ranks", origin_with_homology)
     rep = conjecture_check(g)
     assert not rep["pass"] and not rep["mismatches"]
-    (orbit,) = rep["unmatched_orbits"]
-    assert orbit["degree"] == row and any(r for i, r in orbit["homology"].items() if int(i) >= 0)
+    assert rep["unmatched_orbits"] == [{"degree": zero, "homology": {"-1": 1, "0": 1}}]
+
+    code = run(["conjecture", str(DATA / "c4.graph")])
+    out, err = capsys.readouterr()
+    assert code == 2 and "betti_agreement" in err
+    (check,) = json.loads(out)["checks"]
+    assert check["name"] == "betti_agreement" and not check["pass"]
+    assert check["details"]["mismatches"] == 0
+
+
+def test_conjecture_needs_no_class_table(monkeypatch):
+    """conjecture_check groups the barycentric labels by class itself and
+    reads K^c at each class's least label, so it passes with the class
+    table out of reach."""
+
+    def no_table(*args):
+        raise AssertionError("conjecture_check read the class table")
+
+    monkeypatch.setattr(resolutions, "_class_table", no_table)
+    for g in (k4(), c4(), chain_graph(), prism()):
+        for char in (0, 2):
+            assert conjecture_check(g, char)["pass"]
