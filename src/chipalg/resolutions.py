@@ -8,14 +8,13 @@ with monomial labels, cut below each label.  The toppling side uses the
 upper Koszul complex K^c of the lattice module at each degree c, a complex
 on at most n vertices whose homology gives beta_{i,c} with no resolution
 (Miller-Sturmfels, *Combinatorial Commutative Algebra*, Thm 1.34 and
-Ch. 9).  One walk (``_cliques``) lists the faces of a flag complex, given
-by one neighbour bitmask per vertex, each clique with the lcm of its vertex
-labels.  Both sides start from one origin table (``_subset_images``): the
-subsets I, as node bitmasks, and their L e_I from
-``multigraph.subset_images``, and their inclusion graph.  Its labels
-lcm(0, L e_I) on the subsets that avoid n (I >> (n - 1) == 0) are the
-parking generators, so ``bary_complex`` walks the graph from those
-subsets.  A barycentric chain U_1 < ... < U_m is the cyclically ordered
+Ch. 9).  Both sides read the subset table ``multigraph.subset_images``:
+the proper non-empty subsets I of [n], as node bitmasks, and their images
+L e_I.  The labels lcm(0, L e_I) of the subsets that avoid n
+(I >> (n - 1) == 0) are the parking generators.  One walk (``_chains``)
+lists the chains of non-empty subsets of [n-1], each the increasing tuple
+of its bitmasks with the lcm of their labels, and these chains are the
+faces of ``bary_complex``.  A barycentric chain U_1 < ... < U_m is the cyclically ordered
 partition (U_1, U_2 - U_1, ..., [n] - U_m) with n in the last block, and
 its rotations are the flags of the origin: the rotation that starts after
 U_s is labelled the chain's label minus L e_U_s, a lattice translate in
@@ -102,32 +101,54 @@ def cyc_partitions(n: int, k: int) -> list:
         raise ValueError("block count must satisfy 1 <= k <= n")
     if k == 1:
         return [OrderedPartition((tuple(range(1, n + 1)),))]
-    bits = range(1, 1 << (n - 1))
     # the chains carry empty labels: only their blocks are read
-    chains = _cliques(_inclusion_graph(bits), [()] * len(bits), (1 << len(bits)) - 1)
     out = [
-        OrderedPartition(tuple(tuple(i + 1 for i in _bits(b)) for b in _chain_blocks(face, bits, n)))
-        for face, _ in chains
+        OrderedPartition(tuple(tuple(i + 1 for i in _bits(b)) for b in _chain_blocks(face, n)))
+        for face, _ in _chains([()] * (1 << (n - 1)))
         if len(face) == k - 1
     ]
     out.sort(key=lambda p: p.blocks)
     return out
 
 
-def _chain_blocks(face, bits, n: int) -> list:
+def _chain_blocks(face, n: int) -> list:
     """The blocks, as bitmasks, of the chain U_1 < ... < U_m of subsets of
-    [n] given by the indices ``face`` into their bitmasks ``bits``: the
-    ordered partition (U_1, U_2 - U_1, ..., [n] - U_m)."""
-    us = [0, *(bits[k] for k in face), (1 << n) - 1]
+    [n], given as the tuple ``face`` of their bitmasks: the ordered
+    partition (U_1, U_2 - U_1, ..., [n] - U_m)."""
+    us = [0, *face, (1 << n) - 1]
     return [a ^ b for a, b in zip(us, us[1:])]
+
+
+def _chains(labels) -> list:
+    """The pairs ``(face, label)`` over the chains U_1 < ... < U_m, m >= 1,
+    of non-empty subsets of [k], where ``labels`` holds one label per
+    subset of [k], indexed by its node bitmask (the empty set's is not
+    read).  A face is the tuple of its subsets' bitmasks, which increases,
+    as a proper subset has the smaller bitmask, and its label is the lcm of
+    theirs.  A chain is extended by each proper superset U_m + t of its top,
+    t running over the non-empty subsets of the complement, and the faces
+    come in lexicographic pre-order, each chain after its own prefix."""
+    full = len(labels) - 1
+    out, stack = [], [((u,), labels[u]) for u in range(full, 0, -1)]
+    while stack:
+        face, label = stack.pop()
+        out.append((face, label))
+        top = face[-1]
+        rest = t = full ^ top
+        while t:  # the larger supersets first, so the smaller pop first
+            u = top | t
+            stack.append((face + (u,), lcm_exp(label, labels[u])))
+            t = (t - 1) & rest
+    return out
 
 
 @dataclass(frozen=True)
 class LabeledComplex:
     """Simplicial complex, optionally with exponent-vector face labels.
 
-    ``faces`` contains every face as a sorted tuple of vertex indices
-    (singletons included).  ``face_labels``, in the order of ``faces``, come
+    ``faces`` contains every face as a sorted tuple of integer vertices
+    (singletons included); the faces of ``bary_complex`` are chains of node
+    bitmasks.  ``face_labels``, in the order of ``faces``, come
     from the function that walked the faces, a face's label being the lcm of
     its vertex labels; ``sub_below`` cuts only a complex that has them.
     """
@@ -172,46 +193,6 @@ def _below(at_most, c, within) -> int:
     return mask
 
 
-def _cliques(nbrs, labels, roots):
-    """Yield ``(face, label)`` for each non-empty clique of the graph whose
-    vertex k has the neighbour bitmask ``nbrs[k]``, within the vertex
-    bitmask ``roots``: a face is a sorted tuple of vertices and its label
-    the lcm of their ``labels``.  Faces come in lexicographic pre-order.
-    """
-
-    def walk(face, label, cand):
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            j = low.bit_length() - 1
-            lab = lcm_exp(label, labels[j]) if face else labels[j]
-            nxt = face + (j,)
-            yield nxt, lab
-            yield from walk(nxt, lab, cand & nbrs[j])
-
-    return walk((), None, roots)
-
-
-def _inclusion_graph(subsets) -> list:
-    """Neighbour bitmasks of the subsets, given as node bitmasks, under
-    proper inclusion: the cliques are the flags (chains) of subsets."""
-    return [
-        sum(1 << k for k, b in enumerate(subsets) if a != b and a & b in (a, b))
-        for a in subsets
-    ]
-
-
-def _subset_images(g: Multigraph) -> tuple:
-    """The origin table: the subsets I and images L e_I of ``subset_images``
-    and their ``_inclusion_graph``.  ``bary_complex`` walks the subsets that
-    avoid n, ``_class_table`` reads each rotation of a barycentric
-    chain as a flag of subsets and takes its label by subtracting an image,
-    and ``apt_region`` steps by the images."""
-    table = subset_images(g)
-    subsets = [I for I, _ in table]
-    return subsets, [d for _, d in table], _inclusion_graph(subsets)
-
-
 def _cyclic_partition_count(n: int) -> int:
     """The number of cyclically ordered partitions of [n] into at least two
     blocks: the sum over k >= 2 of (k-1)! S(n, k)."""
@@ -221,24 +202,24 @@ def _cyclic_partition_count(n: int) -> int:
     return sum(factorial(k - 1) * row[k] for k in range(2, n + 1))
 
 
-def bary_complex(g: Multigraph, images) -> LabeledComplex:
+def bary_complex(g: Multigraph) -> LabeledComplex:
     """Barycentric subdivision of the (n-2)-simplex: vertices are the
-    non-empty subsets I of [n-1], faces are chains of subsets, each with the
-    label the walk computed for it.
+    non-empty subsets I of [n-1], as node bitmasks, and faces are chains of
+    subsets, each the increasing tuple of its bitmasks (``_chains``) with
+    the label the walk computed for it.
 
-    ``images`` is the origin table from ``_subset_images``, and the faces
-    index it.  Vertex I is labelled lcm(0, L e_I), the positive part of
-    L e_I, which is the parking generator x^(I -> [n] minus I).
+    Vertex I is labelled lcm(0, L e_I), the positive part of its image
+    L e_I in ``subset_images``, which is the parking generator
+    x^(I -> [n] minus I).
 
     A chain is a cyclically ordered partition of [n] into at least two
     blocks, with n in the last block, and the class table reads one
     rotation off each chain; a face count other than the number of those
     partitions raises ``AssertionError``.
     """
-    subsets, imgs, nbrs = images
-    labels = tuple(lcm_exp((0,) * g.n, d) for d in imgs)
-    roots = sum(1 << k for k, s in enumerate(subsets) if not s >> (g.n - 1))
-    flags = list(_cliques(nbrs, labels, roots))
+    zero = (0,) * g.n
+    imgs = dict(subset_images(g))
+    flags = _chains([zero] + [lcm_exp(zero, imgs[I]) for I in range(1, 1 << (g.n - 1))])
     # A missed chain would silently drop a toppling class: check the count.
     if len(flags) != _cyclic_partition_count(g.n):
         raise AssertionError(f"barycentric complex of a {g.n}-node graph has {len(flags)} faces")
@@ -273,15 +254,15 @@ def sub_below(c: LabeledComplex, deg) -> LabeledComplex:
     return LabeledComplex(tuple(c.faces[k] for k in _bits(keep ^ exact)))
 
 
-def apt_region(g: Multigraph, degs, images) -> list:
+def apt_region(g: Multigraph, degs) -> list:
     """For each degree c of ``degs``, the list of lattice points w <= c
     componentwise, found by one reverse search that meets each point once.
 
     The lattice points are w = Laplacian@v for integer vectors v, and they
     generate the lattice module whose upper Koszul complexes give the
     toppling side's Betti numbers (``_koszul_ranks``).  The steps L e_I, for
-    proper non-empty subsets I of [n], are the images of the origin table
-    ``images`` (``_subset_images``).
+    proper non-empty subsets I of [n], are the images of
+    ``subset_images``.
 
     Write a point as w = L v with v >= 0 and min v = 0; this v is unique, as
     the graph is connected.  For c >= 0 and w <= c, the point L u with
@@ -314,13 +295,12 @@ def apt_region(g: Multigraph, degs, images) -> list:
     for c in degs:
         if len(c) != n or min(c) < 0:
             raise ValueError(f"degree {c} must have one non-negative entry per node, {n}")
-    subsets, imgs, _ = images
     at_least = _at_most([tuple(map(neg, c)) for c in degs])
     full = (1 << n) - 1
     # -L e_I by the bitmask of I, and for each support S the pairs
     # (I, -L e_I) over the proper non-empty I that contain S.
     step = [None] * full
-    for I, d in zip(subsets, imgs):
+    for I, d in subset_images(g):
         step[full ^ I] = d
     kids = []
     for s in range(full):
@@ -352,8 +332,8 @@ def homology_ranks(c: LabeledComplex, char: int = 0) -> dict:
     """Reduced simplicial homology ranks over Q (char 0) or GF(char).
 
     Returns a map from each dimension i, from -1 up to the top dimension of
-    the complex, to the rank of the i-th reduced homology group; the empty
-    complex has rank 1 in dimension -1.
+    the complex, to the rank of the i-th reduced homology group; a complex
+    with no vertex, the void one or {()}, has rank 1 in dimension -1.
 
     One star collapse: the closed star of a vertex v is a cone, so the
     reduced homology of a non-empty K is the homology of the pair
@@ -367,9 +347,9 @@ def homology_ranks(c: LabeledComplex, char: int = 0) -> dict:
     facet outside the link raise ``ValueError``.
     """
     check_char(char)
-    if not c.faces:
-        return {-1: 1}
     counts = Counter(chain.from_iterable(c.faces))
+    if not counts:
+        return {-1: 1}
     v = min(counts, key=lambda u: (-counts[u], u))
     link, rest = {}, []
     for f in c.faces:
@@ -469,7 +449,7 @@ def _koszul_ranks(points, c, memo: dict, char: int) -> dict:
     return ranks
 
 
-def _class_table(g: Multigraph, images, bary: LabeledComplex) -> dict:
+def _class_table(g: Multigraph, bary: LabeledComplex) -> dict:
     """The toppling class table: each distinct label of the barycentric
     complex ``bary`` mapped to the representative of its (degree, divisor
     class), the label of the first flag of the origin in that class, in
@@ -487,10 +467,11 @@ def _class_table(g: Multigraph, images, bary: LabeledComplex) -> dict:
     [n] - U_s, ([n] - U_s) + U_1, ..., ([n] - U_s) + U_(s-1)), s = 0 giving
     the chain itself, and its label is the chain's label minus L e_U_s (U_0
     is empty), so every rotation has the chain's degree and class.
-    The subsets of ``images`` (``_subset_images``) are ordered by size, so
-    a flag's indices increase, and the rotation met first is the one whose
-    first block has the least index.  Cyclic partitions of one class keep
-    the one whose first rotation has the least index tuple.
+    A flag is read as the indices of its subsets in ``subset_images``,
+    which is ordered by size, so a flag's indices increase, and the
+    rotation met first is the one whose first block has the least index.
+    Cyclic partitions of one class keep the one whose first rotation has
+    the least index tuple.
 
     Only ``betti_toppling`` reads the table, to name each class in its
     report.  The upper Koszul complex K^c of the lattice module depends on
@@ -498,20 +479,21 @@ def _class_table(g: Multigraph, images, bary: LabeledComplex) -> dict:
     does for u in the lattice, so ``conjecture_check`` reads each class at
     its own least label and needs no representative.
     """
-    subsets, imgs, _ = images
+    table = subset_images(g)
+    index = {I: k for k, (I, _) in enumerate(table)}
+    imgs = dict(table)
     grp = divisor_class_group(g)
-    index = {b: k for k, b in enumerate(subsets)}
     keys, best = {}, {}
     for face, lab in zip(bary.faces, bary.face_labels):
         key = keys.get(lab)
         if key is None:
             key = keys[lab] = (sum(lab), grp.class_of(lab))
-        blocks = _chain_blocks(face, subsets, g.n)
+        blocks = _chain_blocks(face, g.n)
         firsts = [index[b] for b in blocks]
         s = firsts.index(min(firsts))
-        flag = face
-        if s:  # the rotation (B_(s+1), ..., B_(m+1), B_1, ..., B_s)
-            flag = tuple(index[u] for u in accumulate(blocks[s:] + blocks[: s - 1], or_))
+        # the rotation (B_(s+1), ..., B_(m+1), B_1, ..., B_s) as a flag
+        flag = tuple(index[u] for u in accumulate((blocks[s:] + blocks[:s])[:-1], or_))
+        if s:
             lab = tuple(map(sub, lab, imgs[face[s - 1]]))
         kept = best.get(key)
         if kept is None or flag < kept[0]:
@@ -550,8 +532,7 @@ def betti_toppling(g: Multigraph) -> dict:
     maps; one that is not raises ``AssertionError``.  The one-block flag
     has degree 0, the origin, which labels its own class.
     """
-    images = _subset_images(g)
-    rep = _class_table(g, images, bary_complex(g, images))
+    rep = _class_table(g, bary_complex(g))
     pairs = []
     for k, c in connected_flags(g):
         if k > 1:
@@ -590,15 +571,14 @@ def conjecture_check(g: Multigraph, char: int = 0) -> dict:
     compared entry holds its ``parking`` and ``toppling`` ranks, and an
     unmatched orbit's homology is keyed by the dimension as a string.
     """
-    images = _subset_images(g)
-    bary = bary_complex(g, images)
+    bary = bary_complex(g)
     grp = divisor_class_group(g)
     by_key = {}
     for c in sorted(set(bary.face_labels)):
         by_key.setdefault((sum(c), grp.class_of(c)), []).append(c)
     least = [labels[0] for labels in by_key.values()]
     memo = {}
-    koszul = [_koszul_ranks(pts, c, memo, char) for c, pts in zip(least, apt_region(g, least, images))]
+    koszul = [_koszul_ranks(pts, c, memo, char) for c, pts in zip(least, apt_region(g, least))]
 
     detail, mismatches = [], []
     for labels, toppling in zip(by_key.values(), koszul):

@@ -3,11 +3,11 @@ graph oracles (the edge-sum monomials x^(I->J) and a set-based
 connectivity search among them), the box-scan
 monomial rank, the socle by a neighbour scan of the whole staircase, the
 full-boundary homology oracle, the apartment-slice oracle for the toppling
-side, the upper Koszul faces from the maximal facets, the class table from
-every flag of the origin, the divisor rank by the uncut q-reduction walk,
-the cyclic partitions from set partitions and block orderings, the
-cyclic-partition free complex, and the coarse product of a graded
-polynomial with 1 - psi(x_i)."""
+side, the upper Koszul faces from the maximal facets, the clique walk and
+the class table from every flag of the origin, the divisor rank by the
+uncut q-reduction walk, the cyclic partitions from set partitions and block
+orderings, the cyclic-partition free complex, and the coarse product of a
+graded polynomial with 1 - psi(x_i)."""
 
 import random
 from dataclasses import dataclass
@@ -29,12 +29,10 @@ from chipalg.monomials import (
     vec_add,
     vec_sub,
 )
-from chipalg.multigraph import Multigraph, div_class, divisor_class_group, parse_graph
+from chipalg.multigraph import Multigraph, div_class, divisor_class_group, parse_graph, subset_images
 from chipalg.resolutions import (
     LabeledComplex,
     OrderedPartition,
-    _cliques,
-    _subset_images,
     apt_region,
     cyc_partitions,
 )
@@ -184,11 +182,13 @@ def face_label(labels, face) -> tuple:
     return lab
 
 
-def bary_vertex_labels(g: Multigraph, images) -> tuple:
-    """The vertex labels of ``resolutions.bary_complex``: lcm(0, L e_I) for
-    each subset I of the origin table ``images``, which its faces index."""
+def bary_vertex_labels(g: Multigraph) -> list:
+    """The vertex labels of ``resolutions.bary_complex``, indexed by the
+    node bitmasks that its faces hold: lcm(0, L e_I) for each subset I of
+    [n-1], the empty set's being 0."""
     zero = (0,) * g.n
-    return tuple(lcm_exp(zero, d) for d in images[1])
+    imgs = dict(subset_images(g))
+    return [zero] + [lcm_exp(zero, imgs[I]) for I in range(1, 1 << (g.n - 1))]
 
 
 def face_counts(c: LabeledComplex) -> tuple:
@@ -228,8 +228,36 @@ def homology_ranks_oracle(c: LabeledComplex, char: int = 0) -> dict:
     return out
 
 
+def _cliques(nbrs, labels, roots):
+    """Yield ``(face, label)`` for each non-empty clique of the graph whose
+    vertex k has the neighbour bitmask ``nbrs[k]``, within the vertex
+    bitmask ``roots``: a face is a sorted tuple of vertices and its label
+    the lcm of their ``labels``.  Faces come in lexicographic pre-order."""
+
+    def walk(face, label, cand):
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            j = low.bit_length() - 1
+            lab = lcm_exp(label, labels[j]) if face else labels[j]
+            nxt = face + (j,)
+            yield nxt, lab
+            yield from walk(nxt, lab, cand & nbrs[j])
+
+    return walk((), None, roots)
+
+
+def _inclusion_graph(subsets) -> list:
+    """Neighbour bitmasks of the subsets, given as node bitmasks, under
+    proper inclusion: the cliques are the flags (chains) of subsets."""
+    return [
+        sum(1 << k for k, b in enumerate(subsets) if a != b and a & b in (a, b))
+        for a in subsets
+    ]
+
+
 def cut_cliques(nbrs, labels, roots, cut, join=lcm_exp):
-    """The clique walk of ``resolutions._cliques`` with a cut: yield
+    """The clique walk ``_cliques`` with a cut: yield
     ``(face, label)`` for each non-empty clique within the vertex bitmask
     ``roots`` whose label, the ``join`` of its vertex ``labels``, is not
     ``cut``, in lexicographic pre-order.  A face labelled ``cut`` ends its
@@ -263,12 +291,12 @@ def apartment_slices(g: Multigraph, degs) -> tuple:
     below c a label is c exactly when every coordinate i is hit by some
     vertex with w_i = c_i, so the walk cuts on the bitwise or of those
     hits."""
-    images = _subset_images(g)
+    steps = [d for _, d in subset_images(g)]
     degs = [tuple(c) for c in degs]
-    below = apt_region(g, degs, images)
+    below = apt_region(g, degs)
     ws = tuple(sorted({w for pts in below for w in pts}))
     index = {w: k for k, w in enumerate(ws)}
-    nbrs = [sum(1 << index[x] for d in images[1] if (x := vec_add(w, d)) in index) for w in ws]
+    nbrs = [sum(1 << index[x] for d in steps if (x := vec_add(w, d)) in index) for w in ws]
     out = []
     for c, pts in zip(degs, below):
         hits = {index[w]: sum(1 << i for i, (a, b) in enumerate(zip(w, c)) if a == b) for w in pts}
@@ -295,22 +323,24 @@ def koszul_faces_by_facets(points, c) -> tuple:
     return top, tuple(sorted(faces))
 
 
-def class_table_by_flag_walk(g: Multigraph, images) -> dict:
+def class_table_by_flag_walk(g: Multigraph) -> dict:
     """Oracle for the table of ``resolutions._class_table``: the class
     table from a walk over every flag of the origin.  The inclusion graph
-    of the origin table ``images`` is walked from every subset, and each
-    (degree, class) keeps the label of the first flag met in lexicographic
-    pre-order, the empty flag first; each distinct label is classified
-    once, at its first flag."""
-    subsets, _, nbrs = images
+    of the proper non-empty subsets of [n], in the order of
+    ``subset_images``, is walked from every subset, and each (degree,
+    class) keeps the label of the first flag met in lexicographic
+    pre-order on their indices, the empty flag first; each distinct label
+    is classified once, at its first flag."""
+    table = subset_images(g)
     grp = divisor_class_group(g)
     zero = (0,) * g.n
-    table = {(0, grp.class_of(zero)): zero}
-    labels = bary_vertex_labels(g, images)  # each flag's label includes the origin's
-    flags = _cliques(nbrs, labels, (1 << len(subsets)) - 1)
+    out = {(0, grp.class_of(zero)): zero}
+    # each flag's label includes the origin's
+    labels = [lcm_exp(zero, d) for _, d in table]
+    flags = _cliques(_inclusion_graph([I for I, _ in table]), labels, (1 << len(table)) - 1)
     for lab in dict.fromkeys(lab for _, lab in flags):
-        table.setdefault((sum(lab), grp.class_of(lab)), lab)
-    return table
+        out.setdefault((sum(lab), grp.class_of(lab)), lab)
+    return out
 
 
 def divisor_rank_uncut_walk(g: Multigraph, u) -> int:

@@ -21,12 +21,10 @@ from chipalg.multigraph import divisor_class_group, laplacian, parse_graph, subs
 from chipalg.resolutions import (
     LabeledComplex,
     OrderedPartition,
+    _chains,
     _class_table,
-    _cliques,
     _cyclic_partition_count,
-    _inclusion_graph,
     _koszul_ranks,
-    _subset_images,
     apt_region,
     bary_complex,
     betti_parking,
@@ -39,6 +37,8 @@ from chipalg.resolutions import (
 from conftest import (
     DATA,
     _arrow,
+    _cliques,
+    _inclusion_graph,
     acyclic_orientations_unique_sink,
     all_connected_graphs,
     apartment_slices,
@@ -164,12 +164,11 @@ def test_graded_consistency_of_boundaries(k4_graph):
 
 
 def test_bary_complex_shape(k4_graph):
-    images = _subset_images(k4_graph)
-    bary = bary_complex(k4_graph, images)
-    # the origin table holds the 14 proper non-empty subsets of [4]; the 7
-    # that avoid 4 are the vertices
-    assert len(images[0]) == 2 ** 4 - 2
-    assert len({v for f in bary.faces for v in f}) == 2 ** 3 - 1
+    bary = bary_complex(k4_graph)
+    # the vertices are the 7 non-empty subsets of [3], as node bitmasks,
+    # and each face is a chain of them, increasing under inclusion
+    assert {v for f in bary.faces for v in f} == set(range(1, 2 ** 3))
+    assert all(a & b == a != b for f in bary.faces for a, b in zip(f, f[1:]))
     # barycentric subdivision of the 2-simplex: 7 vertices, 12 edges, 6 triangles
     assert face_counts(bary) == (7, 12, 6)
 
@@ -191,22 +190,26 @@ def _old_bary_complex(g) -> tuple:
 
 
 def test_bary_complex_matches_own_subsets():
-    """bary_complex, walked over the origin table from the subsets that
-    avoid n, equals the barycentric complex built over the subsets of
-    [n-1] alone, face for face as flags of subsets and in the same order,
-    with the same face labels; and lcm(0, L e_I) is x^(I -> [n] minus I)
-    for every non-empty I avoiding n."""
+    """bary_complex, whose faces are chains of node bitmasks, equals the
+    barycentric complex built by a clique walk over the inclusion graph of
+    the subsets of [n-1], face for face as chains of subsets with the same
+    face labels; its faces come in lexicographic order, each a tuple of
+    bitmasks of non-empty subsets of [n-1], strictly increasing under
+    inclusion; and lcm(0, L e_I) is x^(I -> [n] minus I) for every
+    non-empty I avoiding n."""
     faces = 0
     for g in data_and_seeded_graphs(27):
-        images = _subset_images(g)
-        table, imgs, _ = images
-        bary = bary_complex(g, images)
+        imgs = dict(subset_images(g))
+        bary = bary_complex(g)
         subsets, labels, flags = _old_bary_complex(g)
         for s, lab in zip(subsets, labels, strict=True):
-            k = table.index(_mask(s))
-            assert lcm_exp((0,) * g.n, imgs[k]) == lab
-        assert [tuple(table[k] for k in f) for f in bary.faces] == [tuple(_mask(subsets[k]) for k in f) for f, _ in flags]
-        assert bary.face_labels == tuple(lab for _, lab in flags)
+            assert lcm_exp((0,) * g.n, imgs[_mask(s)]) == lab
+        want = sorted((tuple(_mask(subsets[k]) for k in f), lab) for f, lab in flags)
+        assert sorted(zip(bary.faces, bary.face_labels)) == want
+        assert list(bary.faces) == sorted(bary.faces)
+        for f in bary.faces:
+            assert 0 < f[0] and f[-1] >> (g.n - 1) == 0
+            assert all(a & b == a != b for a, b in zip(f, f[1:]))
         faces += len(flags)
     assert faces > 1000
 
@@ -223,11 +226,11 @@ def test_bary_face_count_is_cyclic_partition_count(monkeypatch):
         assert _cyclic_partition_count(n) == sum(len(cyc_partitions(n, k)) for k in range(1, n + 1)) - 1
     for name in DATA_GRAPHS:
         g = parse_graph((DATA / f"{name}.graph").read_text())
-        assert len(bary_complex(g, _subset_images(g)).faces) == _cyclic_partition_count(g.n)
-    walk = resolutions._cliques
-    monkeypatch.setattr(resolutions, "_cliques", lambda *args: list(walk(*args))[:-1])
+        assert len(bary_complex(g).faces) == _cyclic_partition_count(g.n)
+    walk = resolutions._chains
+    monkeypatch.setattr(resolutions, "_chains", lambda labels: walk(labels)[:-1])
     with pytest.raises(AssertionError, match="barycentric complex of a 4-node graph has 24 faces"):
-        bary_complex(k4(), _subset_images(k4()))
+        bary_complex(k4())
 
 
 def _class_table_graphs() -> list:
@@ -241,13 +244,13 @@ def _class_table_graphs() -> list:
     return graphs + [random_saturated(random.Random(5), 7, 17)]
 
 
-def _least_labels(g, images) -> list:
+def _least_labels(g) -> list:
     """The least label of each (degree, divisor class) of the barycentric
     labels, in increasing order: the degrees at which conjecture_check
     reads the upper Koszul complexes."""
     grp = divisor_class_group(g)
     least = {}
-    for c in sorted(set(bary_complex(g, images).face_labels)):
+    for c in sorted(set(bary_complex(g).face_labels)):
         least.setdefault((sum(c), grp.class_of(c)), c)
     return list(least.values())
 
@@ -263,11 +266,10 @@ def test_class_table_matches_flag_walk():
     assert len(graphs) > 680
     shared = 0
     for g in graphs:
-        images = _subset_images(g)
-        bary = bary_complex(g, images)
-        table = _class_table(g, images, bary)
+        bary = bary_complex(g)
+        table = _class_table(g, bary)
         grp = divisor_class_group(g)
-        want = class_table_by_flag_walk(g, images)
+        want = class_table_by_flag_walk(g)
         del want[(0, grp.class_of((0,) * g.n))]
         assert set(table) == set(bary.face_labels)
         got = {}
@@ -288,10 +290,9 @@ def test_koszul_ranks_are_class_invariant():
     its least label on this ground."""
     moved = 0
     for g in _class_table_graphs():
-        images = _subset_images(g)
-        table = _class_table(g, images, bary_complex(g, images))
+        table = _class_table(g, bary_complex(g))
         degs = sorted(set(table) | set(table.values()))
-        points = dict(zip(degs, apt_region(g, degs, images)))
+        points = dict(zip(degs, apt_region(g, degs)))
         for char in (0, 2):
             memo = {}
             for c, rep in table.items():
@@ -346,9 +347,8 @@ def test_sub_below_matches_full_scan():
     cases = [(octahedron, labels, degrees + [tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(10)])]
     for n, saturated in ((3, False), (3, True), (4, False), (4, True), (5, False), (5, True), (6, False)):
         g = random_saturated(rng, n) if saturated else random_connected(rng, n, max_mult=3)
-        images = _subset_images(g)
-        bary = bary_complex(g, images)
-        labels = bary_vertex_labels(g, images)
+        bary = bary_complex(g)
+        labels = bary_vertex_labels(g)
         degrees = sorted({face_label(labels, f) for f in bary.faces})
         top = [max(c[i] for c in degrees) for i in range(n)]
         degrees += [tuple(rng.randint(0, t + 1) for t in top) for _ in range(10)]
@@ -364,7 +364,7 @@ def test_sub_below_matches_full_scan():
 def test_sub_below_needs_face_labels(k4_graph):
     """A complex without face labels, such as the result of ``sub_below``,
     is refused with a message that names them."""
-    bary = bary_complex(k4_graph, _subset_images(k4_graph))
+    bary = bary_complex(k4_graph)
     c = max(bary.face_labels)
     with pytest.raises(ValueError, match="face_labels"):
         sub_below(sub_below(bary, c), c)
@@ -373,7 +373,7 @@ def test_sub_below_needs_face_labels(k4_graph):
 def test_sub_below_rejects_wrong_length(k4_graph):
     """A degree with missing or extra entries is named in the error, not
     read as a prefix of itself or cut short."""
-    bary = bary_complex(k4_graph, _subset_images(k4_graph))
+    bary = bary_complex(k4_graph)
     with pytest.raises(ValueError, match=r"degree \(1, 1\) must have one entry per node, 4"):
         sub_below(bary, (1, 1))
     with pytest.raises(ValueError, match=r"degree \(1, 1, 1, 0, 5\) must have one entry per node, 4"):
@@ -412,9 +412,8 @@ def test_sub_below_matches_cut_walk():
     graphs += [random_saturated(rng, 5) for _ in range(3)]
     cut = 0
     for g in graphs:
-        images = _subset_images(g)
-        bary = bary_complex(g, images)
-        labels = bary_vertex_labels(g, images)
+        bary = bary_complex(g)
+        labels = bary_vertex_labels(g)
         assert bary.face_labels == tuple(face_label(labels, f) for f in bary.faces)
         for c in sorted(set(bary.face_labels)):
             assert sub_below(bary, c).faces == _walk_below(bary, labels, c)
@@ -422,10 +421,34 @@ def test_sub_below_matches_cut_walk():
     assert cut > 500
 
 
+def test_chains_match_brute_force():
+    """The chain walk lists every chain of non-empty subsets of [m], for
+    m = 0-5, once, labelled with the lcm of its subsets' seeded random
+    labels, in lexicographic order, so each chain after its own prefix;
+    there are sum over k >= 2 of (k-1)! S(m+1, k) of them."""
+    rng = random.Random(37)
+    for m in range(6):
+        labels = [tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(1 << m)]
+        # a chain increases as a tuple of bitmasks, so it is a combination
+        want = {
+            f: reduce(lcm_exp, (labels[u] for u in f))
+            for k in range(1, m + 1)
+            for f in combinations(range(1, 1 << m), k)
+            if all(a & b == a for a, b in zip(f, f[1:]))
+        }
+        got = _chains(labels)
+        faces = [f for f, _ in got]
+        assert len(set(faces)) == len(faces) and dict(got) == want
+        assert faces == sorted(faces)
+        at = {f: k for k, f in enumerate(faces)}
+        assert all(at[f[:-1]] < at[f] for f in faces[1:] if len(f) > 1)
+        assert len(faces) == sum(factorial(k - 1) * _stirling2(m + 1, k) for k in range(2, m + 2))
+
+
 def test_cliques_match_brute_force():
-    """The walk yields every non-empty clique, each with its lcm label, in
-    lexicographic order; the oracle's cut walk yields every clique within
-    the roots whose label is not the cut.  Cutting on the coordinates that
+    """The oracles' clique walk yields every non-empty clique, each with its
+    lcm label, in lexicographic order; their cut walk yields every clique
+    within the roots whose label is not the cut.  Cutting on the coordinates that
     reach the cut, joined by bitwise or, yields the same faces."""
     rng = random.Random(26)
     walked = 0
@@ -459,8 +482,11 @@ def test_homology_of_simple_complexes():
     # two isolated points: H~_0 has rank 1
     two_pts = LabeledComplex(((0,), (1,)))
     assert homology_ranks(two_pts) == {-1: 0, 0: 1}
-    # empty complex: H~_(-1) has rank 1
+    # empty complex, with or without the empty face: H~_(-1) has rank 1
     assert homology_ranks(LabeledComplex(())) == {-1: 1}
+    empty_face = LabeledComplex(((),))
+    assert homology_ranks(empty_face) == {-1: 1} == homology_ranks_oracle(empty_face)
+    assert homology_ranks(LabeledComplex(((), (0,), (1,)))) == {-1: 0, 0: 1}
     # hollow triangle: circle
     tri = LabeledComplex(((0,), (1,), (2,), (0, 1), (0, 2), (1, 2)))
     assert homology_ranks(tri) == {-1: 0, 0: 0, 1: 1}
@@ -521,11 +547,10 @@ def _data_slices() -> list:
     out = []
     for name in ("c4", "k4", "chain", "prism", "sat5"):
         g = parse_graph((DATA / f"{name}.graph").read_text())
-        images = _subset_images(g)
-        bary = bary_complex(g, images)
-        labels = bary_vertex_labels(g, images)
+        bary = bary_complex(g)
+        labels = bary_vertex_labels(g)
         out += [sub_below(bary, c) for c in sorted({face_label(labels, f) for f in bary.faces})]
-        out += apartment_slices(g, _least_labels(g, images))[1]
+        out += apartment_slices(g, _least_labels(g))[1]
     return out
 
 
@@ -586,8 +611,7 @@ def test_betti_toppling_classifies_each_label_once(monkeypatch):
     class representative from the class table; a flag degree that is no
     barycentric label raises AssertionError naming the degree."""
     g = prism()
-    images = _subset_images(g)
-    labels = set(bary_complex(g, images).face_labels)
+    labels = set(bary_complex(g).face_labels)
     group = type(divisor_class_group(g))
     class_of = group.class_of
     calls = Counter()
@@ -639,13 +663,12 @@ def _betti_table(n: int, pairs, shift: int, entries: list) -> dict:
 def _homology_tables(g, char):
     """The parking and the toppling Betti tables from the homology of the
     barycentric subcomplexes and of the oracle's apartment slices."""
-    images = _subset_images(g)
-    bary = bary_complex(g, images)
-    vertex_labels = bary_vertex_labels(g, images)
+    bary = bary_complex(g)
+    vertex_labels = bary_vertex_labels(g)
     degrees = sorted({face_label(vertex_labels, f) for f in bary.faces})
     below = ((c, homology_ranks(sub_below(bary, c), char)) for c in degrees)
     parking = _betti_table(g.n, below, 2, [((0,) * g.n, 0, 1)])
-    labels = sorted({(0,) * g.n, *_class_table(g, images, bary).values()})
+    labels = sorted({(0,) * g.n, *_class_table(g, bary).values()})
     slices = ((c, homology_ranks(region, char)) for c, region in zip(labels, apartment_slices(g, labels)[1]))
     toppling = _betti_table(g.n, slices, 1, [])
     return parking, toppling
@@ -697,11 +720,10 @@ def test_chain_graph_example():
     assert set(parking_ideal(g).generators) == {(2, 0, 0), (0, 1, 0), (0, 0, 3)}
     # one minimal first syzygy in degree (2,0,3,0)
     deg = (2, 0, 3, 0)
-    images = _subset_images(g)
-    bary = sub_below(bary_complex(g, images), deg)
+    bary = sub_below(bary_complex(g), deg)
     verts = [f for f in bary.faces if len(f) == 1]
     assert len(verts) == 2 and len(bary.faces) == 2  # two isolated vertices
-    labels = {face_label(bary_vertex_labels(g, images), f) for f in verts}
+    labels = {face_label(bary_vertex_labels(g), f) for f in verts}
     assert labels == {(2, 0, 0, 0), (0, 0, 3, 0)}  # a^2 and c^3
     assert homology_ranks(bary)[0] == 1
 
@@ -786,8 +808,7 @@ def test_apartment_slices_match_own_boxes():
             graphs.append(random_saturated(rng, n, max_mult))
     points = nonempty = 0
     for k, g in enumerate(graphs):
-        images = _subset_images(g)
-        labels = _least_labels(g, images)
+        labels = _least_labels(g)
         degs = []
         if g.n < 6:
             top = tuple(map(max, zip((0,) * g.n, *labels)))
@@ -795,11 +816,11 @@ def test_apartment_slices_match_own_boxes():
         want = [_own_box_points(g, c) for c in labels + degs]
         # the least label of each class alone is what conjecture_check asks
         # for; the random degrees add points to the walk
-        assert [sorted(pts) for pts in apt_region(g, labels, images)] == want[: len(labels)]
-        assert [sorted(pts) for pts in apt_region(g, labels + degs, images)] == want
+        assert [sorted(pts) for pts in apt_region(g, labels)] == want[: len(labels)]
+        assert [sorted(pts) for pts in apt_region(g, labels + degs)] == want
         points += sum(map(len, want))
         for deg, pts in zip(degs, want[len(labels) :]):
-            (one,) = apt_region(g, [deg], images)
+            (one,) = apt_region(g, [deg])
             assert sorted(one) == pts
         if k < 3:
             ws, slices = apartment_slices(g, labels + degs)
@@ -835,10 +856,9 @@ def test_koszul_matches_apartment_slices():
     assert len(graphs) == 7 + 44 + 10
     kinds = Counter()
     for g in graphs:
-        images = _subset_images(g)
-        labels = _least_labels(g, images)
+        labels = _least_labels(g)
         degs = labels + [tuple(rng.randint(0, 2) for _ in range(g.n)) for _ in range(3)]
-        points = apt_region(g, degs, images)
+        points = apt_region(g, degs)
         _, slices = apartment_slices(g, degs)
         for char in (0, 2):
             memo = {}
@@ -869,11 +889,10 @@ def test_koszul_faces_match_maximal_facets(monkeypatch):
     graphs = _koszul_graphs()
     labels_seen = 0
     for g in graphs:
-        images = _subset_images(g)
-        labels = _least_labels(g, images)
+        labels = _least_labels(g)
         degs = labels + [tuple(rng.randint(0, 2) for _ in range(g.n)) for _ in range(3)]
         memo, tops = {}, set()
-        for c, pts in zip(degs, apt_region(g, degs, images)):
+        for c, pts in zip(degs, apt_region(g, degs)):
             top, faces = koszul_faces_by_facets(pts, c)
             tops.add(top)
             _koszul_ranks(pts, c, memo, 0)
@@ -899,11 +918,10 @@ def test_reverse_search_meets_each_point_once():
     for g in graphs:
         lam = laplacian(g)
         zero = (0,) * g.n
-        images = _subset_images(g)
-        labels = _least_labels(g, images)
+        labels = _least_labels(g)
         top = tuple(map(max, zip((0,) * g.n, *labels)))
         degs = labels + [tuple(rng.randint(0, t + 1) for t in top) for _ in range(3)]
-        for c, pts in zip(degs, apt_region(g, degs, images)):
+        for c, pts in zip(degs, apt_region(g, degs)):
             members = set(pts)
             assert len(members) == len(pts), (g, c)
             for w in members - {zero}:
@@ -925,26 +943,24 @@ def test_apt_region_ignores_the_order_of_its_degrees():
     graphs = [g for n in range(1, 5) for g in all_connected_graphs(n, 2)]
     graphs += [random_connected(rng, 5) for _ in range(12)] + [prism()]
     for g in graphs:
-        images = _subset_images(g)
-        labels = _least_labels(g, images)
-        want = dict(zip(labels, apt_region(g, labels, images)))
+        labels = _least_labels(g)
+        want = dict(zip(labels, apt_region(g, labels)))
         for _ in range(3):
             degs = rng.sample(labels, len(labels))
-            assert dict(zip(degs, apt_region(g, degs, images))) == want, g
+            assert dict(zip(degs, apt_region(g, degs))) == want, g
 
 
 def test_apartment_slices_reject_bad_degrees():
     """A degree whose length is not the node count, or with a negative
     entry, is named in the error, and no degrees give no slices."""
     g = k4()
-    images = _subset_images(g)
     with pytest.raises(ValueError, match=r"degree \(1, 2, 0\) must have one non-negative entry per node, 4"):
-        apt_region(g, [(1, 1, 0, 0), (1, 2, 0)], images)
+        apt_region(g, [(1, 1, 0, 0), (1, 2, 0)])
     with pytest.raises(ValueError, match=r"degree \(0, 0, 0, 0, 0\)"):
-        apt_region(g, [(0, 0, 0, 0, 0)], images)
+        apt_region(g, [(0, 0, 0, 0, 0)])
     with pytest.raises(ValueError, match=r"degree \(2, -1, 1, 0\) must have one non-negative entry"):
-        apt_region(g, [(1, 1, 0, 0), (2, -1, 1, 0)], images)
-    assert list(apt_region(g, [], images)) == []
+        apt_region(g, [(1, 1, 0, 0), (2, -1, 1, 0)])
+    assert list(apt_region(g, [])) == []
 
 
 def test_linear_systems_are_connected():
@@ -957,9 +973,8 @@ def test_linear_systems_are_connected():
     nontrivial = 0
     for g in graphs:
         steps = [d for _, d in subset_images(g)]
-        images = _subset_images(g)
         # a box that holds every class representative
-        reps = _class_table(g, images, bary_complex(g, images)).values()
+        reps = _class_table(g, bary_complex(g)).values()
         top = tuple(map(max, zip((0,) * g.n, *reps)))
         for _ in range(20 if g.n < 6 else 4):
             deg = tuple(rng.randint(-2, t + 1) for t in top)
@@ -981,27 +996,19 @@ def test_linear_systems_are_connected():
     assert nontrivial >= 80
 
 
-def test_conjecture_builds_one_inclusion_graph(monkeypatch):
-    """One conjecture_check builds one inclusion graph and walks it once,
-    from the subsets that avoid n: the barycentric complex, whose labels it
-    groups by class itself; sub_below cuts without walking.  betti_toppling
-    builds one inclusion graph and walks it once too, for the barycentric
-    chains whose rotations the class table reads."""
+def test_conjecture_walks_the_chains_once(monkeypatch):
+    """One conjecture_check walks the chains of subsets of [n-1] once: the
+    barycentric complex, whose labels it groups by class itself; sub_below
+    cuts without walking.  betti_toppling walks them once too, for the
+    barycentric chains whose rotations the class table reads."""
     g = prism()
-    subsets = _subset_images(g)[0]
-    avoid_n = sum(1 << k for k, s in enumerate(subsets) if not s >> (g.n - 1))
-    build, walk, cut = resolutions._inclusion_graph, resolutions._cliques, resolutions.sub_below
-    built, walked, cutting = [], [], []
+    walk, cut = resolutions._chains, resolutions.sub_below
+    walked, cutting = [], []
 
-    def counting_build(subsets):
-        built.append(build(subsets))
-        return built[-1]
-
-    def counting_walk(nbrs, labels, roots, *args):
+    def counting_walk(labels):
         assert not cutting
-        if nbrs is built[0]:
-            walked.append(roots)
-        return walk(nbrs, labels, roots, *args)
+        walked.append(len(labels))
+        return walk(labels)
 
     def flagged_cut(*args):
         cutting.append(True)
@@ -1010,17 +1017,13 @@ def test_conjecture_builds_one_inclusion_graph(monkeypatch):
         finally:
             cutting.pop()
 
-    monkeypatch.setattr(resolutions, "_inclusion_graph", counting_build)
-    monkeypatch.setattr(resolutions, "_cliques", counting_walk)
+    monkeypatch.setattr(resolutions, "_chains", counting_walk)
     monkeypatch.setattr(resolutions, "sub_below", flagged_cut)
     assert conjecture_check(g)["pass"]
-    assert len(built) == 1
-    assert walked == [avoid_n]
-    built.clear()
+    assert walked == [2 ** (g.n - 1)]
     walked.clear()
     betti_toppling(g)
-    assert len(built) == 1
-    assert walked == [avoid_n]
+    assert walked == [2 ** (g.n - 1)]
 
 
 def test_conjecture_check_small_graphs():
