@@ -28,17 +28,21 @@ reverse search from the origin (Avis-Fukuda 1996): the point L v, with
 v >= 0 and min v = 0, has the parent L max(v - 1, 0), which lies below
 every degree the point lies below, so each point is met once, from its
 parent.  ``_koszul_ranks`` writes the face set of K^c, read off the points
-below c, as one integer with a bit per face, and memoizes on it.  The
-toppling Betti table names each connected flag's class by the class
-table's representative of its degree.  K^c depends on the class of c
-alone, as the lattice module is translation invariant, so
-``conjecture_check`` groups the barycentric labels by class itself,
-reads K^c at each class's least label, and compares the two sides in one
-loop over the classes.  ``homology_ranks`` collapses the star of the
-vertex in the most faces, a cone, and ranks only the relative boundaries
-of the faces outside it.  ``cyc_partitions`` reads the cyclically ordered partitions
-of [n], which index the paper's free complex, off the same barycentric
-chains, and ``_chain_blocks`` turns a chain into its blocks for both.
+below c, as one integer with a bit per face, memoizes on it, and ranks it
+off the integer itself (``_face_set_ranks``).  The toppling Betti table
+names each connected flag's class by the class table's representative of
+its degree.  K^c depends on the class of c alone, as the lattice module
+is translation invariant, so ``conjecture_check`` groups the barycentric
+labels by class itself, reads K^c at each class's least label, and
+compares the two sides in one loop over the classes.  Both homology
+routines collapse the star of the vertex in the most faces, a cone, and
+rank only the relative boundaries of the faces outside it:
+``_face_set_ranks`` on the face-set integer of a K^c, and
+``homology_ranks`` on the parking side's subcomplexes of sorted tuples,
+whose vertices are too many for such an integer.  ``cyc_partitions``
+reads the cyclically ordered partitions of [n], which index the paper's
+free complex, off the same barycentric chains, and ``_chain_blocks``
+turns a chain into its blocks for both.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain, combinations, compress
 from math import factorial
-from operator import add, itemgetter, lt, neg, or_, sub
+from operator import add, lt, neg, or_, sub
 
 from .chipfiring import connected_flags
 from .exactla import check_char
@@ -408,13 +412,61 @@ def homology_ranks(c: LabeledComplex, char: int = 0) -> dict:
 def _face_tables(n: int) -> tuple:
     """The tables of ``_koszul_ranks`` for a complex on [n] written as an
     integer, face F being bit sum(2^i for i in F): the powers 2^i; for each
-    vertex i the integer with a bit for every face that holds i; the pairs
-    (bit, face) of the non-empty faces, each face a sorted tuple, in
-    lexicographic order of the tuples."""
+    vertex i the integer with a bit for every face that holds i; for each
+    size k from 0 to n the level mask, with a bit for every face of k
+    vertices."""
     pows = tuple(1 << i for i in range(n))
     has = tuple(sum(1 << f for f in range(1 << n) if f & p) for p in pows)
-    lex = sorted(((f, tuple(_bits(f))) for f in range(1, 1 << n)), key=itemgetter(1))
-    return pows, has, tuple(lex)
+    levels = [0] * (n + 1)
+    for f in range(1 << n):
+        levels[f.bit_count()] |= 1 << f
+    return pows, has, tuple(levels)
+
+
+def _face_set_ranks(faces: int, n: int, char: int) -> dict:
+    """Reduced homology ranks, as ``homology_ranks`` gives them, of the
+    complex on [n] whose face set is the integer ``faces`` of
+    ``_koszul_ranks``, which is closed under taking faces.
+
+    The same star collapse: v is the vertex in the most faces, the lowest
+    on a tie, its link is the face set of the faces that hold v, shifted
+    down by bit 2^v, and the cells are the faces neither in the star nor
+    in the link.  Each dimension's cells are read off with its level mask
+    (``_face_tables``); a cell's boundary drops one vertex at a time with
+    alternating sign, and keeps the facets that are cells.
+    """
+    pows, has, levels = _face_tables(n)
+    counts = [(faces & h).bit_count() for h in has]
+    most = max(counts, default=0)
+    if not most:
+        return {-1: 1}
+    v = counts.index(most)
+    link = (faces & has[v]) >> pows[v]
+    cells = faces & ~has[v] & ~link
+    # The rank of the boundary of the cells of k vertices is taken off
+    # dimensions k - 1 and k - 2; nothing lies below the vertices.
+    top = max(k for k, level in enumerate(levels) if faces & level)
+    out, below = {-1: 0}, 0
+    for k in range(1, top + 1):
+        level = cells & levels[k]
+        fs = _bits(level)
+        out[k - 1] = len(fs)
+        if below and fs:
+            cols = []
+            for f in fs:
+                col, sign, rest = {}, 1, f
+                while rest:
+                    bit = rest & -rest
+                    if below >> (f ^ bit) & 1:
+                        col[f ^ bit] = sign
+                    sign = -sign
+                    rest ^= bit
+                cols.append(col)
+            r = sparse_rank(cols, char)
+            out[k - 1] -= r
+            out[k - 2] -= r
+        below = level
+    return out
 
 
 def _koszul_ranks(points, c, memo: dict, char: int) -> dict:
@@ -430,10 +482,12 @@ def _koszul_ranks(points, c, memo: dict, char: int) -> dict:
     bits of the facets, closed downwards one vertex i at a time by moving
     each face that holds i to the bit of the face without it.  The integer
     identifies the complex, so the ranks are kept in ``memo`` under it; a
-    memo serves one characteristic.  On a miss the faces are decoded in
-    lexicographic order for ``homology_ranks``.
+    memo serves one characteristic.  On a miss they are ranked off the
+    integer itself (``_face_set_ranks``), which needs no closure check, as
+    the complex is closed by construction.
     """
-    pows, has, lex = _face_tables(len(c))
+    n = len(c)
+    pows, has, _ = _face_tables(n)
     faces = 0
     for w in points:
         faces |= 1 << sum(compress(pows, map(lt, w, c)))
@@ -441,11 +495,7 @@ def _koszul_ranks(points, c, memo: dict, char: int) -> dict:
         faces |= (faces & h) >> p
     ranks = memo.get(faces)
     if ranks is None:
-        listed = []
-        for f, face in lex:
-            if faces >> f & 1:
-                listed.append(face)
-        ranks = memo[faces] = homology_ranks(LabeledComplex(tuple(listed)), char)
+        ranks = memo[faces] = _face_set_ranks(faces, n, char)
     return ranks
 
 
@@ -569,8 +619,10 @@ def conjecture_check(g: Multigraph, char: int = 0) -> dict:
 
     The report is written as ``chipalg conjecture`` prints it: each
     compared entry holds its ``parking`` and ``toppling`` ranks, and an
-    unmatched orbit's homology is keyed by the dimension as a string.
+    unmatched orbit's homology is keyed by the dimension as a string.  A
+    characteristic that is neither 0 nor a prime raises ``ValueError``.
     """
+    check_char(char)
     bary = bary_complex(g)
     grp = divisor_class_group(g)
     by_key = {}

@@ -312,13 +312,19 @@ def test_rrcheck_output_is_unchanged(capsys):
 
 @pytest.mark.parametrize("graph", ["prism", "c4", "k4", "chain", "sat5"])
 @pytest.mark.parametrize(
-    "name, argv", [("conjecture", ("conjecture",)), ("toppling", ("betti", "--ideal", "toppling"))]
+    "name, argv",
+    [
+        ("conjecture", ("conjecture",)),
+        ("toppling", ("betti", "--ideal", "toppling")),
+        ("conjecture_char2", ("conjecture", "--char", "2")),
+    ],
 )
 def test_toppling_side_output_is_unchanged(capsys, no_lattice_box, graph, name, argv):
     # pins each toppling class's representative label (the chain graph has
     # classes with several parking labels); the results were recorded before
     # the Betti loops and chain enumerators were merged (sat5: before the
-    # apartment slices shared one lattice box), the betti checks later
+    # apartment slices shared one lattice box), the betti checks later, and
+    # the char-2 reports while K^c was still decoded into sorted tuples
     expected = (DATA / f"{graph}.{name}.json").read_text()
     code, out, _ = _run(capsys, argv[0], str(DATA / f"{graph}.graph"), *argv[1:])
     assert code == 0 and out == expected
@@ -368,12 +374,14 @@ def test_skewed_conjecture_report_is_unchanged(capsys, no_lattice_box):
     # g13 is graph 13 of conftest's random_connected(Random(99), 6, 2), genus
     # 10 with 664 spanning trees, whose lattice box over the class labels
     # held 528 points for the 197 below some label; recorded while
-    # apt_region still enumerated that box
+    # apt_region still enumerated that box, and the char-2 report while K^c
+    # was still decoded into sorted tuples
     g13 = parse_graph((DATA / "g13.graph").read_text())
     assert (g13.genus, tree_count(g13)) == (10, 664)
-    expected = (DATA / "g13.conjecture.json").read_text()
-    code, out, _ = _run(capsys, "conjecture", str(DATA / "g13.graph"))
-    assert code == 0 and out == expected
+    for name, argv in [("conjecture", ()), ("conjecture_char2", ("--char", "2"))]:
+        expected = (DATA / f"g13.{name}.json").read_text()
+        code, out, _ = _run(capsys, "conjecture", str(DATA / "g13.graph"), *argv)
+        assert code == 0 and out == expected
 
 
 @pytest.mark.parametrize("graph", ["prism", "c4", "k4", "chain", "sat5"])
