@@ -5,8 +5,10 @@ convention throughout the package.  Inside the package a node set is a
 bitmask, bit i - 1 for node i; this module writes them (``_adjacency``,
 ``_components``) and decodes them (``_bits``).  The subset table
 (``subset_images``) holds each proper non-empty subset I of [n], as a
-bitmask, with its Laplacian move L e_I: the splits, the toppling binomials
-and the origin table are read off it.
+bitmask, with its Laplacian move L e_I, built once per graph by one vector
+addition per subset and cached: the splits (``connected_splits``, cached as
+well), the toppling binomials, the barycentric labels and the steps of the
+lattice-point search are read off it.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from operator import mul
+from operator import add, mul
 
 from .exactla import determinant, smith_normal_form
 from .monomials import parse_ints
@@ -140,29 +142,41 @@ def tree_count(g: Multigraph) -> int:
     return determinant([row[:-1] for row in laplacian(g)[:-1]])
 
 
-def subset_images(g: Multigraph) -> list:
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
+def subset_images(g: Multigraph) -> tuple:
     """The pairs (I, L e_I) over the proper non-empty subsets I of [n], I a
     node bitmask, by |I| and then lexicographically.  Entry i of L e_I is
     the number of edges from i to [n] minus I for i in I, and minus the
-    number from i to I otherwise.  A one-node graph has none."""
-    rows = laplacian(g)
-    return [
-        (sum(1 << i for i in I), tuple(sum(row[i] for i in I) for row in rows))
-        for size in range(1, g.n)
-        for I in combinations(range(g.n), size)
-    ]
+    number from i to I otherwise.  A one-node graph has none.
+
+    Built once per graph and cached, as a tuple.  Each image is one vector
+    addition, L e_I = L e_(I - low) + column low of L with low the lowest
+    node of I, as I - low comes earlier in the table (or is empty)."""
+    n = g.n
+    bits = [1 << i for i in range(n)]
+    col = dict(zip(bits, zip(*laplacian(g))))
+    img = [(0,) * n] * (1 << n)
+    out = []
+    for size in range(1, n):
+        for I in combinations(bits, size):  # node bits, lowest first
+            mask = sum(I)
+            d = img[mask] = tuple(map(add, img[mask - I[0]], col[I[0]]))
+            out.append((mask, d))
+    return tuple(out)
 
 
-def connected_splits(g: Multigraph) -> list:
+@lru_cache(maxsize=GRAPH_CACHE_SIZE)
+def connected_splits(g: Multigraph) -> tuple:
     """The pairs (I, L e_I) of ``subset_images`` with n not in I and both I
-    and [n] minus I inducing connected subgraphs, in the table's order."""
+    and [n] minus I inducing connected subgraphs, in the table's order.
+    Cached per graph, as a tuple."""
     adj = _adjacency(g.mult)
     full = (1 << g.n) - 1
-    return [
+    return tuple(
         (I, d)
         for I, d in subset_images(g)
         if not I >> (g.n - 1) and len(_components(adj, I)) == len(_components(adj, full ^ I)) == 1
-    ]
+    )
 
 
 @dataclass(frozen=True)

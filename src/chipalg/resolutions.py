@@ -8,15 +8,16 @@ with monomial labels, cut below each label.  The toppling side uses the
 upper Koszul complex K^c of the lattice module at each degree c, a complex
 on at most n vertices whose homology gives beta_{i,c} with no resolution
 (Miller-Sturmfels, *Combinatorial Commutative Algebra*, Thm 1.34 and
-Ch. 9).  Both sides read the subset table ``multigraph.subset_images``:
-the proper non-empty subsets I of [n], as node bitmasks, and their images
-L e_I.  The labels lcm(0, L e_I) of the subsets that avoid n
-(I >> (n - 1) == 0) are the parking generators.  One walk (``_chains``)
-lists the chains of non-empty subsets of [n-1], each the increasing tuple
-of its bitmasks with the lcm of their labels, and these chains are the
-faces of ``bary_complex``.  A barycentric chain U_1 < ... < U_m is the cyclically ordered
-partition (U_1, U_2 - U_1, ..., [n] - U_m) with n in the last block, and
-its rotations are the flags of the origin: the rotation that starts after
+Ch. 9).  Both sides read the subset table ``multigraph.subset_images``,
+cached per graph, so a job builds it once: the proper non-empty subsets I
+of [n], as node bitmasks, and their images L e_I.  The labels
+lcm(0, L e_I) of the subsets that avoid n (I >> (n - 1) == 0) are the
+parking generators.  One walk (``_chains``) lists the chains of non-empty
+subsets of [n-1], each the increasing tuple of its bitmasks with the lcm
+of their labels, and these chains are the faces of ``bary_complex``.  A
+barycentric chain U_1 < ... < U_m is the cyclically ordered partition
+(U_1, U_2 - U_1, ..., [n] - U_m) with n in the last block, and its
+rotations are the flags of the origin: the rotation that starts after
 U_s is labelled the chain's label minus L e_U_s, a lattice translate in
 the same class.  So the toppling class table reads one rotation off each
 barycentric chain (``_class_table``) and maps each barycentric label to
@@ -27,22 +28,23 @@ faces with label_i <= c_i and drops those labelled exactly c.
 reverse search from the origin (Avis-Fukuda 1996): the point L v, with
 v >= 0 and min v = 0, has the parent L max(v - 1, 0), which lies below
 every degree the point lies below, so each point is met once, from its
-parent.  ``_koszul_ranks`` writes the face set of K^c, read off the points
-below c, as one integer with a bit per face, memoizes on it, and ranks it
-off the integer itself (``_face_set_ranks``).  The toppling Betti table
-names each connected flag's class by the class table's representative of
-its degree.  K^c depends on the class of c alone, as the lattice module
-is translation invariant, so ``conjecture_check`` groups the barycentric
-labels by class itself, reads K^c at each class's least label, and
-compares the two sides in one loop over the classes.  Both homology
-routines collapse the star of the vertex in the most faces, a cone, and
-rank only the relative boundaries of the faces outside it:
-``_face_set_ranks`` on the face-set integer of a K^c, and
-``homology_ranks`` on the parking side's subcomplexes of sorted tuples,
-whose vertices are too many for such an integer.  ``cyc_partitions``
-reads the cyclically ordered partitions of [n], which index the paper's
-free complex, off the same barycentric chains, and ``_chain_blocks``
-turns a chain into its blocks for both.
+parent.  It lists a point's children when it pops the point, so it
+visits only the supports it meets.  ``_koszul_ranks`` writes the face set
+of K^c, read off the points below c, as one integer with a bit per face,
+memoizes on it, and ranks it off the integer itself (``_face_set_ranks``).
+The toppling Betti table names each connected flag's class by the class
+table's representative of its degree.  K^c depends on the class of c
+alone, as the lattice module is translation invariant, so
+``conjecture_check`` groups the barycentric labels by class itself, reads
+K^c at each class's least label, and compares the two sides in one loop
+over the classes.  Both homology routines collapse the star of the vertex
+in the most faces, a cone, and rank only the relative boundaries of the
+faces outside it: ``_face_set_ranks`` on the face-set integer of a K^c,
+and ``homology_ranks`` on the parking side's subcomplexes of sorted
+tuples, whose vertices are too many for such an integer.
+``cyc_partitions`` reads the cyclically ordered partitions of [n], which
+index the paper's free complex, off the same barycentric chains, and
+``_chain_blocks`` turns a chain into its blocks for both.
 """
 
 from __future__ import annotations
@@ -284,6 +286,9 @@ def apt_region(g: Multigraph, degs) -> list:
     tree from the origin (Avis-Fukuda, *Discrete Appl. Math.* 65, 1996),
     pruning a child that lies below no degree, meets exactly the union of
     the point sets, each point once, and needs no record of the points met.
+    The children of a popped point are listed then, its support S joined
+    with each subset t of [n] minus S but that complement itself, by
+    ``t = (t - 1) & rest`` in decreasing order of t, the empty one last.
     Each point goes to the degrees above it, in search order, so a degree's
     list does not depend on the order of ``degs``.
 
@@ -301,19 +306,10 @@ def apt_region(g: Multigraph, degs) -> list:
             raise ValueError(f"degree {c} must have one non-negative entry per node, {n}")
     at_least = _at_most([tuple(map(neg, c)) for c in degs])
     full = (1 << n) - 1
-    # -L e_I by the bitmask of I, and for each support S the pairs
-    # (I, -L e_I) over the proper non-empty I that contain S.
+    # -L e_I by the bitmask of I
     step = [None] * full
     for I, d in subset_images(g):
         step[full ^ I] = d
-    kids = []
-    for s in range(full):
-        rest, t, row = full ^ s, full ^ s, []
-        while t:  # the subsets t of rest but rest itself, the empty one last
-            t = (t - 1) & rest
-            if s | t:
-                row.append((s | t, step[s | t]))
-        kids.append(row)
 
     # (-w, the bitmask of the degrees above w, the support of v); the origin
     # lies below every degree.
@@ -324,11 +320,15 @@ def apt_region(g: Multigraph, degs) -> list:
         w = tuple(map(neg, x))
         for k in _bits(mask):
             out[k].append(w)
-        for I, d in kids[s]:
-            y = tuple(map(add, x, d))
-            below = _below(at_least, y, mask)
-            if below:
-                stack.append((y, below, I))
+        rest = t = full ^ s
+        while t:  # the subsets t of rest but rest itself, the empty one last
+            t = (t - 1) & rest
+            I = s | t  # a child's support: a proper non-empty superset of s
+            if I:
+                y = tuple(map(add, x, step[I]))
+                below = _below(at_least, y, mask)
+                if below:
+                    stack.append((y, below, I))
     return out
 
 

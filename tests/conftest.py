@@ -2,8 +2,9 @@
 graph oracles (the edge-sum monomials x^(I->J) and a set-based
 connectivity search among them), the box-scan
 monomial rank, the socle by a neighbour scan of the whole staircase, the
-full-boundary homology oracle, the apartment-slice oracle for the toppling
-side, the upper Koszul faces from the maximal facets, the clique walk and
+full-boundary homology oracle, the reverse search over a table of every
+support's children, the apartment-slice oracle for the toppling side, the
+upper Koszul faces from the maximal facets, the clique walk and
 the class table from every flag of the origin, the divisor rank by the
 uncut q-reduction walk, the cyclic partitions from set partitions and block
 orderings, the cyclic-partition free complex, and the coarse product of a
@@ -33,6 +34,8 @@ from chipalg.multigraph import Multigraph, div_class, divisor_class_group, parse
 from chipalg.resolutions import (
     LabeledComplex,
     OrderedPartition,
+    _at_most,
+    _below,
     apt_region,
     cyc_partitions,
 )
@@ -276,6 +279,42 @@ def cut_cliques(nbrs, labels, roots, cut, join=lcm_exp):
                 yield from walk(nxt, lab, cand & nbrs[j])
 
     return walk((), None, roots)
+
+
+def apt_region_by_kids_table(g: Multigraph, degs) -> list:
+    """Oracle for ``resolutions.apt_region``: the same reverse search from
+    the origin, with the children of every support S, the pairs
+    (I, -L e_I) over the proper non-empty I that contain S, tabled for all
+    2^n - 1 supports before the search starts."""
+    n = g.n
+    degs = [tuple(c) for c in degs]
+    at_least = _at_most([tuple(-x for x in c) for c in degs])
+    full = (1 << n) - 1
+    step = [None] * full
+    for I, d in subset_images(g):
+        step[full ^ I] = d
+    kids = []
+    for s in range(full):
+        rest, t, row = full ^ s, full ^ s, []
+        while t:  # the subsets t of rest but rest itself, the empty one last
+            t = (t - 1) & rest
+            if s | t:
+                row.append((s | t, step[s | t]))
+        kids.append(row)
+    out = [[] for _ in degs]
+    stack = [((0,) * n, (1 << len(degs)) - 1, 0)]
+    while stack:
+        x, mask, s = stack.pop()
+        w = tuple(-a for a in x)
+        for k in range(len(degs)):
+            if mask >> k & 1:
+                out[k].append(w)
+        for I, d in kids[s]:
+            y = vec_add(x, d)
+            below = _below(at_least, y, mask)
+            if below:
+                stack.append((y, below, I))
+    return out
 
 
 def apartment_slices(g: Multigraph, degs) -> tuple:

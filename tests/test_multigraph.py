@@ -81,13 +81,13 @@ def test_connected_splits_match_search_oracle():
                 continue
             g = Multigraph(n, mult)
             graphs += 1
-            expect = [
+            expect = tuple(
                 (I, d)
                 for I, d in subset_images(g)
                 if not I >> (n - 1)
                 and connected_by_search(mult, _bits(I))
                 and connected_by_search(mult, [j for j in range(n) if not I >> j & 1])
-            ]
+            )
             assert connected_splits(g) == expect
     assert graphs == 1 + 2 + 20 + 624
 
@@ -138,7 +138,7 @@ def test_splits_counts():
         table = subset_images(g)
         assert len(table) == 2**n - 2
         assert sum(not I >> (n - 1) for I, _ in table) == 2 ** (n - 1) - 1
-    assert subset_images(parse_graph("nodes 1")) == []
+    assert subset_images(parse_graph("nodes 1")) == ()
     assert len(connected_splits(k4())) == 7
     assert len(connected_splits(prism())) == 22
 

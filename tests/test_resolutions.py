@@ -4,6 +4,7 @@ numbers."""
 
 import json
 import random
+import sys
 from collections import Counter
 from functools import cache, reduce
 from itertools import combinations
@@ -17,7 +18,7 @@ from chipalg.chipfiring import connected_flags, lattice_points_in_box, lattice_s
 from chipalg.cli import run
 from chipalg.exactla import solve_integer
 from chipalg.monomials import divides, lcm_exp, vec_add
-from chipalg.multigraph import divisor_class_group, laplacian, parse_graph, subset_images
+from chipalg.multigraph import connected_splits, divisor_class_group, laplacian, parse_graph, subset_images
 from chipalg.resolutions import (
     LabeledComplex,
     OrderedPartition,
@@ -43,6 +44,7 @@ from conftest import (
     acyclic_orientations_unique_sink,
     all_connected_graphs,
     apartment_slices,
+    apt_region_by_kids_table,
     bary_vertex_labels,
     c4,
     chain_graph,
@@ -53,6 +55,7 @@ from conftest import (
     data_and_seeded_graphs,
     face_counts,
     face_label,
+    format_graph,
     homology_ranks_oracle,
     k4,
     koszul_faces_by_facets,
@@ -1016,6 +1019,50 @@ def test_apt_region_ignores_the_order_of_its_degrees():
         for _ in range(3):
             degs = rng.sample(labels, len(labels))
             assert dict(zip(degs, apt_region(g, degs))) == want, g
+
+
+def test_apt_region_matches_kids_table_oracle():
+    """apt_region, listing each popped support's children as it goes, gives
+    every degree the same points in the same order as the search over a
+    table of every support's children, on seeded random connected graphs
+    with n = 2-6: at random degrees with zero entries, the zero degree, a
+    degree given twice, and the least labels that conjecture_check passes."""
+    rng = random.Random(39)
+    checked = 0
+    for n in range(2, 7):
+        for _ in range(8):
+            g = random_connected(rng, n)
+            degs = [tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(n)) for _ in range(4)]
+            degs += [(0,) * n, degs[0]] + _least_labels(g)[:12]
+            rng.shuffle(degs)
+            got = apt_region(g, degs)
+            assert got == apt_region_by_kids_table(g, degs), g
+            checked += sum(map(len, got))
+    assert checked > 1000
+
+
+def test_subset_table_is_built_once_per_job(tmp_path, capsys):
+    """With the caches emptied, as a fresh process starts, conjecture_check,
+    betti_toppling and ``chipalg ideal`` each build the subset table once,
+    and walk the connected splits at most once: ``chipalg ideal`` asks for
+    them twice, for the toppling generators and the parking ideal."""
+    caches = {
+        id(v): v
+        for name, module in list(sys.modules.items())
+        if name.startswith("chipalg")
+        for v in vars(module).values()
+        if hasattr(v, "cache_clear")
+    }.values()
+    for g in (k4(), prism(), random_saturated(random.Random(5), 6)):
+        path = tmp_path / "g.graph"
+        path.write_text(format_graph(g))
+        for job in (conjecture_check, betti_toppling, lambda g: run(["ideal", str(path)])):
+            for cached in caches:
+                cached.cache_clear()
+            job(g)
+            assert subset_images.cache_info().misses == 1, (g, job)
+            assert connected_splits.cache_info().misses <= 1, (g, job)
+    capsys.readouterr()
 
 
 def test_apartment_slices_reject_bad_degrees():
