@@ -74,8 +74,9 @@ def toppling_generators(g: Multigraph) -> list:
 
 def parking_ideal(g: Multigraph) -> MonomialIdeal:
     """The parking-function ideal in x_1..x_{n-1}: lead monomials of the
-    toppling generators."""
-    gens = [b.lead[: g.n - 1] for b in toppling_generators(g)]
+    toppling generators, read as the positive parts of the connected
+    splits' L e_I on the first n-1 nodes."""
+    gens = [tuple(max(x, 0) for x in d[: g.n - 1]) for _, d in connected_splits(g)]
     return MonomialIdeal.from_generators(g.n - 1, gens)
 
 

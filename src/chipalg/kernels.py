@@ -3,14 +3,15 @@
 These are the hot inner loops of the package: every homology rank, tree
 count and reduced-Laplacian inverse bottoms out here.
 
-All arithmetic is exact.  ``sparse_rank`` works on a column-major sparse
-matrix (a list of ``{row: value}`` dicts) and performs fraction-free
-Gaussian elimination: with a unit pivot the update is division-free, and
-with a general pivot the row is cross-multiplied and re-normalized by its
-gcd, which keeps entry growth tame on the incidence-like matrices we feed
-it.  Over GF(p) the elimination is ordinary modular reduction.  Each pivot
-comes from a shortest remaining row, so it is found without scanning the
-whole matrix.
+All arithmetic is exact.  ``sparse_rank`` takes a column-major sparse
+matrix (a list of ``{row: value}`` dicts), turns it into a table of sparse
+rows and eliminates on that table alone.  Each pivot is an entry of least
+|v| in a shortest remaining row, so it is found without scanning the whole
+matrix.  A unit pivot, which is every pivot over GF(p) and a +-1 over Q,
+updates the other rows exactly by a multiple of the pivot row.  Over Q a
+pivot of any other value cross-multiplies the row and re-normalizes it by
+its gcd, which keeps entry growth tame on the incidence-like matrices we
+feed it.
 """
 
 from math import gcd
@@ -34,73 +35,47 @@ def sparse_rank(cols, p=0):
                 v %= p
             if v:
                 rows.setdefault(r, {})[c] = v
-    colrows = {}
-    for r, row in rows.items():
-        for c in row:
-            colrows.setdefault(c, set()).add(r)
 
     rank = 0
     while rows:
-        # Pivot from a shortest row: a unit entry over Q first, then the
-        # column with the fewest rows, then the smallest |v|.
+        # Pivot at a least |v| of a shortest row: over Q that is a +-1
+        # whenever the row holds one.
         _, r = min(zip(map(len, rows.values()), rows))
         prow = rows.pop(r)
-        if p:
-            c = min(prow, key=lambda c: len(colrows[c]))
-        else:
-            c = min(prow, key=lambda c: (prow[c] not in (1, -1), len(colrows[c]), abs(prow[c])))
+        c = min(prow, key=lambda c: abs(prow[c]))
         pv = prow[c]
-        for cc in prow:
-            s = colrows[cc]
-            s.discard(r)
-            if not s:
-                del colrows[cc]
+        unit = p or pv in (1, -1)
+        inv = pow(pv, -1, p) if p else pv
         rank += 1
 
-        victims = list(colrows.get(c, ()))
-        for r2 in victims:
+        for r2 in [r2 for r2, row2 in rows.items() if c in row2]:
             row2 = rows[r2]
             f = row2[c]
-            if p:
-                mult = (f * pow(pv, -1, p)) % p
-                for cc, vv in prow.items():
-                    nv = (row2.get(cc, 0) - mult * vv) % p
-                    _put(colrows, row2, r2, cc, nv)
-            elif pv == 1 or pv == -1:
-                mult = f * pv
-                for cc, vv in prow.items():
-                    nv = row2.get(cc, 0) - mult * vv
-                    _put(colrows, row2, r2, cc, nv)
+            if unit:
+                # row2 <- row2 - (f/pv)*prow; over Q, 1/pv is pv
+                mult = f * inv % p if p else f * inv
             else:
-                # row2 <- pv*row2 - f*prow, then strip the content gcd.
+                # row2 <- pv*row2 - f*prow, then strip the content gcd
+                mult = f
                 for cc in row2:
-                    if cc not in prow:
-                        row2[cc] *= pv
-                for cc, vv in prow.items():
-                    nv = pv * row2.get(cc, 0) - f * vv
-                    _put(colrows, row2, r2, cc, nv)
-                g = 0
-                for vv in row2.values():
-                    g = gcd(g, vv)
+                    row2[cc] *= pv
+            for cc, vv in prow.items():
+                nv = row2.get(cc, 0) - mult * vv
+                if p:
+                    nv %= p
+                if nv:
+                    row2[cc] = nv
+                else:
+                    # mult*vv is not 0, so cc was in row2
+                    del row2[cc]
+            if not unit:
+                g = gcd(*row2.values())
                 if g > 1:
                     for cc in row2:
                         row2[cc] //= g
             if not row2:
                 del rows[r2]
     return rank
-
-
-def _put(colrows, row, r, c, v):
-    if v:
-        if c not in row:
-            colrows.setdefault(c, set()).add(r)
-        row[c] = v
-    elif c in row:
-        del row[c]
-        s = colrows[c]
-        s.discard(r)
-        if not s:
-            del colrows[c]
 
 
 def bareiss(rows):

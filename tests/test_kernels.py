@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from copy import deepcopy
 from fractions import Fraction
 from itertools import combinations
 
@@ -9,6 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chipalg.kernels import bareiss, bareiss_det, sparse_rank
+
+
+#: The characteristics the kernel tests run in: 0, two small primes and
+#: 2^61 - 1, the largest prime ``check_char`` is tested with.
+CHARS = (0, 2, 101, 2**61 - 1)
 
 
 def _dense_to_cols(rows):
@@ -141,7 +147,7 @@ def test_kernels_match_oracles_on_larger_random_matrices():
     for _ in range(20):
         nr, nc = rng.randint(1, 12), rng.randint(1, 12)
         rows = [[rng.randint(-9, 9) for _ in range(nc)] for _ in range(nr)]
-        for p in (0, 2, 101):
+        for p in CHARS:
             assert sparse_rank(_dense_to_cols(rows), p) == _rank_fraction_oracle(rows, p)
         if nr == nc:
             squares += 1
@@ -178,7 +184,7 @@ def test_sparse_rank_on_boundary_matrices():
     checked = 0
     for _ in range(40):
         for rows in _random_complex_boundaries(rng):
-            for p in (0, 2, 101):
+            for p in CHARS:
                 assert sparse_rank(_dense_to_cols(rows), p) == _rank_fraction_oracle(rows, p)
             checked += 1
     assert checked > 80
@@ -197,8 +203,22 @@ def test_sparse_rank_when_shortest_row_has_no_unit():
             for j in rng.sample(range(nc), 3):
                 r[j] = r[j] or rng.choice((1, -1, 5))
         assert all(sum(map(bool, r)) > 2 for r in rows[1:])
-        for p in (0, 2, 101):
+        for p in CHARS:
             assert sparse_rank(_dense_to_cols(rows), p) == _rank_fraction_oracle(rows, p)
+
+
+def test_sparse_rank_leaves_its_columns_unchanged():
+    # the kernel eliminates on rows of its own; the caller's column dicts,
+    # entries beyond p and non-unit pivots included, come back as they went in
+    rng = random.Random(9)
+    for _ in range(30):
+        nr, nc = rng.randint(1, 9), rng.randint(1, 9)
+        rows = [[rng.choice((0, 0, 1, -1, 2, -6, 2**61, 2**62 + 3)) for _ in range(nc)] for _ in range(nr)]
+        cols = _dense_to_cols(rows)
+        before = deepcopy(cols)
+        for p in CHARS:
+            assert sparse_rank(cols, p) == _rank_fraction_oracle(rows, p)
+            assert cols == before
 
 
 def test_empty_and_zero_matrices():
